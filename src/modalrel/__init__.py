@@ -89,13 +89,12 @@ from .syntax import (
     Relativized,
     Term,
     Var,
-    desugar_implications,
     free_vars,
     parse_formula,
     parse_query,
     render_formula,
     substitute,
 )
-from .translate import Translator, VarContext, simplify, translate_query
+from .translate import Translator, VarContext, translate_query
 
 __version__ = "0.1.0"

@@ -11,42 +11,20 @@ import sys
 
 import click
 
-from .errors import (
-    DegreeError,
-    FreeVarMismatch,
-    KindError,
-    ModelInvariantError,
-    QuerySyntaxError,
-    UnboundVariable,
-    UnknownConstant,
-    UnknownRelation,
-    UnknownVariable,
-    UntranslatableTerm,
-)
+from .errors import ModalRelError, ModelInvariantError, UntranslatableTerm
 from .harness import GenParams, run_campaign
 from .kripke import KripkeModel, answer_direct, load_model
 from .relalg import SCHEMA_NAMES, evaluate, render_algebra, to_tsv
 from .schema import build_database
 from .syntax import parse_query
-from .translate import simplify, translate_query
+from .translate import translate_query
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_QUERY_ERROR = 2
-EXIT_MODEL_ERROR = 3
-EXIT_UNTRANSLATABLE = 4
+EXIT_QUERY_ERROR = ModalRelError.exit_code
+EXIT_MODEL_ERROR = ModelInvariantError.exit_code
+EXIT_UNTRANSLATABLE = UntranslatableTerm.exit_code
 EXIT_MISMATCH = 5
-
-_QUERY_ERRORS = (
-    QuerySyntaxError,
-    KindError,
-    FreeVarMismatch,
-    UnknownConstant,
-    UnboundVariable,
-    UnknownVariable,
-    UnknownRelation,
-    DegreeError,
-)
 
 
 def _read_model(path: str) -> KripkeModel:
@@ -95,14 +73,12 @@ def cmd_map(model_path: str, out_dir: str):
 @click.argument("query")
 @click.option("--target", "-t", multiple=True, help="Target variable, e.g. -t '?x'.")
 @click.option("--eval", "evaluate_too", is_flag=True, help="Also evaluate and print TSV rows.")
-@click.option("--raw", is_flag=True, help="Skip the empty-context identity simplification.")
-def cmd_translate(model_path: str, query: str, target: tuple[str, ...], evaluate_too: bool, raw: bool):
+def cmd_translate(model_path: str, query: str, target: tuple[str, ...], evaluate_too: bool):
     """Print the algebra translation of QUERY against MODEL_PATH."""
     model = _read_model(model_path)
     parsed = parse_query(query, list(target))
     expr = translate_query(parsed, model)
-    shown = expr if raw else simplify(expr)
-    click.echo(render_algebra(shown))
+    click.echo(render_algebra(expr))
     if evaluate_too:
         db = build_database(model)
         click.echo(to_tsv(evaluate(expr, db)), nl=False)
@@ -194,23 +170,14 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit codes."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(EXIT_USAGE)
     except click.ClickException as exc:
         exc.show()
         sys.exit(EXIT_USAGE)
     except click.Abort:
         sys.exit(EXIT_USAGE)
-    except UntranslatableTerm as exc:
+    except ModalRelError as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_UNTRANSLATABLE)
-    except ModelInvariantError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_MODEL_ERROR)
-    except _QUERY_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_QUERY_ERROR)
+        sys.exit(exc.exit_code)
     return EXIT_OK
 
 

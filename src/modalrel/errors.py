@@ -4,7 +4,13 @@ from __future__ import annotations
 
 
 class ModalRelError(Exception):
-    """Base class for every error this package raises on purpose."""
+    """Base class for every error this package raises on purpose.
+
+    ``exit_code`` is the documented command-line exit code for the error:
+    2 for query errors unless a subclass overrides it.
+    """
+
+    exit_code = 2
 
 
 class PositionedError(ModalRelError):
@@ -49,9 +55,13 @@ class UnknownRelation(ModalRelError):
 class ModelInvariantError(ModalRelError):
     """A model (or model file) violates a structural invariant."""
 
+    exit_code = 3
+
 
 class UntranslatableTerm(ModalRelError):
     """The term has no algebra translation (it is still directly evaluable)."""
+
+    exit_code = 4
 
 
 class DegreeError(ModalRelError):

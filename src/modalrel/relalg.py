@@ -47,9 +47,6 @@ class RelationInstance:
         return sorted(self.tuples)
 
 
-EMPTY_TUPLE_INSTANCE = RelationInstance(0, frozenset({()}))
-
-
 def to_tsv(instance: RelationInstance, header: bool = False) -> str:
     """Tab-separated rows in lexicographic order, one tuple per line."""
     lines = []

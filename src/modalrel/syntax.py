@@ -251,31 +251,6 @@ class ModalQuery:
             raise FreeVarMismatch(f"target list [{wanted}] != free variables [{got}]")
 
 
-def desugar_implications(formula: Formula) -> Formula:
-    """Rewrite every ``a -> b`` into ``!a | b``."""
-    match formula:
-        case Implies(left, right):
-            return Or(Not(desugar_implications(left)), desugar_implications(right))
-        case Not(body):
-            return Not(desugar_implications(body))
-        case And(left, right):
-            return And(desugar_implications(left), desugar_implications(right))
-        case Or(left, right):
-            return Or(desugar_implications(left), desugar_implications(right))
-        case Diamond(rel, body):
-            return Diamond(rel, desugar_implications(body))
-        case Box(rel, body):
-            return Box(rel, desugar_implications(body))
-        case Exists(var, body):
-            return Exists(var, desugar_implications(body))
-        case Forall(var, body):
-            return Forall(var, desugar_implications(body))
-        case Abstraction(var, body, argument):
-            return Abstraction(var, desugar_implications(body), argument)
-        case _:
-            return formula
-
-
 def all_var_names(formula: Formula) -> set[str]:
     """Names of every variable occurring in the formula, bound or free."""
     names: set[str] = set()

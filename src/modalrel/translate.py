@@ -8,6 +8,10 @@ relations of the context variables with Sta and projecting the variable
 columns plus Sta's id column; every other construct preserves it.  Binders
 prepend their variable to the context, so a bound variable always occupies
 column 1 of the subquery and is projected away afterwards.
+
+Under an empty context there is nothing to cross: atoms select from Sta
+directly and negation reads Sta's id column as its universe.  No rewrite
+follows translation, so the tree emitted is the plan evaluated.
 """
 
 from __future__ import annotations
@@ -63,16 +67,9 @@ from .syntax import (
     Term,
     Var,
     all_var_names,
-    desugar_implications,
     fresh_var,
     substitute,
 )
-
-# {⟨⟩} for an empty context: the empty projection of Sta.  Sta is never
-# empty on a mapped instance, so this always evaluates to the single empty
-# tuple and products with it are identities.
-EMPTY_CONTEXT_UNIT = Projection((), BaseRelation(STA))
-
 
 @dataclass(frozen=True)
 class VarContext:
@@ -120,7 +117,7 @@ class Translator:
     def translate_query(self, query: ModalQuery) -> AlgebraExpr:
         """Translate a whole query; the result has degree len(target)+1."""
         context = VarContext(tuple(query.target))
-        return self.translate(desugar_implications(query.formula), context)
+        return self.translate(query.formula, context)
 
     def translate(self, formula: Formula, context: VarContext) -> AlgebraExpr:
         match formula:
@@ -177,14 +174,18 @@ class Translator:
         raise KindError(f"term {term} cannot appear in an atom")
 
     def domain_product(self, context: VarContext) -> AlgebraExpr:
-        """Cross product of one domain relation per context variable."""
-        if not len(context):
-            return EMPTY_CONTEXT_UNIT
+        """Cross product of one domain relation per variable of a non-empty context."""
         factors = [
             BaseRelation(OBJ if isinstance(var, ObjectVar) else CON)
             for var in context.variables
         ]
         return reduce(Product, factors)
+
+    def _under_context(self, states: AlgebraExpr, context: VarContext) -> AlgebraExpr:
+        """``states`` with the context's domain columns crossed in front."""
+        if not len(context):
+            return states
+        return Product(self.domain_product(context), states)
 
     # -- formula constructs --------------------------------------------
 
@@ -193,11 +194,11 @@ class Translator:
         predicate = SelectionPredicate(
             self.term_ref(left, context), op, self.term_ref(right, context)
         )
-        base = Product(self.domain_product(context), BaseRelation(STA))
+        base = self._under_context(BaseRelation(STA), context)
         return Projection(tuple(range(1, n + 2)), Selection(predicate, base))
 
     def _negation(self, body: Formula, context: VarContext) -> AlgebraExpr:
-        universe = Product(self.domain_product(context), Projection((1,), BaseRelation(STA)))
+        universe = self._under_context(Projection((1,), BaseRelation(STA)), context)
         return Difference(universe, self.translate(body, context))
 
     def _diamond(self, relation: str, body: Formula, context: VarContext) -> AlgebraExpr:
@@ -279,32 +280,3 @@ class Translator:
 def translate_query(query: ModalQuery, model: KripkeModel) -> AlgebraExpr:
     """Translate a query against a model's signature."""
     return Translator.for_model(model).translate_query(query)
-
-
-def simplify(expr: AlgebraExpr) -> AlgebraExpr:
-    """Remove the ``{⟨⟩} ×`` padding that empty contexts introduce.
-
-    This is the only rewrite applied to translations; products with the
-    empty-tuple instance are identities.
-    """
-    match expr:
-        case Selection(predicate, inner):
-            return Selection(predicate, simplify(inner))
-        case Projection(indices, inner):
-            return Projection(indices, simplify(inner))
-        case Product(left, right):
-            left = simplify(left)
-            right = simplify(right)
-            if left == EMPTY_CONTEXT_UNIT:
-                return right
-            if right == EMPTY_CONTEXT_UNIT:
-                return left
-            return Product(left, right)
-        case Union(left, right):
-            return Union(simplify(left), simplify(right))
-        case Difference(left, right):
-            return Difference(simplify(left), simplify(right))
-        case Intersection(left, right):
-            return Intersection(simplify(left), simplify(right))
-        case _:
-            return expr

@@ -36,7 +36,6 @@ from modalrel import (
     gen_query,
     parse_query,
     run_campaign,
-    simplify,
     translate_query,
 )
 from modalrel.cli import cli
@@ -169,10 +168,10 @@ DIAMOND_TREE = Projection(
 
 
 def test_criterion_3_worked_translations(example_model):
-    atomic = simplify(translate_query(parse_query("@code = 'b'"), example_model))
-    diamond = simplify(translate_query(parse_query("<COMP> @code = 'b'"), example_model))
+    atomic = translate_query(parse_query("@code = 'b'"), example_model)
+    diamond = translate_query(parse_query("<COMP> @code = 'b'"), example_model)
     ok = atomic == ATOMIC_TREE and diamond == DIAMOND_TREE
-    _criterion(3, "worked translations match the expected trees after the unit rewrite", ok)
+    _criterion(3, "worked translations match the expected trees as emitted", ok)
 
 
 # ---------------------------------------------------------------------------

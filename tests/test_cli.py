@@ -7,6 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from modalrel import parse_algebra, parse_query, translate_query
 from modalrel.cli import (
     EXIT_MISMATCH,
     EXIT_MODEL_ERROR,
@@ -150,11 +151,12 @@ def test_translate_prints_simplified_algebra(runner, example_model_path):
     assert result.output == "(project (1) (select (= 2 'b') Sta))\n"
 
 
-def test_translate_raw_keeps_unit_product(runner, example_model_path):
-    result = runner.invoke(
-        cli, ["translate", str(example_model_path), "@code = 'b'", "--raw"]
-    )
-    assert result.output == "(project (1) (select (= 2 'b') (product (project () Sta) Sta)))\n"
+@pytest.mark.parametrize("text", ["<COMP> @code = 'b'", "[COMP] @code = 'b'"])
+def test_translate_prints_the_plan_it_evaluates(runner, example_model_path, example_model, text):
+    result = runner.invoke(cli, ["translate", str(example_model_path), text, "--eval"])
+    assert result.exit_code == 0
+    printed = parse_algebra(result.output.splitlines()[0])
+    assert printed == translate_query(parse_query(text), example_model)
 
 
 def test_translate_with_eval(runner, example_model_path):

@@ -25,7 +25,6 @@ from modalrel import (
     Or,
     QuerySyntaxError,
     Relativized,
-    desugar_implications,
     free_vars,
     parse_formula,
     parse_query,
@@ -279,13 +278,6 @@ def test_parser_soup_never_breaks_kind_rules(tokens):
 
 # ---------------------------------------------------------------------------
 # Transformations
-
-
-def test_desugar_implications():
-    formula = parse_formula("?x = 'a' -> ?x = 'b'")
-    assert desugar_implications(formula) == parse_formula("!?x = 'a' | ?x = 'b'")
-    nested = parse_formula("[COMP] (?x = 'a' -> ?x = 'b')")
-    assert desugar_implications(nested) == parse_formula("[COMP] (!?x = 'a' | ?x = 'b')")
 
 
 def test_substitute_basics():

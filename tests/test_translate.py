@@ -26,7 +26,6 @@ from modalrel import (
     ObjectVar,
     Product,
     Projection,
-    RelationInstance,
     Relativized,
     Selection,
     SelectionPredicate,
@@ -42,7 +41,6 @@ from modalrel import (
     evaluate,
     parse_query,
     render_algebra,
-    simplify,
     translate_query,
 )
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
@@ -102,12 +100,6 @@ def test_term_ref_errors(translator):
 # Domain relations for variable lists
 
 
-def test_domain_product_empty_is_unit(translator, example_db):
-    expr = translator.domain_product(VarContext())
-    got = evaluate(expr, example_db)
-    assert got == RelationInstance.of(0, [()])
-
-
 def test_domain_product_single_object_var(translator):
     assert translator.domain_product(VarContext((X,))) == BaseRelation(OBJ)
 
@@ -136,19 +128,12 @@ DIAMOND_GOLDEN = Projection(
 
 def test_atomic_translation_matches_golden_tree(example_model):
     expr = translate_query(parse_query("@code = 'b'"), example_model)
-    # before simplification the empty context shows up as a {()} product
-    assert expr == Projection(
-        (1,),
-        Selection(
-            eq(Column(2), Constant("b")), Product(Projection((), STA_REL), STA_REL)
-        ),
-    )
-    assert simplify(expr) == ATOMIC_GOLDEN
-    assert render_algebra(simplify(expr)) == "(project (1) (select (= 2 'b') Sta))"
+    assert expr == ATOMIC_GOLDEN
+    assert render_algebra(expr) == "(project (1) (select (= 2 'b') Sta))"
 
 
 def test_diamond_translation_matches_golden_tree(example_model):
-    expr = simplify(translate_query(parse_query("<COMP> @code = 'b'"), example_model))
+    expr = translate_query(parse_query("<COMP> @code = 'b'"), example_model)
     assert expr == DIAMOND_GOLDEN
 
 
@@ -277,6 +262,27 @@ def test_padding_identity_for_unused_variable():
             translator.translate(query.formula, ctx),
         )
         assert evaluate(extended, db) == evaluate(padded, db)
+
+
+def _nodes(expr):
+    yield expr
+    for child in ("input", "left", "right"):
+        sub = getattr(expr, child, None)
+        if sub is not None:
+            yield from _nodes(sub)
+
+
+def test_translation_has_no_empty_projection():
+    # the acceptance campaign's bounds; an empty context adds no {()} factor
+    params = GenParams(seed=42, max_states=6, max_objects=8, max_concepts=3,
+                       max_relations=2, max_depth=4, max_free_vars=2)
+    for i in range(200):
+        local = case_params(params, i)
+        model = gen_model(local)
+        expr = translate_query(gen_query(local, model), model)
+        assert not any(
+            isinstance(node, Projection) and not node.indices for node in _nodes(expr)
+        )
 
 
 def test_box_duality_is_structural_on_generated_formulas():
