@@ -21,7 +21,6 @@ from .kripke import (
     KripkeModel,
     answer_direct,
     model_fingerprint,
-    validate_model,
 )
 from .relalg import RelationInstance, evaluate
 from .schema import build_database
@@ -129,15 +128,13 @@ def gen_model(params: GenParams) -> KripkeModel:
         }
         relations[f"R{r}"] = frozenset(pairs)
 
-    model = KripkeModel(
+    return KripkeModel(
         states=states,
         relations=relations,
         objects=frozenset(objects),
         concepts=concepts,
         object_constants=frozenset(objects),
     )
-    validate_model(model)
-    return model
 
 
 class _QueryBuilder:
@@ -415,13 +412,13 @@ def run_campaign(
     params: GenParams,
     cases: int,
     translator_factory: TranslatorFactory | None = None,
-    stop_on_failure: bool = True,
 ) -> CampaignSummary:
     """Run `cases` independent differential checks.
 
     Deterministic in the seed.  Untranslatable queries (possible only with
     ``allow_concept_vars``) are answered by the direct engine alone and
-    counted separately.  The first genuine mismatch is shrunk greedily.
+    counted separately.  The campaign stops at the first genuine mismatch,
+    which is shrunk greedily.
     """
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
@@ -441,12 +438,10 @@ def run_campaign(
             summary.untranslatable += 1
             continue
         summary.failed += 1
-        if summary.first_failure is None:
-            small_model, small_query = shrink_case(model, query, factory)
-            summary.first_failure_case = index
-            summary.first_failure = check(small_model, small_query, factory(small_model))
-        if stop_on_failure:
-            break
+        small_model, small_query = shrink_case(model, query, factory)
+        summary.first_failure_case = index
+        summary.first_failure = check(small_model, small_query, factory(small_model))
+        break
     summary.seconds = time.perf_counter() - start
     return summary
 

@@ -6,6 +6,9 @@ functions from states to objects.  The distinguished concept ``id`` is
 injective and serves as the external identity of a state.  Constants are
 identified with the objects they denote (unique names), so the object
 domain doubles as the pool of object-constant symbols.
+
+A ``KripkeModel`` checks these invariants when it is built and is read-only
+afterwards, so every model that exists is valid.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import yaml
 
@@ -47,15 +51,31 @@ ID_CONCEPT = "id"
 Assignment = dict  # Var -> str (object value, or concept name for concept vars)
 
 
+def concept_order(names: Iterable[str]) -> list[str]:
+    """Column order of concepts in Sta and in model files: ``id``, then by name."""
+    return sorted(names, key=lambda name: (name != ID_CONCEPT, name))
+
+
 @dataclass(frozen=True)
 class KripkeModel:
-    """Immutable finite model; states are internal handles."""
+    """Finite model; states are internal handles.
+
+    Construction stores read-only copies of ``relations``, ``concepts`` and
+    each concept's map, then checks the invariants (``validate_model``), so a
+    model is valid from the moment it exists and stays valid.
+    """
 
     states: tuple[str, ...]
-    relations: dict[str, frozenset[tuple[str, str]]]
+    relations: Mapping[str, frozenset[tuple[str, str]]]
     objects: frozenset[str]
-    concepts: dict[str, dict[str, str]]
+    concepts: Mapping[str, Mapping[str, str]]
     object_constants: frozenset[str]
+
+    def __post_init__(self):
+        concepts = {name: MappingProxyType(dict(values)) for name, values in self.concepts.items()}
+        object.__setattr__(self, "concepts", MappingProxyType(concepts))
+        object.__setattr__(self, "relations", MappingProxyType(dict(self.relations)))
+        validate_model(self)
 
     def successors(self, relation: str, state: str) -> list[str]:
         if relation not in self.relations:
@@ -100,6 +120,16 @@ def validate_model(model: KripkeModel) -> None:
         raise ModelInvariantError(f"duplicate id value {duplicate!r}: id must be injective")
     if not model.object_constants <= model.objects:
         raise ModelInvariantError("object constants must denote objects of the model")
+    # A TSV cell cannot hold a tab or a line break; a quoted query constant
+    # cannot hold a quote.
+    for kind, names, forbidden in (
+        ("object", model.objects, "\t\n\r'"),
+        ("concept name", model.concepts, "\t\n\r"),
+        ("relation name", model.relations, "\t\n\r"),
+    ):
+        for name in sorted(names):
+            if any(char in name for char in forbidden):
+                raise ModelInvariantError(f"{kind} {name!r} may not contain any of {forbidden!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +254,23 @@ def _scalar(value) -> str:
 
 
 def parse_model(text: str) -> KripkeModel:
-    """Parse the structured-text model format.
-
-    Fields: ``objects`` (list), ``concepts`` (list containing ``id``),
-    ``states`` (list of records, one field per concept), ``relations``
-    (map name -> list of [source-id, target-id] pairs, referencing states
-    by their id value).
-    """
+    """Parse the structured-text model format (see ``model_from_data``)."""
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ModelInvariantError(f"model file is not valid YAML: {exc}") from exc
+    return model_from_data(data)
+
+
+def model_from_data(data) -> KripkeModel:
+    """Build a model from the fields of the model format.
+
+    Fields: ``objects`` (list), ``concepts`` (list containing ``id``),
+    ``states`` (list of records, one field per concept), ``relations``
+    (map name -> list of [source-id, target-id] pairs, referencing states
+    by their id value).  States get the handles ``s0``, ``s1``, ... in
+    list order.
+    """
     if not isinstance(data, Mapping):
         raise ModelInvariantError("model file must be a mapping")
     for field in ("objects", "concepts", "states", "relations"):
@@ -295,15 +331,13 @@ def parse_model(text: str) -> KripkeModel:
             pairs.add((id_to_handle[src], id_to_handle[dst]))
         relations[name] = frozenset(pairs)
 
-    model = KripkeModel(
+    return KripkeModel(
         states=states,
         relations=relations,
         objects=objects,
         concepts=concepts,
         object_constants=objects,
     )
-    validate_model(model)
-    return model
 
 
 def load_model(path) -> KripkeModel:
@@ -313,12 +347,12 @@ def load_model(path) -> KripkeModel:
 
 def dump_model(model: KripkeModel) -> str:
     """Canonical text form of a model; ``parse_model`` round-trips it."""
-    ordered_concepts = [ID_CONCEPT] + sorted(n for n in model.concepts if n != ID_CONCEPT)
+    columns = concept_order(model.concepts)
     data = {
         "objects": sorted(model.objects),
-        "concepts": ordered_concepts,
+        "concepts": columns,
         "states": [
-            {name: model.concepts[name][state] for name in ordered_concepts}
+            {name: model.concepts[name][state] for name in columns}
             for state in model.states
         ],
         "relations": {

@@ -9,7 +9,7 @@ and Obj enumerate the concept names and the objects.
 from __future__ import annotations
 
 from .errors import ModelInvariantError
-from .kripke import ID_CONCEPT, KripkeModel, validate_model
+from .kripke import ID_CONCEPT, KripkeModel, concept_order, model_from_data
 from .relalg import CON, OBJ, REL, STA, DatabaseInstance, RelationInstance
 
 ConceptIndex = dict  # concept name -> column index in Sta, bijective onto 1..k
@@ -17,21 +17,12 @@ ConceptIndex = dict  # concept name -> column index in Sta, bijective onto 1..k
 
 def concept_index(model: KripkeModel) -> ConceptIndex:
     """Column index for every concept: ``id`` is 1, the rest follow by name."""
-    others = sorted(name for name in model.concepts if name != ID_CONCEPT)
-    index = {ID_CONCEPT: 1}
-    index.update({name: i for i, name in enumerate(others, start=2)})
-    return index
-
-
-def ordered_concepts(model: KripkeModel) -> list[str]:
-    index = concept_index(model)
-    return sorted(index, key=index.get)
+    return {name: i for i, name in enumerate(concept_order(model.concepts), start=1)}
 
 
 def build_database(model: KripkeModel) -> DatabaseInstance:
     """Build the database image of a model."""
-    validate_model(model)
-    columns = ordered_concepts(model)
+    columns = concept_order(model.concepts)
     sta = RelationInstance.of(
         len(columns),
         (tuple(model.concepts[name][state] for name in columns) for state in model.states),
@@ -92,46 +83,28 @@ def model_from_database(db: DatabaseInstance) -> KripkeModel:
     """Rebuild a model from a mapped instance, with fresh state handles.
 
     Inverse of ``build_database`` up to state-handle renaming: mapping the
-    result again yields an identical DatabaseInstance.
+    result again yields an identical DatabaseInstance.  The tables are read
+    as the fields of a model file, by ``model_from_data``.
     """
-    concept_names = sorted(row[0] for row in db.relations[CON].tuples)
+    concept_names = [row[0] for row in db.relations[CON].tuples]
     if ID_CONCEPT not in concept_names:
         raise ModelInvariantError(f"Con does not list the {ID_CONCEPT!r} concept")
-    columns = [ID_CONCEPT] + [name for name in concept_names if name != ID_CONCEPT]
+    columns = concept_order(concept_names)
     sta = db.relations[STA]
     if sta.degree != len(columns):
         raise ModelInvariantError(
             f"Sta degree {sta.degree} does not match the {len(columns)} concepts in Con"
         )
-
-    rows = sta.sorted_rows()
-    states = tuple(f"s{i}" for i in range(len(rows)))
-    concepts: dict[str, dict[str, str]] = {name: {} for name in columns}
-    id_to_handle: dict[str, str] = {}
-    for handle, row in zip(states, rows):
-        for name, value in zip(columns, row):
-            concepts[name][handle] = value
-        if row[0] in id_to_handle:
-            raise ModelInvariantError(f"duplicate id value {row[0]!r} in Sta")
-        id_to_handle[row[0]] = handle
-
-    relations: dict[str, frozenset[tuple[str, str]]] = {
-        name: frozenset() for name in db.relation_names
-    }
+    relations: dict[str, list[list[str]]] = {name: [] for name in db.relation_names}
     for src, dst, name in db.relations[REL].sorted_rows():
         if name not in relations:
             raise ModelInvariantError(f"Rel row uses undeclared relation name {name!r}")
-        if src not in id_to_handle or dst not in id_to_handle:
-            raise ModelInvariantError(f"Rel row ({src!r}, {dst!r}) references unknown state id")
-        relations[name] = relations[name] | {(id_to_handle[src], id_to_handle[dst])}
-
-    objects = frozenset(row[0] for row in db.relations[OBJ].tuples)
-    model = KripkeModel(
-        states=states,
-        relations=relations,
-        objects=objects,
-        concepts=concepts,
-        object_constants=objects,
+        relations[name].append([src, dst])
+    return model_from_data(
+        {
+            "objects": [row[0] for row in db.relations[OBJ].tuples],
+            "concepts": columns,
+            "states": [dict(zip(columns, row)) for row in sta.sorted_rows()],
+            "relations": relations,
+        }
     )
-    validate_model(model)
-    return model

@@ -1,0 +1,44 @@
+"""The names the benchmark under ``perfbench/`` reaches into the package by.
+
+The benchmark traces package functions by name and builds its own models, so
+a rename in the package would otherwise show up only when a traced benchmark
+run starts.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from modalrel import KripkeModel
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "module_name, attr", [target[:2] for target in load_perfbench("tracing").TARGETS]
+)
+def test_traced_name_resolves(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_sparse_model_builds():
+    model = load_perfbench("workloads").sparse_model(6, random.Random(0))
+    assert isinstance(model, KripkeModel)
+    assert len(model.states) == 6

@@ -72,6 +72,16 @@ def test_map_duplicate_ids_exit_code(example_model_path, tmp_path):
     assert run_main(["map", str(broken)]) == EXIT_MODEL_ERROR
 
 
+def test_map_rejects_object_with_tab(tmp_path):
+    model_file = tmp_path / "tab.yaml"
+    model_file.write_text(
+        'objects: ["a\\tb", c]\nconcepts: [id]\nstates: [{id: "a\\tb"}, {id: c}]\n'
+        'relations: {R: [["a\\tb", c]]}\n'
+    )
+    assert run_main(["map", str(model_file), "--out-dir", str(tmp_path)]) == EXIT_MODEL_ERROR
+    assert not list(tmp_path.glob("*.tsv"))
+
+
 def test_map_missing_file_exit_code(tmp_path):
     assert run_main(["map", str(tmp_path / "nope.yaml")]) == EXIT_MODEL_ERROR
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+import yaml
 
 from modalrel import (
     Box,
@@ -253,6 +254,40 @@ def test_validate_model_needs_relation_and_concept():
     with pytest.raises(ModelInvariantError, match="object"):
         validate_model(KripkeModel(base.states, base.relations, frozenset(),
                                    base.concepts, frozenset()))
+
+
+def test_model_is_read_only():
+    model = parse_model("objects: [a, b]\nconcepts: [id]\nstates: [{id: a}]\nrelations: {R: []}\n")
+    with pytest.raises(TypeError):
+        model.concepts["id"]["s0"] = "b"
+    with pytest.raises(TypeError):
+        model.concepts["c"] = {"s0": "a"}
+    with pytest.raises(TypeError):
+        model.relations["R"] = frozenset({("s0", "s0")})
+    assert model.id_of("s0") == "a" and model.relations == {"R": frozenset()}
+
+
+@pytest.mark.parametrize(
+    "objects, concepts, relation",
+    [
+        (["a\tb"], ["id"], "R"),
+        (["it's"], ["id"], "R"),
+        (["a"], ["id", "c\nd"], "R"),
+        (["a"], ["id"], "R\tS"),
+    ],
+    ids=["object-tab", "object-quote", "concept-newline", "relation-tab"],
+)
+def test_parse_model_rejects_values_tables_cannot_hold(objects, concepts, relation):
+    text = yaml.safe_dump(
+        {
+            "objects": objects,
+            "concepts": concepts,
+            "states": [{name: objects[0] for name in concepts}],
+            "relations": {relation: []},
+        }
+    )
+    with pytest.raises(ModelInvariantError, match="may not contain"):
+        parse_model(text)
 
 
 def test_concept_value_must_be_object():

@@ -74,19 +74,18 @@ def test_build_database_minimal_model():
     assert db.relations[REL].degree == 3 and not db.relations[REL].tuples
 
 
-def test_build_database_rejects_duplicate_ids(example_model):
-    broken = KripkeModel(
-        states=example_model.states,
-        relations=example_model.relations,
-        objects=example_model.objects,
-        concepts={
-            **example_model.concepts,
-            "id": {s: "1" for s in example_model.states},
-        },
-        object_constants=example_model.object_constants,
-    )
+def test_model_with_duplicate_ids_cannot_be_built(example_model):
     with pytest.raises(ModelInvariantError, match="injective"):
-        build_database(broken)
+        KripkeModel(
+            states=example_model.states,
+            relations=example_model.relations,
+            objects=example_model.objects,
+            concepts={
+                **example_model.concepts,
+                "id": {s: "1" for s in example_model.states},
+            },
+            object_constants=example_model.object_constants,
+        )
 
 
 def test_rel_row_count_matches_pair_count():
@@ -175,4 +174,11 @@ def test_model_from_database_requires_id_concept(example_db):
         relation_names=example_db.relation_names,
     )
     with pytest.raises(ModelInvariantError, match="id"):
+        model_from_database(broken)
+
+
+def test_model_from_database_rejects_unknown_rel_endpoint(example_db):
+    rows = set(example_db.relations[REL].tuples) | {("1", "9", "COMP")}
+    broken = _with(example_db, Rel=RelationInstance.of(3, rows))
+    with pytest.raises(ModelInvariantError, match="unknown state id"):
         model_from_database(broken)
