@@ -93,7 +93,6 @@ from .syntax import (
     parse_formula,
     parse_query,
     render_formula,
-    substitute,
 )
 from .translate import Translator, VarContext, translate_query
 

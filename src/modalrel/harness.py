@@ -13,7 +13,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ModalRelError, UntranslatableTerm
 from .kripke import (
@@ -277,11 +277,14 @@ TranslatorFactory = Callable[[KripkeModel], Translator]
 
 @dataclass
 class CorrespondenceReport:
-    """Outcome of answering one query through both engines."""
+    """Outcome of answering one query through both engines.
 
-    model_fingerprint: str
-    query_text: str
-    target: tuple[str, ...]
+    The model and query are kept as given; their printable forms are read
+    only when a failure is reported, so they are computed on demand.
+    """
+
+    model: KripkeModel
+    query: ModalQuery
     direct: RelationInstance | None
     algebra: RelationInstance | None
     equal: bool
@@ -289,6 +292,18 @@ class CorrespondenceReport:
     witness_side: str | None = None
     error: str | None = None
     seconds: float = 0.0
+
+    @property
+    def model_fingerprint(self) -> str:
+        return model_fingerprint(self.model)
+
+    @property
+    def query_text(self) -> str:
+        return render_formula(self.query.formula)
+
+    @property
+    def target(self) -> tuple[str, ...]:
+        return tuple(str(v) for v in self.query.target)
 
 
 def check(
@@ -298,14 +313,7 @@ def check(
 ) -> CorrespondenceReport:
     """Answer a query via both engines and compare the results exactly."""
     translator = translator or Translator.for_model(model)
-    report = CorrespondenceReport(
-        model_fingerprint=model_fingerprint(model),
-        query_text=render_formula(query.formula),
-        target=tuple(str(v) for v in query.target),
-        direct=None,
-        algebra=None,
-        equal=False,
-    )
+    report = CorrespondenceReport(model, query, direct=None, algebra=None, equal=False)
     start = time.perf_counter()
     try:
         report.direct = answer_direct(model, query)
@@ -495,54 +503,44 @@ def _requery(formula: Formula) -> ModalQuery:
     return ModalQuery(formula, tuple(free_vars(formula)))
 
 
+Case = tuple[KripkeModel, ModalQuery]
+
+
+def _state_drops(model: KripkeModel, query: ModalQuery) -> Iterator[Case]:
+    if len(model.states) > 1:
+        for state in model.states:
+            yield _drop_state(model, state), query
+
+
+def _edge_drops(model: KripkeModel, query: ModalQuery) -> Iterator[Case]:
+    for name in sorted(model.relations):
+        for pair in sorted(model.relations[name]):
+            yield _drop_edge(model, name, pair), query
+
+
+def _subformula_picks(model: KripkeModel, query: ModalQuery) -> Iterator[Case]:
+    for child in _subformulas(query.formula):
+        yield model, _requery(child)
+
+
 def shrink_case(
     model: KripkeModel,
     query: ModalQuery,
     factory: TranslatorFactory,
-) -> tuple[KripkeModel, ModalQuery]:
+) -> Case:
     """Greedily shrink a failing case: states, then edges, then the formula.
 
-    Only genuine mismatches are preserved (a shrink step that turns the
-    mismatch into an error is rejected).
+    Each phase takes the first candidate that still fails and restarts,
+    until no candidate of that phase does.  Only genuine mismatches are
+    preserved (a shrink step that turns the mismatch into an error is
+    rejected).
     """
 
     def still_fails(m: KripkeModel, q: ModalQuery) -> bool:
         report = check(m, q, factory(m))
         return not report.equal and report.error is None
 
-    changed = True
-    while changed:
-        changed = False
-        for state in model.states:
-            if len(model.states) == 1:
-                break
-            candidate = _drop_state(model, state)
-            if still_fails(candidate, query):
-                model = candidate
-                changed = True
-                break
-
-    changed = True
-    while changed:
-        changed = False
-        for name in sorted(model.relations):
-            for pair in sorted(model.relations[name]):
-                candidate = _drop_edge(model, name, pair)
-                if still_fails(candidate, query):
-                    model = candidate
-                    changed = True
-                    break
-            if changed:
-                break
-
-    changed = True
-    while changed:
-        changed = False
-        for child in _subformulas(query.formula):
-            candidate = _requery(child)
-            if still_fails(model, candidate):
-                query = candidate
-                changed = True
-                break
-
+    for candidates in (_state_drops, _edge_drops, _subformula_picks):
+        while smaller := next((c for c in candidates(model, query) if still_fails(*c)), None):
+            model, query = smaller
     return model, query

@@ -251,113 +251,6 @@ class ModalQuery:
             raise FreeVarMismatch(f"target list [{wanted}] != free variables [{got}]")
 
 
-def all_var_names(formula: Formula) -> set[str]:
-    """Names of every variable occurring in the formula, bound or free."""
-    names: set[str] = set()
-
-    def from_term(term: Term) -> None:
-        for v in term_free_vars(term):
-            names.add(v.name)
-
-    def walk(f: Formula) -> None:
-        match f:
-            case Eq(left, right) | Neq(left, right):
-                from_term(left)
-                from_term(right)
-            case Not(body) | Diamond(_, body) | Box(_, body):
-                walk(body)
-            case And(left, right) | Or(left, right) | Implies(left, right):
-                walk(left)
-                walk(right)
-            case Exists(var, body) | Forall(var, body):
-                names.add(var.name)
-                walk(body)
-            case Abstraction(var, body, argument):
-                names.add(var.name)
-                from_term(argument)
-                walk(body)
-
-    walk(formula)
-    return names
-
-
-def fresh_var(like: Var, avoid: set[str]) -> Var:
-    """A variable of the same kind as `like` whose name is not in `avoid`."""
-    counter = 1
-    while f"{like.name}_{counter}" in avoid:
-        counter += 1
-    name = f"{like.name}_{counter}"
-    return ObjectVar(name) if isinstance(like, ObjectVar) else ConceptVar(name)
-
-
-def substitute_in_term(term: Term, var: Var, replacement: Term) -> Term:
-    match term:
-        case ObjectVar() | ConceptVar():
-            return replacement if term == var else term
-        case Relativized(inner):
-            new_inner = substitute_in_term(inner, var, replacement)
-            return term if new_inner == inner else Relativized(new_inner)
-        case _:
-            return term
-
-
-def substitute(formula: Formula, var: Var, replacement: Term) -> Formula:
-    """Replace free occurrences of `var` by `replacement`, capture-avoiding.
-
-    Binders that would capture a variable of the replacement are renamed to
-    a fresh name first.
-    """
-    replacement_vars = set(term_free_vars(replacement))
-
-    def rename_binder(binder: Var, body: Formula) -> tuple[Var, Formula]:
-        avoid = all_var_names(body) | {v.name for v in replacement_vars} | {var.name}
-        renamed = fresh_var(binder, avoid)
-        return renamed, substitute(body, binder, renamed)
-
-    def walk(f: Formula) -> Formula:
-        match f:
-            case Eq(left, right):
-                return Eq(substitute_in_term(left, var, replacement),
-                          substitute_in_term(right, var, replacement))
-            case Neq(left, right):
-                return Neq(substitute_in_term(left, var, replacement),
-                           substitute_in_term(right, var, replacement))
-            case Not(body):
-                return Not(walk(body))
-            case And(left, right):
-                return And(walk(left), walk(right))
-            case Or(left, right):
-                return Or(walk(left), walk(right))
-            case Implies(left, right):
-                return Implies(walk(left), walk(right))
-            case Diamond(rel, body):
-                return Diamond(rel, walk(body))
-            case Box(rel, body):
-                return Box(rel, walk(body))
-            case Exists(binder, body):
-                if binder == var:
-                    return f
-                if binder in replacement_vars:
-                    binder, body = rename_binder(binder, body)
-                return Exists(binder, walk(body))
-            case Forall(binder, body):
-                if binder == var:
-                    return f
-                if binder in replacement_vars:
-                    binder, body = rename_binder(binder, body)
-                return Forall(binder, walk(body))
-            case Abstraction(binder, body, argument):
-                new_argument = substitute_in_term(argument, var, replacement)
-                if binder == var:
-                    return Abstraction(binder, body, new_argument)
-                if binder in replacement_vars:
-                    binder, body = rename_binder(binder, body)
-                return Abstraction(binder, walk(body), new_argument)
-        raise TypeError(f"not a formula: {f!r}")
-
-    return walk(formula)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 

@@ -9,6 +9,16 @@ columns plus Sta's id column; every other construct preserves it.  Binders
 prepend their variable to the context, so a bound variable always occupies
 column 1 of the subquery and is projected away afterwards.
 
+The context is an environment, not a rewrite of the formula: each variable
+in scope is bound either to a column or to the rigid term a λ bound it to.
+A column binding is kept as its depth counted from the outermost column, so
+later binders do not move it, and a binder that reuses a name shadows the
+outer binding for its body alone (de Bruijn's nameless variables).  A λ
+over a rigid argument (an object or concept constant, or a variable already
+in scope) adds no column: the argument is checked, then its variable
+resolves to what the argument resolves to.  ``@%g`` has a Sta column only
+when ``%g`` is λ-bound to a concept constant.
+
 Under an empty context there is nothing to cross: atoms select from Sta
 directly and negation reads Sta's id column as its universe.  No rewrite
 follows translation, so the tree emitted is the plan evaluated.
@@ -16,12 +26,10 @@ follows translation, so the tree emitted is the plan evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import AbstractSet, Mapping
 
 from .errors import (
-    KindError,
     UnknownConstant,
     UnknownRelation,
     UnknownVariable,
@@ -66,35 +74,46 @@ from .syntax import (
     Relativized,
     Term,
     Var,
-    all_var_names,
-    fresh_var,
-    substitute,
+    is_variable,
 )
 
-@dataclass(frozen=True)
+# A variable's binding: the depth of its column, or the constant a λ bound it to.
+Binding = int | ObjectConst | ConceptConst
+
+
 class VarContext:
-    """Ordered, duplicate-free variables in scope; positions are 1-based."""
+    """Variables in scope, each bound to a column or to a rigid λ argument.
 
-    variables: tuple[Var, ...] = ()
+    ``variables`` lists the column variables innermost first: column i
+    (1-based) holds ``variables[i-1]``.  A name may repeat; its innermost
+    binding wins.  A column binding is stored as its depth counted from the
+    outermost column, so prepending a variable does not move it.
+    """
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("context variables must be distinct")
+    def __init__(
+        self, variables: tuple[Var, ...] = (), bindings: Mapping[Var, Binding] | None = None
+    ):
+        self.variables = variables
+        if bindings is None:
+            bindings = {var: depth for depth, var in enumerate(reversed(variables), 1)}
+        self._bindings = bindings
 
     def __len__(self) -> int:
         return len(self.variables)
 
-    def __contains__(self, var: Var) -> bool:
-        return var in self.variables
-
-    def index_of(self, var: Var) -> int:
+    def lookup(self, var: Var) -> Binding:
         try:
-            return self.variables.index(var) + 1
-        except ValueError:
+            return self._bindings[var]
+        except KeyError:
             raise UnknownVariable(f"variable {var} is not in scope") from None
 
     def prepend(self, var: Var) -> VarContext:
-        return VarContext((var,) + self.variables)
+        return VarContext((var,) + self.variables, {**self._bindings, var: len(self) + 1})
+
+    def bind(self, var: Var, argument: Term) -> VarContext:
+        """Bind ``var`` to a constant, or to what a variable argument is bound to."""
+        binding = self.lookup(argument) if is_variable(argument) else argument
+        return VarContext(self.variables, {**self._bindings, var: binding})
 
 
 class Translator:
@@ -152,26 +171,37 @@ class Translator:
 
         In a product of the context's domain relations with Sta, context
         variables occupy columns 1..n and the concept columns of Sta start
-        at n+1, so a relativized concept constant lands on n plus its Sta
-        column.
+        at n+1, so a relativized concept lands on n plus its Sta column.
+        A variable λ-bound to a constant resolves to that constant.
         """
         match term:
             case ObjectConst(symbol):
                 if symbol not in self._constants:
                     raise UnknownConstant(f"unknown object constant '{symbol}'")
                 return Constant(symbol)
+            case ConceptConst(symbol):
+                self._concept_column(term, context)
+                return Constant(symbol)
             case ObjectVar() | ConceptVar():
-                return Column(context.index_of(term))
-            case Relativized(ConceptConst(symbol)):
-                if symbol not in self._concepts:
-                    raise UnknownConstant(f"unknown concept constant {symbol!r}")
-                return Column(len(context) + self._concepts[symbol])
+                binding = context.lookup(term)
+                if isinstance(binding, int):
+                    return Column(len(context) - binding + 1)
+                return self.term_ref(binding, context)
             case Relativized(inner):
-                raise UntranslatableTerm(
-                    f"@{inner} has no algebra translation: the concept a variable denotes "
-                    "has no fixed column (the direct evaluator still supports it)"
-                )
-        raise KindError(f"term {term} cannot appear in an atom")
+                return Column(len(context) + self._concept_column(inner, context))
+        raise TypeError(f"not a term: {term!r}")
+
+    def _concept_column(self, concept: Term, context: VarContext) -> int:
+        """Sta column of a concept constant, or of a variable λ-bound to one."""
+        bound = context.lookup(concept) if isinstance(concept, ConceptVar) else concept
+        if not isinstance(bound, ConceptConst):
+            raise UntranslatableTerm(
+                f"@{concept} has no algebra translation: the concept a variable denotes "
+                "has no fixed column (the direct evaluator still supports it)"
+            )
+        if bound.symbol not in self._concepts:
+            raise UnknownConstant(f"unknown concept constant {bound.symbol!r}")
+        return self._concepts[bound.symbol]
 
     def domain_product(self, context: VarContext) -> AlgebraExpr:
         """Cross product of one domain relation per variable of a non-empty context."""
@@ -220,13 +250,11 @@ class Translator:
         return self.translate(Not(Diamond(relation, Not(body))), context)
 
     def _exists(self, var: Var, body: Formula, context: VarContext) -> AlgebraExpr:
-        var, body = self._unshadow(var, body, context)
         n = len(context)
         inner = self.translate(body, context.prepend(var))
         return Projection(tuple(range(2, n + 3)), inner)
 
     def _forall(self, var: Var, body: Formula, context: VarContext) -> AlgebraExpr:
-        var, body = self._unshadow(var, body, context)
         n = len(context)
         inner = self.translate(body, context.prepend(var))
         keep = tuple(range(2, n + 3))
@@ -239,42 +267,28 @@ class Translator:
     def _abstraction(
         self, var: Var, body: Formula, argument: Term, context: VarContext
     ) -> AlgebraExpr:
-        match argument:
-            case Relativized(ConceptConst(symbol)):
-                if symbol not in self._concepts:
-                    raise UnknownConstant(f"unknown concept constant {symbol!r}")
-                var, body = self._unshadow(var, body, context)
-                n = len(context)
-                inner = self.translate(body, context.prepend(var))  # degree n+2
-                # Two columns per state: the argument concept's value and
-                # the state id.  Joining on the state id while equating the
-                # bound variable with the concept value pins the variable to
-                # the argument's value at the reported state.
-                gadget = Projection((self._concepts[symbol], 1), BaseRelation(STA))
-                selected = Selection(
-                    SelectionPredicate(Column(1), "=", Column(n + 3)),
-                    Selection(
-                        SelectionPredicate(Column(n + 2), "=", Column(n + 4)),
-                        Product(inner, gadget),
-                    ),
-                )
-                return Projection(tuple(range(2, n + 3)), selected)
-            case Relativized(inner_term):
-                raise UntranslatableTerm(
-                    f"abstraction argument @{inner_term} has no algebra translation"
-                )
-            case _:
-                # Rigid argument: its value does not depend on the state, so
-                # binding is the same as substituting it for the variable.
-                return self.translate(substitute(body, var, argument), context)
-
-    def _unshadow(self, var: Var, body: Formula, context: VarContext) -> tuple[Var, Formula]:
-        """Rename a binder that would collide with a context variable."""
-        if var not in context:
-            return var, body
-        avoid = all_var_names(body) | {v.name for v in context.variables}
-        renamed = fresh_var(var, avoid)
-        return renamed, substitute(body, var, renamed)
+        if not isinstance(argument, Relativized):
+            # Rigid argument: its value does not depend on the state, so the
+            # variable resolves to it.  Checked here so that an unknown
+            # constant fails even when the body never uses the variable.
+            self.term_ref(argument, context)
+            return self.translate(body, context.bind(var, argument))
+        column = self._concept_column(argument.inner, context)
+        n = len(context)
+        inner = self.translate(body, context.prepend(var))  # degree n+2
+        # Two columns per state: the argument concept's value and the state
+        # id.  Joining on the state id while equating the bound variable with
+        # the concept value pins the variable to the argument's value at the
+        # reported state.
+        gadget = Projection((column, 1), BaseRelation(STA))
+        selected = Selection(
+            SelectionPredicate(Column(1), "=", Column(n + 3)),
+            Selection(
+                SelectionPredicate(Column(n + 2), "=", Column(n + 4)),
+                Product(inner, gadget),
+            ),
+        )
+        return Projection(tuple(range(2, n + 3)), selected)
 
 
 def translate_query(query: ModalQuery, model: KripkeModel) -> AlgebraExpr:

@@ -142,6 +142,12 @@ def test_eval_unknown_relation_exit_code(example_model_path):
     assert run_main(["eval", str(example_model_path), "<NOPE> @code = 'b'"]) == EXIT_QUERY_ERROR
 
 
+@pytest.mark.parametrize("engine", ["algebra", "direct"])
+def test_eval_unknown_lambda_argument_exit_code(example_model_path, engine):
+    argv = ["eval", str(example_model_path), "<lam ?y . 'a' = 'a'>('zz')", "--engine", engine]
+    assert run_main(argv) == EXIT_QUERY_ERROR
+
+
 def test_eval_both_prints_nothing_on_disagreement(runner, example_model_path, monkeypatch):
     import modalrel.cli as cli_module
     from modalrel import SingletonConstant

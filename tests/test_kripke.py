@@ -31,7 +31,6 @@ from modalrel import (
     parse_model,
     parse_query,
     satisfies,
-    substitute,
     term_eval,
     validate_model,
 )
@@ -183,8 +182,8 @@ def test_quantifier_duality():
             )
 
 
-def test_abstraction_of_rigid_argument_is_substitution():
-    from modalrel import Abstraction
+def test_abstraction_of_rigid_argument_is_existential_binding():
+    from modalrel import Abstraction, And
 
     y = ObjectVar("rigid")
     for model, query in _sample_cases(40):
@@ -194,7 +193,7 @@ def test_abstraction_of_rigid_argument_is_substitution():
         assignment = {v: sorted(model.objects)[0] for v in query.target}
         for state in model.states:
             assert satisfies(model, state, assignment, lam) == satisfies(
-                model, state, assignment, substitute(body, y, constant)
+                model, state, assignment, Exists(y, And(Eq(y, constant), body))
             )
 
 

@@ -29,7 +29,6 @@ from modalrel import (
     parse_formula,
     parse_query,
     render_formula,
-    substitute,
 )
 
 # ---------------------------------------------------------------------------
@@ -274,29 +273,3 @@ def test_parser_soup_never_breaks_kind_rules(tokens):
     # reachable invariants are enforced by the constructors; accepting
     # implies the canonical form round-trips
     assert parse_formula(render_formula(formula)) == formula
-
-
-# ---------------------------------------------------------------------------
-# Transformations
-
-
-def test_substitute_basics():
-    formula = parse_formula("?x = 'a' & <COMP> ?x = ?y")
-    assert substitute(formula, X, B) == parse_formula("'b' = 'a' & <COMP> 'b' = ?y")
-    # bound occurrences are untouched
-    shadowed = parse_formula("?x = 'a' & exists ?x . ?x = 'c'")
-    assert substitute(shadowed, X, B) == parse_formula("'b' = 'a' & exists ?x . ?x = 'c'")
-
-
-def test_substitute_avoids_capture():
-    # replacing ?x by ?y must not let the inner binder capture it
-    formula = parse_formula("exists ?y . ?x = ?y")
-    result = substitute(formula, X, Y)
-    assert isinstance(result, Exists)
-    assert result.var != Y
-    assert result.body == Eq(Y, result.var)
-
-
-def test_substitute_concept_variable_under_relativization():
-    formula = parse_formula("@%g = 'b'")
-    assert substitute(formula, G, ConceptConst("code")) == parse_formula("@code = 'b'")

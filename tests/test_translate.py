@@ -181,9 +181,16 @@ def test_quantified_queries_against_direct_engine(example_model, example_db):
         "exists ?x . @code = ?x & @id = ?x",
         "exists %g . <COMP> <lam %h . @code = 'b'>(%g)",
         "forall %g . @code = 'b' | @code != 'b'",
+        # shadowing: a λ variable bound to a column or constant keeps it
+        # under an inner binder that reuses a name
+        ("<lam ?y . exists ?x . ?y = ?x & @code = ?x>(?x)", ["?x"]),
+        "<lam ?y . <COMP> exists ?y . ?y = @code>('b')",
+        "<lam %g . <lam ?y . @%g = ?y>(@%g)>(code)",
+        "forall ?x . <lam ?z . ?z = ?x>(?x)",
     ]
-    for text in cases:
-        query = parse_query(text)
+    for case in cases:
+        text, target = case if isinstance(case, tuple) else (case, [])
+        query = parse_query(text, target)
         assert evaluate(translate_query(query, example_model), example_db) == answer_direct(
             example_model, query
         )
@@ -218,7 +225,7 @@ def test_rigid_lambda_arguments(example_model, example_db):
         )
 
 
-def test_shadowed_binder_is_renamed(example_model, example_db):
+def test_shadowed_binder_scopes_its_column(example_model, example_db):
     # ?x is both the target and rebound inside; column 1 must track the
     # inner binding only within its scope
     query = parse_query("@code = ?x & (exists ?x . @id = ?x)", ["?x"])
@@ -226,6 +233,18 @@ def test_shadowed_binder_is_renamed(example_model, example_db):
     got = evaluate(expr, example_db)
     assert got == answer_direct(example_model, query)
     assert got.tuples == {("d", "1"), ("a", "2"), ("b", "3"), ("c", "4")}
+
+
+@pytest.mark.parametrize(
+    "text", ["<lam ?y . 'a' = 'a'>('zz')", "<lam %g . 'a' = 'a'>(nope)"]
+)
+def test_unknown_lambda_argument_rejected_by_both_engines(example_model, text):
+    # the body never uses the variable, yet the argument is still checked
+    query = parse_query(text)
+    with pytest.raises(UnknownConstant):
+        translate_query(query, example_model)
+    with pytest.raises(UnknownConstant):
+        answer_direct(example_model, query)
 
 
 # ---------------------------------------------------------------------------
