@@ -25,6 +25,7 @@ from .kripke import (
 from .relalg import RelationInstance, evaluate
 from .schema import build_database
 from .syntax import (
+    MAX_NESTING,
     Abstraction,
     And,
     Box,
@@ -90,6 +91,12 @@ class GenParams:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         if self.max_objects < self.max_states:
             raise ValueError("max_objects must be at least max_states (ids are objects)")
+        # Each unused target variable adds one conjunction above the body.
+        if self.max_depth + self.max_free_vars > MAX_NESTING:
+            raise ValueError(
+                f"max_depth + max_free_vars must be at most {MAX_NESTING}, "
+                f"got {self.max_depth + self.max_free_vars}"
+            )
 
 
 _OBJECT_POOL = "123456789abcdefghijklmnopqrstuvwxyz"

@@ -4,6 +4,10 @@ Relations are finite sets of equal-length string tuples; attributes are the
 1-based positions 1..degree.  Expressions are immutable trees over the four
 base relations of a mapped database plus singleton constants, closed under
 selection, projection, cross product, union, difference and intersection.
+
+Degrees are checked once, statically, by ``degree_of`` before an expression
+runs; evaluation then passes intermediate results as plain row sets, and only
+the answer becomes a ``RelationInstance``.
 """
 
 from __future__ import annotations
@@ -223,9 +227,14 @@ def degree_of(expr: AlgebraExpr, schema: Mapping[str, int]) -> int:
 
 
 def evaluate(expr: AlgebraExpr, db: DatabaseInstance) -> RelationInstance:
-    """Set-semantics evaluation; the whole expression is degree-checked first."""
-    degree_of(expr, db.schema)
-    return _eval(expr, db)
+    """Set-semantics evaluation.
+
+    The whole expression is degree-checked once, statically, before it runs;
+    intermediate results are plain row sets, and only the answer is wrapped
+    (and validated) as a ``RelationInstance``.
+    """
+    degree = degree_of(expr, db.schema)
+    return RelationInstance(degree, _eval(expr, db))
 
 
 def _operand_value(operand: Column | Constant, row: tuple[str, ...]) -> str:
@@ -240,41 +249,26 @@ def _holds(predicate: SelectionPredicate, row: tuple[str, ...]) -> bool:
     return left == right if predicate.op == "=" else left != right
 
 
-def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> RelationInstance:
+def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[tuple[str, ...]]:
     match expr:
         case BaseRelation(name):
-            return db.relations[name]
+            return db.relations[name].tuples
         case SingletonConstant(value):
-            return RelationInstance(1, frozenset({(value,)}))
+            return frozenset({(value,)})
         case Selection(predicate, inner):
-            inst = _eval(inner, db)
-            return RelationInstance(
-                inst.degree, frozenset(row for row in inst.tuples if _holds(predicate, row))
-            )
+            return frozenset(row for row in _eval(inner, db) if _holds(predicate, row))
         case Projection(indices, inner):
-            inst = _eval(inner, db)
-            return RelationInstance(
-                len(indices),
-                frozenset(tuple(row[i - 1] for i in indices) for row in inst.tuples),
-            )
+            return frozenset(tuple(row[i - 1] for i in indices) for row in _eval(inner, db))
         case Product(left, right):
             a = _eval(left, db)
             b = _eval(right, db)
-            return RelationInstance(
-                a.degree + b.degree, frozenset(t + u for t in a.tuples for u in b.tuples)
-            )
+            return frozenset(t + u for t in a for u in b)
         case Union(left, right):
-            a = _eval(left, db)
-            b = _eval(right, db)
-            return RelationInstance(a.degree, a.tuples | b.tuples)
+            return _eval(left, db) | _eval(right, db)
         case Difference(left, right):
-            a = _eval(left, db)
-            b = _eval(right, db)
-            return RelationInstance(a.degree, a.tuples - b.tuples)
+            return _eval(left, db) - _eval(right, db)
         case Intersection(left, right):
-            a = _eval(left, db)
-            b = _eval(right, db)
-            return RelationInstance(a.degree, a.tuples & b.tuples)
+            return _eval(left, db) & _eval(right, db)
     raise TypeError(f"not an algebra expression: {expr!r}")
 
 

@@ -11,9 +11,17 @@ Equality and inequality compare object terms only.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import FreeVarMismatch, KindError, QuerySyntaxError
+
+# Deepest formula tree (operators on the longest path down to an atom) and
+# deepest parenthesis nesting that query text may hold.  Both engines recurse
+# on the formula tree, the algebra translator about 8 frames per ``[R]``
+# level, so deeper text is refused before either engine sees it.
+MAX_NESTING = 64
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -234,6 +242,26 @@ def free_vars(formula: Formula) -> list[Var]:
     return list(seen)
 
 
+def formula_depth(formula: Formula) -> int:
+    """Operators on the longest path from the root down to an atom.
+
+    An atom has depth 0.  The walk keeps its own stack, so any tree is safe.
+    """
+    deepest = 0
+    pending = [(formula, 0)]
+    while pending:
+        node, depth = pending.pop()
+        deepest = max(deepest, depth)
+        match node:
+            case Not(body) | Diamond(_, body) | Box(_, body):
+                pending.append((body, depth + 1))
+            case Exists(_, body) | Forall(_, body) | Abstraction(_, body, _):
+                pending.append((body, depth + 1))
+            case And(left, right) | Or(left, right) | Implies(left, right):
+                pending += [(left, depth + 1), (right, depth + 1)]
+    return deepest
+
+
 @dataclass(frozen=True)
 class ModalQuery:
     """A formula plus the ordered list of its free variables (the target)."""
@@ -308,11 +336,18 @@ class _Parser:
     Precedence, loosest first: ``->`` (right-associative), ``|``, ``&``, then
     the prefix operators ``!``, ``<R>``, ``[R]``.  Quantifier and abstraction
     bodies extend maximally to the right.
+
+    The parser recurses only into an operand it counts: the body of a prefix
+    operator, quantifier or abstraction and the right side of ``->`` each add
+    an operator level, a group adds a parenthesis level, and either count
+    past ``MAX_NESTING`` is refused at once.  ``&`` and ``|`` chains are built
+    left-deep in a loop; ``parse`` then measures the finished tree.
     """
 
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        self._levels = {"operator": 0, "parenthesis": 0}
 
     def _peek(self, ahead: int = 0) -> _Token:
         return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
@@ -340,20 +375,35 @@ class _Parser:
             raise self._error(f"expected {what}", token)
         return self._advance()
 
+    @contextmanager
+    def _deeper(self, level: str) -> Iterator[None]:
+        """One operator or parenthesis level deeper (a ``with`` adds no frame)."""
+        if self._levels[level] == MAX_NESTING:
+            token = self._peek()
+            raise QuerySyntaxError(
+                f"query nests more than {MAX_NESTING} {level} levels deep",
+                token.line,
+                token.column,
+            )
+        self._levels[level] += 1
+        yield
+        self._levels[level] -= 1
+
     def parse(self) -> Formula:
         formula = self.formula()
         if self._peek().kind != "EOF":
             raise self._error("expected end of query")
+        if formula_depth(formula) > MAX_NESTING:
+            raise QuerySyntaxError(f"query nests more than {MAX_NESTING} operator levels deep")
         return formula
 
     def formula(self) -> Formula:
-        return self._implication()
-
-    def _implication(self) -> Formula:
+        """An implication chain, the loosest-binding level."""
         left = self._disjunction()
         if self._peek().value == "->":
             self._advance()
-            return Implies(left, self._implication())
+            with self._deeper("operator"):
+                return Implies(left, self.formula())
         return left
 
     def _disjunction(self) -> Formula:
@@ -374,24 +424,28 @@ class _Parser:
         token = self._peek()
         if token.value == "!":
             self._advance()
-            return Not(self._unary())
+            with self._deeper("operator"):
+                return Not(self._unary())
         if token.value == "<":
             if self._peek(1).value == "lam":
                 return self._abstraction()
             self._advance()
             relation = self._expect_name("a relation name after '<'")
             self._expect(">", "'>' after relation name")
-            return Diamond(relation.value, self._unary())
+            with self._deeper("operator"):
+                return Diamond(relation.value, self._unary())
         if token.value == "[":
             self._advance()
             relation = self._expect_name("a relation name after '['")
             self._expect("]", "']' after relation name")
-            return Box(relation.value, self._unary())
+            with self._deeper("operator"):
+                return Box(relation.value, self._unary())
         if token.value in ("exists", "forall"):
             self._advance()
             var = self._variable()
             self._expect(".", "'.' after quantified variable")
-            body = self.formula()
+            with self._deeper("operator"):
+                body = self.formula()
             return Exists(var, body) if token.value == "exists" else Forall(var, body)
         return self._atom_or_group()
 
@@ -400,7 +454,8 @@ class _Parser:
         self._expect("lam", "'lam'")
         var = self._variable()
         self._expect(".", "'.' after abstraction variable")
-        body = self.formula()
+        with self._deeper("operator"):
+            body = self.formula()
         self._expect(">", "'>' closing the abstraction body")
         self._expect("(", "'(' before the abstraction argument")
         arg_token = self._peek()
@@ -417,7 +472,8 @@ class _Parser:
     def _atom_or_group(self) -> Formula:
         if self._peek().value == "(":
             self._advance()
-            formula = self.formula()
+            with self._deeper("parenthesis"):
+                formula = self.formula()
             self._expect(")", "')'")
             return formula
         left_token = self._peek()

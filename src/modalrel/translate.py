@@ -19,6 +19,11 @@ in scope) adds no column: the argument is checked, then its variable
 resolves to what the argument resolves to.  ``@%g`` has a Sta column only
 when ``%g`` is λ-bound to a concept constant.
 
+``f -> g``, ``[R] f`` and ``forall v . f`` are translated through their
+definitions, as ``!f | g``, ``!<R> !f`` and ``!exists v . !f``, so the plan
+is built from atoms, negation, conjunction, disjunction, ``<R>``, ``exists``
+and λ alone.
+
 Under an empty context there is nothing to cross: atoms select from Sta
 directly and negation reads Sta's id column as its universe.  No rewrite
 follows translation, so the tree emitted is the plan evaluated.
@@ -255,14 +260,8 @@ class Translator:
         return Projection(tuple(range(2, n + 3)), inner)
 
     def _forall(self, var: Var, body: Formula, context: VarContext) -> AlgebraExpr:
-        n = len(context)
-        inner = self.translate(body, context.prepend(var))
-        keep = tuple(range(2, n + 3))
-        kept = Projection(keep, inner)
-        # Division by the bound variable's domain: drop result rows for
-        # which some domain value fails the body.
-        failing = Difference(Product(self.domain_product(VarContext((var,))), kept), inner)
-        return Difference(kept, Projection(keep, failing))
+        # A universal is definitionally the dual of the existential.
+        return self.translate(Not(Exists(var, Not(body))), context)
 
     def _abstraction(
         self, var: Var, body: Formula, argument: Term, context: VarContext

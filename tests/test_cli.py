@@ -17,6 +17,7 @@ from modalrel.cli import (
     cli,
     main,
 )
+from modalrel.syntax import MAX_NESTING
 
 EXPECTED_TABLES = {
     "Sta.tsv": "1\td\n2\ta\n3\tb\n4\tc\n",
@@ -140,6 +141,32 @@ def test_eval_usage_error_exit_code(example_model_path):
 
 def test_eval_unknown_relation_exit_code(example_model_path):
     assert run_main(["eval", str(example_model_path), "<NOPE> @code = 'b'"]) == EXIT_QUERY_ERROR
+
+
+TOO_DEEP = {
+    "negations": "!" * 600 + "'a' = 'a'",
+    "parentheses": "(" * 1000 + "'a' = 'a'" + ")" * 1000,
+    "conjunctions": " & ".join(["'a' = 'a'"] * 1200),
+}
+
+
+@pytest.mark.parametrize("text", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+def test_eval_too_deep_query_exit_code(example_model_path, text, capsys):
+    argv = ["eval", str(example_model_path), text, "--engine", "algebra"]
+    assert run_main(argv) == EXIT_QUERY_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_box_chain_at_nesting_limit(runner, example_model_path):
+    # --engine both answers only when the two engines agree
+    text = "[COMP] " * MAX_NESTING + "@code = 'b'"
+    result = runner.invoke(cli, ["eval", str(example_model_path), text, "--engine", "both"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "1\n2\n3\n4\n"
+
+
+def test_fuzz_rejects_depth_past_nesting_limit():
+    assert run_main(["fuzz", "--cases", "1", "--max-depth", "100"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("engine", ["algebra", "direct"])

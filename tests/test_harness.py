@@ -19,7 +19,7 @@ from modalrel import (
 )
 from modalrel.harness import case_params, constructor_histogram, shrink_case
 from modalrel.schema import validate_instance
-from modalrel.syntax import Abstraction, Box, Relativized
+from modalrel.syntax import MAX_NESTING, Abstraction, Box, Relativized, formula_depth
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,9 @@ def test_gen_params_bounds():
         GenParams(max_states=4, max_objects=3)
     with pytest.raises(ValueError):
         GenParams(max_depth=0)
+    GenParams(max_depth=MAX_NESTING - 1, max_free_vars=1)
+    with pytest.raises(ValueError, match="max_depth"):
+        GenParams(max_depth=MAX_NESTING, max_free_vars=1)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +91,17 @@ def test_gen_query_covers_every_constructor_at_depth_4():
     assert seen >= {
         "Eq", "Neq", "Not", "And", "Or", "Diamond", "Box", "Exists", "Forall", "Abstraction"
     }
+
+
+def test_generated_queries_are_no_deeper_than_their_bound():
+    # each unused target variable adds a conjunction above the body
+    params = GenParams(seed=5, max_states=4, max_objects=6, max_concepts=2,
+                       max_relations=2, max_depth=5, max_free_vars=3)
+    for i in range(200):
+        local = case_params(params, i)
+        model = gen_model(local)
+        formula = gen_query(local, model).formula
+        assert formula_depth(formula) <= params.max_depth + params.max_free_vars
 
 
 def test_gen_query_depth_zero_is_atomic():
@@ -135,6 +149,13 @@ class LambdaIgnoresArgument(Translator):
         return self._exists(var, body, context)
 
 
+class ForallAsExists(Translator):
+    """Deliberately broken: translates a universal as an existential."""
+
+    def _forall(self, var, body, context):
+        return self._exists(var, body, context)
+
+
 def test_corrupted_box_translation_is_detected(example_model):
     query = parse_query("[COMP] @code = 'b'")
     report = check(example_model, query, BoxAsDiamond.for_model(example_model))
@@ -148,7 +169,12 @@ def test_corrupted_box_translation_is_detected(example_model):
 def test_mutations_trip_the_campaign():
     params = GenParams(seed=42, max_states=6, max_objects=8, max_concepts=3,
                        max_relations=2, max_depth=4, max_free_vars=2)
-    for factory in (BoxAsDiamond.for_model, LambdaIgnoresArgument.for_model):
+    factories = (
+        BoxAsDiamond.for_model,
+        LambdaIgnoresArgument.for_model,
+        ForallAsExists.for_model,
+    )
+    for factory in factories:
         summary = run_campaign(params, 1000, translator_factory=factory)
         assert summary.failed >= 1
         assert summary.first_failure is not None

@@ -204,31 +204,42 @@ def _instances(degree):
     )
 
 
-@given(_instances(2), _instances(2))
+# Sta of degree 2 (id plus one concept); every table drawn independently.
+_databases = st.builds(
+    lambda sta, rel, con, obj: DatabaseInstance(
+        relations={STA: sta, REL: rel, CON: con, OBJ: obj},
+        relation_names=frozenset({"a", "b", "c", "d"}),
+    ),
+    _instances(2),
+    _instances(3),
+    _instances(1),
+    _instances(1),
+)
+
+
+@given(_databases)
 @settings(max_examples=100)
-def test_intersection_via_double_difference(left, right):
-    # A ∩ B = A − (A − B)
-    assert left.tuples & right.tuples == left.tuples - (left.tuples - right.tuples)
+def test_intersection_via_double_difference(db):
+    # A ∩ B = A − (A − B), with B the first and last columns of Rel
+    a, b = STA_REL, Projection((1, 3), REL_REL)
+    assert evaluate(Intersection(a, b), db) == evaluate(Difference(a, Difference(a, b)), db)
 
 
-@given(_instances(1), _instances(2), _instances(1))
+@given(_databases)
 @settings(max_examples=50)
-def test_product_associativity(a, b, c):
-    def cross(x, y):
-        return RelationInstance(
-            x.degree + y.degree, frozenset(t + u for t in x.tuples for u in y.tuples)
-        )
-
-    assert cross(cross(a, b), c) == cross(a, cross(b, c))
+def test_product_associativity(db):
+    a, b, c = CON_REL, STA_REL, OBJ_REL
+    assert evaluate(Product(Product(a, b), c), db) == evaluate(Product(a, Product(b, c)), db)
 
 
-@given(_instances(2))
+@given(_databases)
 @settings(max_examples=50)
-def test_selection_and_projection_bounds(inst):
-    selected = {t for t in inst.tuples if t[0] == "a"}
-    assert selected <= inst.tuples
-    projected = {(t[0],) for t in inst.tuples}
-    assert len(projected) <= len(inst.tuples)
+def test_selection_and_projection_bounds(db):
+    rows = db.relations[STA].tuples
+    selected = evaluate(Selection(eq(Column(1), Constant("a")), STA_REL), db)
+    assert selected.tuples <= rows
+    projected = evaluate(Projection((1,), STA_REL), db)
+    assert len(projected.tuples) <= len(rows)
 
 
 def test_eval_degree_matches_static_degree(example_db):

@@ -30,6 +30,7 @@ from modalrel import (
     parse_query,
     render_formula,
 )
+from modalrel.syntax import MAX_NESTING, formula_depth
 
 # ---------------------------------------------------------------------------
 # Parsing against a hand-built AST table
@@ -141,6 +142,69 @@ def test_syntax_error_reports_position():
 def test_kind_error_reports_position():
     err = pytest.raises(KindError, parse_formula, "?x = %g").value
     assert (err.line, err.column) == (1, 6)
+
+
+# ---------------------------------------------------------------------------
+# Nesting limit
+
+ATOM = "'a' = 'a'"
+
+# (text before the atom, text after it) for one level of each nesting construct
+NESTING_LEVELS = {
+    "negation": ("!", ""),
+    "diamond": ("<R> ", ""),
+    "box": ("[R] ", ""),
+    "exists": ("exists ?x . ", ""),
+    "forall": ("forall %g . ", ""),
+    "lambda": ("<lam ?x . ", ">('a')"),
+    "implication": (f"{ATOM} -> ", ""),
+    "conjunction": ("", f" & {ATOM}"),
+    "disjunction": ("", f" | {ATOM}"),
+}
+
+
+def _nested(before, after, levels):
+    return before * levels + ATOM + after * levels
+
+
+@pytest.mark.parametrize("before,after", NESTING_LEVELS.values(), ids=NESTING_LEVELS.keys())
+def test_nesting_limit(before, after):
+    assert formula_depth(parse_formula(_nested(before, after, MAX_NESTING))) == MAX_NESTING
+    with pytest.raises(QuerySyntaxError, match=f"more than {MAX_NESTING} operator levels"):
+        parse_formula(_nested(before, after, MAX_NESTING + 1))
+
+
+def test_parenthesis_nesting_limit():
+    # each group also opens a λ body: the parser's deepest recursion per level
+    group = ("(<lam ?x . ", ">('a'))")
+    assert parse_formula(_nested(*group, MAX_NESTING)) == parse_formula(
+        _nested("<lam ?x . ", ">('a')", MAX_NESTING)
+    )
+    with pytest.raises(QuerySyntaxError, match=f"more than {MAX_NESTING} parenthesis levels"):
+        parse_formula(_nested("(", ")", MAX_NESTING + 1))
+
+
+def test_formula_at_the_limit_round_trips():
+    # every constructor in turn, so the rendered text also carries parentheses
+    atom = Eq(B, B)
+    wrappers = [
+        Not,
+        lambda f: And(f, atom),
+        lambda f: Exists(X, f),
+        lambda f: Or(atom, f),
+        lambda f: Box("R", f),
+        lambda f: Implies(f, atom),
+        lambda f: Forall(X, f),
+        lambda f: Abstraction(X, f, B),
+        lambda f: Diamond("R", f),
+    ]
+    formula = atom
+    for level in range(MAX_NESTING):
+        formula = wrappers[level % len(wrappers)](formula)
+    assert formula_depth(formula) == MAX_NESTING
+    assert parse_formula(render_formula(formula)) == formula
+    with pytest.raises(QuerySyntaxError):
+        parse_formula(render_formula(Not(formula)))
 
 
 # ---------------------------------------------------------------------------

@@ -314,15 +314,14 @@ def test_box_duality_is_structural_on_generated_formulas():
         assert box == dual
 
 
-def test_forall_division_equals_negated_exists():
+def test_forall_duality_is_structural_on_generated_formulas():
     fresh = ObjectVar("univ")
     for model, query in _generated_cases(60, seed=43):
         translator = Translator.for_model(model)
-        db = build_database(model)
         ctx = VarContext(tuple(query.target))
-        division = translator.translate(Forall(fresh, query.formula), ctx)
-        rewrite = translator.translate(Not(Exists(fresh, Not(query.formula))), ctx)
-        assert evaluate(division, db) == evaluate(rewrite, db)
+        forall = translator.translate(Forall(fresh, query.formula), ctx)
+        dual = translator.translate(Not(Exists(fresh, Not(query.formula))), ctx)
+        assert forall == dual
 
 
 def test_atomic_equivalence_for_every_assignment_and_state():
