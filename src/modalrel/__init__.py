@@ -67,7 +67,7 @@ from .relalg import (
     render_algebra,
     to_tsv,
 )
-from .schema import build_database, concept_index, model_from_database, validate_instance
+from .schema import build_database, concept_index, model_from_database
 from .syntax import (
     Abstraction,
     And,

@@ -115,6 +115,7 @@ def cmd_eval(model_path: str, query: str, target: tuple[str, ...], engine: str, 
     click.echo(to_tsv(answer, header=header), nl=False)
 
 
+# Every option but --cases and --report is the GenParams field of the same name.
 @cli.command("fuzz")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--cases", default=100, show_default=True)
@@ -124,37 +125,14 @@ def cmd_eval(model_path: str, query: str, target: tuple[str, ...], engine: str, 
 @click.option("--max-relations", default=2, show_default=True)
 @click.option("--max-depth", default=4, show_default=True)
 @click.option("--max-free-vars", default=2, show_default=True)
-@click.option("--allow-lambda/--no-allow-lambda", default=True, show_default=True)
 @click.option("--allow-concept-vars", is_flag=True)
 @click.option("--report", "report_path", default=None, help="Write a JSON report here.")
-def cmd_fuzz(
-    seed: int,
-    cases: int,
-    max_states: int,
-    max_objects: int,
-    max_concepts: int,
-    max_relations: int,
-    max_depth: int,
-    max_free_vars: int,
-    allow_lambda: bool,
-    allow_concept_vars: bool,
-    report_path: str | None,
-):
+def cmd_fuzz(cases: int, report_path: str | None, **bounds):
     """Differential campaign: random models and queries through both engines."""
     if cases < 1:
         raise click.UsageError("--cases must be at least 1")
     try:
-        params = GenParams(
-            seed=seed,
-            max_states=max_states,
-            max_objects=max_objects,
-            max_concepts=max_concepts,
-            max_relations=max_relations,
-            max_depth=max_depth,
-            max_free_vars=max_free_vars,
-            allow_lambda=allow_lambda,
-            allow_concept_vars=allow_concept_vars,
-        )
+        params = GenParams(**bounds)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     summary = run_campaign(params, cases)

@@ -12,10 +12,10 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator
 
-from .errors import ModalRelError, UntranslatableTerm
+from .errors import ModalRelError
 from .kripke import (
     ID_CONCEPT,
     KripkeModel,
@@ -48,6 +48,7 @@ from .syntax import (
     Var,
     free_vars,
     render_formula,
+    subformulas,
 )
 from .translate import Translator
 
@@ -74,21 +75,13 @@ class GenParams:
     max_relations: int = 1
     max_depth: int = 3
     max_free_vars: int = 1
-    allow_lambda: bool = True
     allow_concept_vars: bool = False
 
     def __post_init__(self):
-        bounds = {
-            "max_states": self.max_states,
-            "max_objects": self.max_objects,
-            "max_concepts": self.max_concepts,
-            "max_relations": self.max_relations,
-            "max_depth": self.max_depth,
-            "max_free_vars": self.max_free_vars,
-        }
-        for name, value in bounds.items():
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        for bound in fields(self):
+            value = getattr(self, bound.name)
+            if bound.name.startswith("max_") and value < 1:
+                raise ValueError(f"{bound.name} must be at least 1, got {value}")
         if self.max_objects < self.max_states:
             raise ValueError("max_objects must be at least max_states (ids are objects)")
         # Each unused target variable adds one conjunction above the body.
@@ -182,9 +175,7 @@ class _QueryBuilder:
             ("box", 1.5),
         ]
         if len(scope) < self.MAX_SCOPE:
-            choices += [("exists", 1.0), ("forall", 1.0)]
-            if self.params.allow_lambda:
-                choices.append(("lambda", 1.25))
+            choices += [("exists", 1.0), ("forall", 1.0), ("lambda", 1.25)]
         kind = self.rng.choices([c for c, _ in choices], [w for _, w in choices])[0]
         if kind == "atom":
             return self.atom(scope)
@@ -260,19 +251,11 @@ def gen_query(params: GenParams, model: KripkeModel) -> ModalQuery:
 def constructor_histogram(formula: Formula) -> Counter:
     """Occurrence counts of each formula constructor."""
     counts: Counter = Counter()
-
-    def walk(f: Formula) -> None:
-        counts[type(f).__name__] += 1
-        match f:
-            case Not(body) | Diamond(_, body) | Box(_, body):
-                walk(body)
-            case And(left, right) | Or(left, right) | Implies(left, right):
-                walk(left)
-                walk(right)
-            case Exists(_, body) | Forall(_, body) | Abstraction(_, body, _):
-                walk(body)
-
-    walk(formula)
+    pending = [formula]
+    while pending:
+        node = pending.pop()
+        counts[type(node).__name__] += 1
+        pending += subformulas(node)
     return counts
 
 
@@ -466,44 +449,22 @@ def run_campaign(
 
 
 def _drop_state(model: KripkeModel, state: str) -> KripkeModel:
-    states = tuple(s for s in model.states if s != state)
-    return KripkeModel(
-        states=states,
+    return replace(
+        model,
+        states=tuple(s for s in model.states if s != state),
         relations={
             name: frozenset(p for p in pairs if state not in p)
             for name, pairs in model.relations.items()
         },
-        objects=model.objects,
         concepts={
             name: {s: v for s, v in values.items() if s != state}
             for name, values in model.concepts.items()
         },
-        object_constants=model.object_constants,
     )
 
 
 def _drop_edge(model: KripkeModel, name: str, pair: tuple[str, str]) -> KripkeModel:
-    relations = dict(model.relations)
-    relations[name] = relations[name] - {pair}
-    return KripkeModel(
-        states=model.states,
-        relations=relations,
-        objects=model.objects,
-        concepts=model.concepts,
-        object_constants=model.object_constants,
-    )
-
-
-def _subformulas(formula: Formula) -> list[Formula]:
-    match formula:
-        case Not(body) | Diamond(_, body) | Box(_, body):
-            return [body]
-        case And(left, right) | Or(left, right) | Implies(left, right):
-            return [left, right]
-        case Exists(_, body) | Forall(_, body) | Abstraction(_, body, _):
-            return [body]
-        case _:
-            return []
+    return replace(model, relations={**model.relations, name: model.relations[name] - {pair}})
 
 
 def _requery(formula: Formula) -> ModalQuery:
@@ -526,7 +487,7 @@ def _edge_drops(model: KripkeModel, query: ModalQuery) -> Iterator[Case]:
 
 
 def _subformula_picks(model: KripkeModel, query: ModalQuery) -> Iterator[Case]:
-    for child in _subformulas(query.formula):
+    for child in subformulas(query.formula):
         yield model, _requery(child)
 
 

@@ -17,12 +17,19 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DegreeError, QuerySyntaxError, UnknownRelation
+from .syntax import MAX_NESTING
 
 STA = "Sta"
 REL = "Rel"
 CON = "Con"
 OBJ = "Obj"
 SCHEMA_NAMES = (STA, REL, CON, OBJ)
+
+# Deepest parenthesis nesting that ``parse_algebra`` reads; its reader and
+# builder recurse once per level.  The deepest plan the translator emits for
+# query text within ``MAX_NESTING`` is 64 ``[R]`` at 387 levels (each ``[R]``
+# adds 6), so 8 levels per query level keep every emitted plan readable.
+MAX_PLAN_DEPTH = 8 * MAX_NESTING
 
 
 @dataclass(frozen=True)
@@ -324,15 +331,19 @@ def _sexpr_read(text: str) -> list:
     if text[pos:].strip():
         raise QuerySyntaxError(f"bad algebra text near {text[pos:pos + 10]!r}")
 
-    def read(index: int):
+    def read(index: int, depth: int):
         if index >= len(tokens):
             raise QuerySyntaxError("unexpected end of algebra text")
         token = tokens[index]
         if token == "(":
+            if depth == MAX_PLAN_DEPTH:
+                raise QuerySyntaxError(
+                    f"algebra text nests more than {MAX_PLAN_DEPTH} levels deep"
+                )
             items = []
             index += 1
             while index < len(tokens) and tokens[index] != ")":
-                item, index = read(index)
+                item, index = read(index, depth + 1)
                 items.append(item)
             if index >= len(tokens):
                 raise QuerySyntaxError("missing ')' in algebra text")
@@ -341,18 +352,22 @@ def _sexpr_read(text: str) -> list:
             raise QuerySyntaxError("unexpected ')' in algebra text")
         return token, index + 1
 
-    tree, end = read(0)
+    tree, end = read(0, 0)
     if end != len(tokens):
         raise QuerySyntaxError("trailing tokens after algebra expression")
     return tree
 
 
+def _parse_index(token) -> int:
+    if isinstance(token, str) and token.isdecimal():
+        return int(token)
+    raise QuerySyntaxError(f"bad column index {token!r}")
+
+
 def _parse_operand(token) -> Column | Constant:
-    if isinstance(token, str) and token.startswith("'") and token.endswith("'"):
+    if isinstance(token, str) and token.startswith("'"):
         return Constant(token[1:-1])
-    if isinstance(token, str) and token.isdigit():
-        return Column(int(token))
-    raise QuerySyntaxError(f"bad selection operand {token!r}")
+    return Column(_parse_index(token))
 
 
 def _build(tree) -> AlgebraExpr:
@@ -361,23 +376,31 @@ def _build(tree) -> AlgebraExpr:
     if not tree:
         raise QuerySyntaxError("empty algebra expression")
     head = tree[0]
-    if head == "const" and len(tree) == 2 and isinstance(tree[1], str):
-        return SingletonConstant(tree[1].strip("'"))
-    if head == "select" and len(tree) == 3 and isinstance(tree[1], list):
+    if not isinstance(head, str):
+        raise QuerySyntaxError("an algebra expression must start with an operator name")
+    if head == "const" and len(tree) == 2 and isinstance(tree[1], str) and tree[1][0] == "'":
+        return SingletonConstant(tree[1][1:-1])
+    if head == "select" and len(tree) == 3 and isinstance(tree[1], list) and len(tree[1]) == 3:
         op, left, right = tree[1]
+        if op not in ("=", "!="):
+            raise QuerySyntaxError(f"bad selection operator {op!r}")
         return Selection(
             SelectionPredicate(_parse_operand(left), op, _parse_operand(right)),
             _build(tree[2]),
         )
     if head == "project" and len(tree) == 3 and isinstance(tree[1], list):
-        indices = tuple(int(i) for i in tree[1])
+        indices = tuple(_parse_index(i) for i in tree[1])
         return Projection(indices, _build(tree[2]))
     binary = {"product": Product, "union": Union, "diff": Difference, "intersect": Intersection}
     if head in binary and len(tree) == 3:
         return binary[head](_build(tree[1]), _build(tree[2]))
-    raise QuerySyntaxError(f"bad algebra expression head {head!r}")
+    raise QuerySyntaxError(f"malformed {head!r} expression in algebra text")
 
 
 def parse_algebra(text: str) -> AlgebraExpr:
-    """Parse the canonical prefix text back into an expression tree."""
+    """Parse the canonical prefix text back into an expression tree.
+
+    Malformed text, or text nesting more than ``MAX_PLAN_DEPTH`` levels,
+    raises ``QuerySyntaxError``.
+    """
     return _build(_sexpr_read(text))

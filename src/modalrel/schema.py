@@ -43,48 +43,14 @@ def build_database(model: KripkeModel) -> DatabaseInstance:
     )
 
 
-def validate_instance(db: DatabaseInstance) -> list[str]:
-    """Check the data-level invariants of a mapped instance.
-
-    Returns a list of human-readable violations; empty means the instance
-    could have come from a model: every Sta value is an object, Sta is
-    non-empty, Sta column 1 is a key, and Rel rows connect known state ids
-    with declared relation names.
-    """
-    violations: list[str] = []
-    sta = db.relations[STA]
-    obj_values = {row[0] for row in db.relations[OBJ].tuples}
-
-    for row in sta.sorted_rows():
-        for value in row:
-            if value not in obj_values:
-                violations.append(f"Sta value {value!r} does not appear in Obj")
-
-    if not sta.tuples:
-        violations.append("Sta is empty")
-
-    ids = [row[0] for row in sta.sorted_rows()]
-    for value in sorted(set(ids)):
-        if ids.count(value) > 1:
-            violations.append(f"duplicate id {value!r}: Sta column 1 must be a key")
-
-    id_set = set(ids)
-    for row in db.relations[REL].sorted_rows():
-        for endpoint in row[:2]:
-            if endpoint not in id_set:
-                violations.append(f"Rel endpoint {endpoint!r} is not a state id")
-        if row[2] not in db.relation_names:
-            violations.append(f"Rel relation name {row[2]!r} is not declared")
-
-    return violations
-
-
 def model_from_database(db: DatabaseInstance) -> KripkeModel:
     """Rebuild a model from a mapped instance, with fresh state handles.
 
     Inverse of ``build_database`` up to state-handle renaming: mapping the
     result again yields an identical DatabaseInstance.  The tables are read
-    as the fields of a model file, by ``model_from_data``.
+    as the fields of a model file, by ``model_from_data``, so tables that no
+    model maps to raise ``ModelInvariantError``: this is how an instance is
+    checked.
     """
     concept_names = [row[0] for row in db.relations[CON].tuples]
     if ID_CONCEPT not in concept_names:

@@ -242,6 +242,18 @@ def free_vars(formula: Formula) -> list[Var]:
     return list(seen)
 
 
+def subformulas(formula: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas, left to right; ``()`` for an atom."""
+    match formula:
+        case Not(body) | Diamond(_, body) | Box(_, body):
+            return (body,)
+        case Exists(_, body) | Forall(_, body) | Abstraction(_, body, _):
+            return (body,)
+        case And(left, right) | Or(left, right) | Implies(left, right):
+            return (left, right)
+    return ()
+
+
 def formula_depth(formula: Formula) -> int:
     """Operators on the longest path from the root down to an atom.
 
@@ -252,13 +264,7 @@ def formula_depth(formula: Formula) -> int:
     while pending:
         node, depth = pending.pop()
         deepest = max(deepest, depth)
-        match node:
-            case Not(body) | Diamond(_, body) | Box(_, body):
-                pending.append((body, depth + 1))
-            case Exists(_, body) | Forall(_, body) | Abstraction(_, body, _):
-                pending.append((body, depth + 1))
-            case And(left, right) | Or(left, right) | Implies(left, right):
-                pending += [(left, depth + 1), (right, depth + 1)]
+        pending += [(child, depth + 1) for child in subformulas(node)]
     return deepest
 
 

@@ -18,8 +18,8 @@ from modalrel import (
     Column,
     Constant,
     Diamond,
-    Exists,
     Forall,
+    ModalQuery,
     Not,
     ObjectVar,
     Product,
@@ -257,14 +257,11 @@ def _duality_checks() -> tuple[int, int, str]:
         if box != dual:
             box_failures += 1
 
-        db = build_database(model)
-        division = evaluate(translator.translate(Forall(fresh, query.formula), ctx), db)
-        rewrite = evaluate(
-            translator.translate(Not(Exists(fresh, Not(query.formula))), ctx), db
-        )
-        if division != rewrite:
+        forall = ModalQuery(Forall(fresh, query.formula), query.target)
+        algebra = evaluate(translator.translate(forall.formula, ctx), build_database(model))
+        if algebra != answer_direct(model, forall):
             forall_failures += 1
-        digest_parts.append(f"{index}:{len(division.tuples)}")
+        digest_parts.append(f"{index}:{len(algebra.tuples)}")
     return box_failures, forall_failures, ",".join(digest_parts)
 
 
@@ -273,7 +270,7 @@ def test_criterion_7_duality_cross_checks():
     _artifacts["duality"] = digest
     _criterion(
         7,
-        "200 box duals match structurally; 200 forall divisions match the rewrite",
+        "200 box duals match structurally; 200 forall answers match the direct engine",
         box_failures == 0 and forall_failures == 0,
         f"box={box_failures} forall={forall_failures}",
     )

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from modalrel import KripkeModel
+from modalrel import GenParams, KripkeModel
+from test_acceptance import CAMPAIGN_PARAMS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,3 +43,9 @@ def test_sparse_model_builds():
     model = load_perfbench("workloads").sparse_model(6, random.Random(0))
     assert isinstance(model, KripkeModel)
     assert len(model.states) == 6
+
+
+def test_campaign_bounds_build_the_acceptance_params():
+    # the benchmark builds GenParams by keyword from CAMPAIGN_BOUNDS
+    bounds = load_perfbench("workloads").CAMPAIGN_BOUNDS
+    assert GenParams(seed=42, **bounds) == CAMPAIGN_PARAMS

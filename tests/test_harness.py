@@ -18,7 +18,7 @@ from modalrel import (
     validate_model,
 )
 from modalrel.harness import case_params, constructor_histogram, shrink_case
-from modalrel.schema import validate_instance
+from modalrel.schema import model_from_database
 from modalrel.syntax import MAX_NESTING, Abstraction, Box, Relativized, formula_depth
 
 
@@ -42,7 +42,8 @@ def test_gen_model_instances_validate():
     for i in range(150):
         model = gen_model(case_params(params, i))
         validate_model(model)
-        assert validate_instance(build_database(model)) == []
+        db = build_database(model)
+        assert build_database(model_from_database(db)) == db
 
 
 def test_gen_params_bounds():

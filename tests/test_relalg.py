@@ -15,6 +15,7 @@ from modalrel import (
     DatabaseInstance,
     DegreeError,
     Difference,
+    QuerySyntaxError,
     Intersection,
     Product,
     Projection,
@@ -26,10 +27,17 @@ from modalrel import (
     UnknownRelation,
     degree_of,
     evaluate,
+    gen_model,
+    gen_query,
     parse_algebra,
+    parse_query,
     render_algebra,
     to_tsv,
+    translate_query,
 )
+from modalrel.harness import case_params
+from modalrel.relalg import MAX_PLAN_DEPTH
+from test_acceptance import CAMPAIGN_PARAMS
 
 STA_REL = BaseRelation(STA)
 REL_REL = BaseRelation(REL)
@@ -189,6 +197,49 @@ RENDER_TABLE = [
 def test_render_algebra(expr, text):
     assert render_algebra(expr) == text
     assert parse_algebra(text) == expr
+
+
+MALFORMED_ALGEBRA = [
+    "(select (= 1) Sta)",
+    "(select (= 1 2 3) Sta)",
+    "(select (== 1 2) Sta)",
+    "(project (a) Sta)",
+    "(project (1 (2)) Sta)",
+    "(project (\u00b2) Sta)",
+    "(const a)",
+    "((a) Sta Sta)",
+    "(project (1) " * 3000 + "Sta" + ")" * 3000,
+    "(" * 3000,
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_ALGEBRA, ids=[t[:24] for t in MALFORMED_ALGEBRA])
+def test_malformed_algebra_is_a_syntax_error(text):
+    with pytest.raises(QuerySyntaxError):
+        parse_algebra(text)
+
+
+def test_plan_depth_limit():
+    text = "(project (1) " * (MAX_PLAN_DEPTH - 1) + "Sta" + ")" * (MAX_PLAN_DEPTH - 1)
+    assert degree_of(parse_algebra(text), {STA: 2}) == 1  # the index list is the last level
+    with pytest.raises(QuerySyntaxError, match=str(MAX_PLAN_DEPTH)):
+        parse_algebra("(project (1) " + text + ")")
+
+
+def test_deepest_translated_plan_round_trips(example_model):
+    # the deepest plan within the query limit, at 387 levels; the canonical
+    # text is compared because dataclass equality recurses deeper than that
+    query = parse_query("[COMP] " * 64 + "@code = 'b'")
+    text = render_algebra(translate_query(query, example_model))
+    assert render_algebra(parse_algebra(text)) == text
+
+
+def test_campaign_plans_round_trip():
+    for i in range(200):
+        local = case_params(CAMPAIGN_PARAMS, i)
+        model = gen_model(local)
+        plan = translate_query(gen_query(local, model), model)
+        assert parse_algebra(render_algebra(plan)) == plan
 
 
 # ---------------------------------------------------------------------------

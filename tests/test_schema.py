@@ -15,7 +15,6 @@ from modalrel import (
     concept_index,
     model_from_database,
     parse_model,
-    validate_instance,
 )
 from modalrel.harness import GenParams, case_params, gen_model
 
@@ -103,11 +102,12 @@ def test_rel_row_count_matches_pair_count():
 
 
 # ---------------------------------------------------------------------------
-# Instance validation
+# Instance validation: an instance is valid exactly when it reads back as a
+# model, so each law is checked through ``model_from_database``.
 
 
 def test_validate_instance_accepts_mapped_instance(example_db):
-    assert validate_instance(example_db) == []
+    assert build_database(model_from_database(example_db)) == example_db
 
 
 def _with(db, **replacements):
@@ -117,36 +117,43 @@ def _with(db, **replacements):
 
 
 def test_validate_instance_flags_empty_sta(example_db):
-    broken = _with(example_db, Sta=RelationInstance.of(2, []))
-    assert any("empty" in v for v in validate_instance(broken))
+    broken = _with(example_db, Sta=RelationInstance.of(2, []), Rel=RelationInstance.of(3, []))
+    with pytest.raises(ModelInvariantError, match="at least one state"):
+        model_from_database(broken)
+    # with Rel rows left in, their endpoints name no state
+    with pytest.raises(ModelInvariantError, match="unknown state id"):
+        model_from_database(_with(example_db, Sta=RelationInstance.of(2, [])))
 
 
 def test_validate_instance_flags_duplicate_id(example_db):
     rows = set(example_db.relations[STA].tuples) | {("1", "a")}
     broken = _with(example_db, Sta=RelationInstance.of(2, rows))
-    assert any("key" in v for v in validate_instance(broken))
+    with pytest.raises(ModelInvariantError, match="id must be injective"):
+        model_from_database(broken)
 
 
 def test_validate_instance_flags_sta_value_outside_obj(example_db):
-    rows = set(example_db.relations[STA].tuples) | {("9", "zz")}
+    rows = set(example_db.relations[STA].tuples) | {("a", "zz")}
     broken = _with(example_db, Sta=RelationInstance.of(2, rows))
-    violations = validate_instance(broken)
-    assert any("'zz'" in v and "Obj" in v for v in violations)
+    with pytest.raises(ModelInvariantError, match="'zz', which is not an object of the model"):
+        model_from_database(broken)
 
 
 def test_validate_instance_flags_bad_rel_rows(example_db):
-    rows = set(example_db.relations[REL].tuples) | {("1", "9", "COMP"), ("1", "2", "NOPE")}
-    broken = _with(example_db, Rel=RelationInstance.of(3, rows))
-    violations = validate_instance(broken)
-    assert any("endpoint" in v for v in violations)
-    assert any("NOPE" in v for v in violations)
+    rel = example_db.relations[REL].tuples
+    bad_endpoint = _with(example_db, Rel=RelationInstance.of(3, rel | {("1", "9", "COMP")}))
+    with pytest.raises(ModelInvariantError, match="unknown state id '9'"):
+        model_from_database(bad_endpoint)
+    bad_name = _with(example_db, Rel=RelationInstance.of(3, rel | {("1", "2", "NOPE")}))
+    with pytest.raises(ModelInvariantError, match="undeclared relation name 'NOPE'"):
+        model_from_database(bad_name)
 
 
 def test_generated_instances_always_validate():
     params = GenParams(seed=11, max_states=6, max_objects=8, max_concepts=3, max_relations=2)
     for i in range(200):
-        model = gen_model(case_params(params, i))
-        assert validate_instance(build_database(model)) == []
+        db = build_database(gen_model(case_params(params, i)))
+        assert build_database(model_from_database(db)) == db
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +33,7 @@ from modalrel import (
     parse_query,
     render_formula,
 )
-from modalrel.syntax import MAX_NESTING, formula_depth
+from modalrel.syntax import MAX_NESTING, Formula, formula_depth, subformulas
 
 # ---------------------------------------------------------------------------
 # Parsing against a hand-built AST table
@@ -205,6 +208,20 @@ def test_formula_at_the_limit_round_trips():
     assert parse_formula(render_formula(formula)) == formula
     with pytest.raises(QuerySyntaxError):
         parse_formula(render_formula(Not(formula)))
+
+
+def test_subformulas_lists_every_formula_field():
+    # one instance of every constructor, each formula-valued field a distinct atom
+    atoms = (Eq(ObjectConst(str(i)), B) for i in range(100))
+    for constructor in typing.get_args(Formula):
+        hints = typing.get_type_hints(constructor)
+        fields = dataclasses.fields(constructor)
+        instance = constructor(*(
+            next(atoms) if hints[f.name] == Formula else "R" if hints[f.name] is str else X
+            for f in fields
+        ))
+        held = tuple(getattr(instance, f.name) for f in fields if hints[f.name] == Formula)
+        assert subformulas(instance) == held, constructor.__name__
 
 
 # ---------------------------------------------------------------------------
