@@ -30,7 +30,7 @@ EXIT_MISMATCH = 5
 def _read_model(path: str) -> KripkeModel:
     try:
         return load_model(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelInvariantError(f"cannot read model file {path}: {exc}") from exc
 
 

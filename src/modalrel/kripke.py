@@ -316,6 +316,8 @@ def model_from_data(data) -> KripkeModel:
     relations: dict[str, frozenset[tuple[str, str]]] = {}
     for raw_name, raw_pairs in data["relations"].items():
         name = _scalar(raw_name)
+        if raw_pairs is not None and not isinstance(raw_pairs, list):
+            raise ModelInvariantError(f"relation {name!r} must map to a list of pairs")
         pairs = set()
         for raw_pair in raw_pairs or []:
             if not isinstance(raw_pair, list) or len(raw_pair) != 2:

@@ -8,12 +8,20 @@ selection, projection, cross product, union, difference and intersection.
 Degrees are checked once, statically, by ``degree_of`` before an expression
 runs; evaluation then passes intermediate results as plain row sets, and only
 the answer becomes a ``RelationInstance``.
+
+Evaluation follows the tree node by node, with one physical shortcut: a chain
+of ``Selection`` nodes over a ``Product`` runs as a hash equi-join (the
+build/probe join of Graefe, "Query Evaluation Techniques for Large
+Databases", ACM CSUR 1993) and never builds the product.  The tree itself is
+not rewritten, so the plan ``translate`` prints is still the logical plan
+that runs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DegreeError, QuerySyntaxError, UnknownRelation
@@ -129,50 +137,83 @@ class SelectionPredicate:
             raise DegreeError(f"selection operator must be '=' or '!=', got {self.op!r}")
 
 
-@dataclass(frozen=True)
-class BaseRelation:
+class _Node:
+    """Equality and hashing by structure for expression nodes, without recursion.
+
+    A dataclass's generated ``__eq__`` recurses several interpreter levels per
+    node, more than a translated plan a few hundred levels deep leaves room
+    for.  Both methods here read a flat listing instead: in pre-order, each
+    node's type and then its fields that are not subtrees.  Every node type
+    has a fixed list of fields, so the listing fixes the tree.
+    """
+
+    def _listing(self) -> list:
+        listing = []
+        pending = [self]
+        while pending:
+            node = pending.pop()
+            listing.append(type(node))
+            for field in fields(node):
+                value = getattr(node, field.name)
+                if isinstance(value, _Node):
+                    pending.append(value)
+                else:
+                    listing.append(value)
+        return listing
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return self._listing() == other._listing()
+
+    def __hash__(self):
+        return hash(tuple(self._listing()))
+
+
+@dataclass(frozen=True, eq=False)
+class BaseRelation(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class SingletonConstant:
+@dataclass(frozen=True, eq=False)
+class SingletonConstant(_Node):
     """The degree-1 instance holding exactly one value."""
 
     value: str
 
 
-@dataclass(frozen=True)
-class Selection:
+@dataclass(frozen=True, eq=False)
+class Selection(_Node):
     predicate: SelectionPredicate
     input: AlgebraExpr
 
 
-@dataclass(frozen=True)
-class Projection:
+@dataclass(frozen=True, eq=False)
+class Projection(_Node):
     indices: tuple[int, ...]  # may be empty, may repeat
     input: AlgebraExpr
 
 
-@dataclass(frozen=True)
-class Product:
+@dataclass(frozen=True, eq=False)
+class Product(_Node):
     left: AlgebraExpr
     right: AlgebraExpr
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False)
+class Union(_Node):
     left: AlgebraExpr
     right: AlgebraExpr
 
 
-@dataclass(frozen=True)
-class Difference:
+@dataclass(frozen=True, eq=False)
+class Difference(_Node):
     left: AlgebraExpr
     right: AlgebraExpr
 
 
-@dataclass(frozen=True)
-class Intersection:
+@dataclass(frozen=True, eq=False)
+class Intersection(_Node):
     left: AlgebraExpr
     right: AlgebraExpr
 
@@ -244,32 +285,96 @@ def evaluate(expr: AlgebraExpr, db: DatabaseInstance) -> RelationInstance:
     return RelationInstance(degree, _eval(expr, db))
 
 
-def _operand_value(operand: Column | Constant, row: tuple[str, ...]) -> str:
+Row = tuple[str, ...]
+
+
+def _operand_value(operand: Column | Constant, row: Row, offset: int) -> str:
     if isinstance(operand, Column):
-        return row[operand.index - 1]
+        return row[operand.index - 1 - offset]
     return operand.value
 
 
-def _holds(predicate: SelectionPredicate, row: tuple[str, ...]) -> bool:
-    left = _operand_value(predicate.left, row)
-    right = _operand_value(predicate.right, row)
-    return left == right if predicate.op == "=" else left != right
+def _holds_all(predicates: list[SelectionPredicate], row: Row, offset: int = 0) -> bool:
+    """Whether ``row`` satisfies every predicate, its columns shifted by ``offset``."""
+    for predicate in predicates:
+        left = _operand_value(predicate.left, row, offset)
+        right = _operand_value(predicate.right, row, offset)
+        if (left == right) != (predicate.op == "="):
+            return False
+    return True
 
 
-def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[tuple[str, ...]]:
+def _join(
+    predicates: list[SelectionPredicate], product: Product, db: DatabaseInstance
+) -> frozenset[Row]:
+    """The rows of ``product`` that satisfy every predicate (all rows if none).
+
+    The product is built whole only when it is the answer.  Each predicate
+    reading one side only filters that side first; every ``=`` between a left
+    and a right column joins into one (maybe composite) key, on which the
+    right side is hashed and probed with the left; the other predicates
+    filter the joined rows.
+    """
+    left_rows = _eval(product.left, db)
+    if not left_rows:
+        return frozenset()
+    right_rows = _eval(product.right, db)
+    if not right_rows:
+        return frozenset()
+    split = len(next(iter(left_rows)))  # the left side's degree
+    left_only, right_only, residual = [], [], []
+    left_key, right_key = [], []
+    for predicate in predicates:
+        sides = {
+            operand.index > split
+            for operand in (predicate.left, predicate.right)
+            if isinstance(operand, Column)
+        }
+        if sides == {True}:
+            right_only.append(predicate)
+        elif sides != {False, True}:
+            left_only.append(predicate)  # also a comparison of two constants
+        elif predicate.op == "=":
+            first, second = sorted((predicate.left.index, predicate.right.index))
+            left_key.append(first - 1)
+            right_key.append(second - 1 - split)
+        else:
+            residual.append(predicate)
+    if left_only:
+        left_rows = [t for t in left_rows if _holds_all(left_only, t)]
+    if right_only:
+        right_rows = [u for u in right_rows if _holds_all(right_only, u, split)]
+    if left_key:
+        probe_key, build_key = itemgetter(*left_key), itemgetter(*right_key)
+        buckets: dict[object, list[Row]] = {}
+        for u in right_rows:
+            buckets.setdefault(build_key(u), []).append(u)
+        joined = (t + u for t in left_rows for u in buckets.get(probe_key(t), ()))
+    else:
+        joined = (t + u for t in left_rows for u in right_rows)
+    if residual:
+        return frozenset(row for row in joined if _holds_all(residual, row))
+    return frozenset(joined)
+
+
+def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[Row]:
     match expr:
         case BaseRelation(name):
             return db.relations[name].tuples
         case SingletonConstant(value):
             return frozenset({(value,)})
-        case Selection(predicate, inner):
-            return frozenset(row for row in _eval(inner, db) if _holds(predicate, row))
+        case Selection():
+            predicates = []
+            while isinstance(expr, Selection):
+                predicates.append(expr.predicate)
+                expr = expr.input
+            if isinstance(expr, Product):
+                return _join(predicates, expr, db)
+            return frozenset(row for row in _eval(expr, db) if _holds_all(predicates, row))
         case Projection(indices, inner):
             return frozenset(tuple(row[i - 1] for i in indices) for row in _eval(inner, db))
-        case Product(left, right):
-            a = _eval(left, db)
-            b = _eval(right, db)
-            return frozenset(t + u for t in a for u in b)
+        case Product():
+            return _join([], expr, db)
         case Union(left, right):
             return _eval(left, db) | _eval(right, db)
         case Difference(left, right):

@@ -87,6 +87,20 @@ def test_map_missing_file_exit_code(tmp_path):
     assert run_main(["map", str(tmp_path / "nope.yaml")]) == EXIT_MODEL_ERROR
 
 
+def test_map_rejects_relation_that_is_not_a_pair_list(tmp_path, capsys):
+    model_file = tmp_path / "int.yaml"
+    model_file.write_text("objects: [s]\nconcepts: [id]\nstates: [{id: s}]\nrelations: {R: 5}\n")
+    assert run_main(["map", str(model_file), "--out-dir", str(tmp_path)]) == EXIT_MODEL_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_map_rejects_model_file_that_is_not_utf8(tmp_path, capsys):
+    model_file = tmp_path / "bytes.yaml"
+    model_file.write_bytes(b"\xff\xfe")
+    assert run_main(["map", str(model_file), "--out-dir", str(tmp_path)]) == EXIT_MODEL_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # eval
 

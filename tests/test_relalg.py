@@ -227,11 +227,12 @@ def test_plan_depth_limit():
 
 
 def test_deepest_translated_plan_round_trips(example_model):
-    # the deepest plan within the query limit, at 387 levels; the canonical
-    # text is compared because dataclass equality recurses deeper than that
+    # the deepest plan within the query limit, at 387 levels
     query = parse_query("[COMP] " * 64 + "@code = 'b'")
-    text = render_algebra(translate_query(query, example_model))
-    assert render_algebra(parse_algebra(text)) == text
+    plan = translate_query(query, example_model)
+    text = render_algebra(plan)
+    assert parse_algebra(text) == plan
+    assert hash(parse_algebra(text)) == hash(plan)
 
 
 def test_campaign_plans_round_trip():
@@ -291,6 +292,122 @@ def test_selection_and_projection_bounds(db):
     assert selected.tuples <= rows
     projected = evaluate(Projection((1,), STA_REL), db)
     assert len(projected.tuples) <= len(rows)
+
+
+# ---------------------------------------------------------------------------
+# A chain of selections over a product runs as a join
+
+
+def _satisfies(row, predicate):
+    """The meaning of one predicate on one row, spelled out for the tests."""
+    values = [row[o.index - 1] if isinstance(o, Column) else o.value
+              for o in (predicate.left, predicate.right)]
+    return (values[0] == values[1]) == (predicate.op == "=")
+
+
+def _select_all(predicates, inner):
+    for predicate in predicates:
+        inner = Selection(predicate, inner)
+    return inner
+
+
+def _filtered_product(product, predicates, db):
+    left, right = evaluate(product.left, db).tuples, evaluate(product.right, db).tuples
+    rows = {t + u for t in left for u in right}
+    return {row for row in rows if all(_satisfies(row, p) for p in predicates)}
+
+
+_SCHEMA = {STA: 2, REL: 3, CON: 1, OBJ: 1}
+_SIDES = [
+    STA_REL,
+    REL_REL,
+    CON_REL,
+    Projection((), STA_REL),
+    SingletonConstant("a"),
+    Selection(eq(Column(1), Column(2)), Product(OBJ_REL, CON_REL)),
+]
+
+
+def _operands(degree):
+    constants = _values.map(Constant)
+    if not degree:
+        return constants
+    return st.one_of(st.integers(1, degree).map(Column), constants)
+
+
+@st.composite
+def _chains(draw):
+    product = Product(draw(st.sampled_from(_SIDES)), draw(st.sampled_from(_SIDES)))
+    operands = _operands(degree_of(product, _SCHEMA))
+    predicate = st.builds(SelectionPredicate, operands, st.sampled_from(["=", "!="]), operands)
+    return product, draw(st.lists(predicate, min_size=1, max_size=3))
+
+
+@given(_databases, _chains())
+@settings(max_examples=300)
+def test_selection_chain_over_product_filters_the_product(db, chain):
+    product, predicates = chain
+    got = evaluate(_select_all(predicates, product), db)
+    assert got.tuples == _filtered_product(product, predicates, db)
+
+
+def _db(sta, rel=()):
+    return DatabaseInstance(
+        relations={
+            STA: RelationInstance.of(2, sta),
+            REL: RelationInstance.of(3, rel),
+            CON: RelationInstance.of(1, [("id",), ("code",)]),
+            OBJ: RelationInstance.of(1, [("a",), ("b",)]),
+        },
+        relation_names=frozenset({"R"}),
+    )
+
+
+# Two states share the code "a", so a join on the code repeats key values.
+_REPEATS = _db([("1", "a"), ("2", "a"), ("3", "b")], [("1", "2", "R"), ("2", "3", "R")])
+_EMPTY = Difference(OBJ_REL, OBJ_REL)
+
+
+@pytest.mark.parametrize("product", [Product(_EMPTY, OBJ_REL), Product(OBJ_REL, _EMPTY)])
+def test_join_with_an_empty_side(product):
+    got = evaluate(Selection(eq(Column(1), Column(2)), product), _REPEATS)
+    assert got == RelationInstance.of(2, [])
+
+
+def test_join_predicate_written_right_to_left():
+    # (= 4 1): Rel's target, on the right, equals Sta's id, on the left
+    product = Product(STA_REL, REL_REL)
+    want = {("2", "a", "1", "2", "R"), ("3", "b", "2", "3", "R")}
+    assert evaluate(Selection(eq(Column(4), Column(1)), product), _REPEATS).tuples == want
+    assert evaluate(Selection(eq(Column(1), Column(4)), product), _REPEATS).tuples == want
+
+
+def test_join_predicates_reading_one_side():
+    both_left = Selection(eq(Column(1), Column(2)), Product(Product(OBJ_REL, OBJ_REL), CON_REL))
+    assert evaluate(both_left, _REPEATS).tuples == {
+        (o, o, c) for o in "ab" for c in ("id", "code")
+    }
+    both_right = Selection(eq(Column(3), Column(2)), Product(CON_REL, Product(OBJ_REL, OBJ_REL)))
+    assert evaluate(both_right, _REPEATS).tuples == {
+        (c, o, o) for o in "ab" for c in ("id", "code")
+    }
+
+
+def test_join_on_repeated_and_composite_keys():
+    product = Product(STA_REL, STA_REL)
+    same_code = Selection(eq(Column(2), Column(4)), product)
+    assert evaluate(same_code, _REPEATS).tuples == {
+        ("1", "a", "1", "a"), ("1", "a", "2", "a"), ("2", "a", "1", "a"),
+        ("2", "a", "2", "a"), ("3", "b", "3", "b"),
+    }
+    same_state = Selection(eq(Column(3), Column(1)), same_code)
+    assert evaluate(same_state, _REPEATS).tuples == {
+        ("1", "a", "1", "a"), ("2", "a", "2", "a"), ("3", "b", "3", "b"),
+    }
+    other_state = Selection(SelectionPredicate(Column(3), "!=", Column(1)), same_code)
+    assert evaluate(other_state, _REPEATS).tuples == {
+        ("1", "a", "2", "a"), ("2", "a", "1", "a"),
+    }
 
 
 def test_eval_degree_matches_static_degree(example_db):
