@@ -63,9 +63,12 @@ def cmd_map(model_path: str, out_dir: str):
     model = _read_model(model_path)
     db = build_database(model)
     target = pathlib.Path(out_dir)
-    target.mkdir(parents=True, exist_ok=True)
-    for name in SCHEMA_NAMES:
-        (target / f"{name}.tsv").write_text(to_tsv(db.relations[name]), encoding="utf-8")
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+        for name in SCHEMA_NAMES:
+            (target / f"{name}.tsv").write_text(to_tsv(db.relations[name]), encoding="utf-8")
+    except OSError as exc:
+        raise click.FileError(exc.filename or out_dir, hint=exc.strerror) from exc
 
 
 @cli.command("translate")
@@ -139,7 +142,10 @@ def cmd_fuzz(cases: int, report_path: str | None, **bounds):
     click.echo(summary.render(), nl=False)
     click.echo(f"wall time: {summary.seconds:.2f}s", err=True)
     if report_path:
-        pathlib.Path(report_path).write_text(summary.to_json(), encoding="utf-8")
+        try:
+            pathlib.Path(report_path).write_text(summary.to_json(), encoding="utf-8")
+        except OSError as exc:
+            raise click.FileError(report_path, hint=exc.strerror) from exc
     if not summary.ok:
         sys.exit(EXIT_MISMATCH)
 

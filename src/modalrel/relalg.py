@@ -140,11 +140,13 @@ class SelectionPredicate:
 class _Node:
     """Equality and hashing by structure for expression nodes, without recursion.
 
-    A dataclass's generated ``__eq__`` recurses several interpreter levels per
-    node, more than a translated plan a few hundred levels deep leaves room
-    for.  Both methods here read a flat listing instead: in pre-order, each
-    node's type and then its fields that are not subtrees.  Every node type
-    has a fixed list of fields, so the listing fixes the tree.
+    A dataclass's generated ``__eq__`` and ``__repr__`` and ``copy.deepcopy``
+    recurse several interpreter levels per node, more than a translated plan a
+    few hundred levels deep leaves room for.  Equality and hashing here read a
+    flat listing instead: in pre-order, each node's type and then its fields
+    that are not subtrees.  Every node type has a fixed list of fields, so the
+    listing fixes the tree.  ``repr`` is the rendered text, one frame per
+    level.
     """
 
     def _listing(self) -> list:
@@ -169,50 +171,60 @@ class _Node:
     def __hash__(self):
         return hash(tuple(self._listing()))
 
+    def __repr__(self):
+        return f"parse_algebra({render_algebra(self)!r})"
 
-@dataclass(frozen=True, eq=False)
+    # A plan is an immutable value, so every copy of it may be the plan itself.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class BaseRelation(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SingletonConstant(_Node):
     """The degree-1 instance holding exactly one value."""
 
     value: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Selection(_Node):
     predicate: SelectionPredicate
     input: AlgebraExpr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Projection(_Node):
     indices: tuple[int, ...]  # may be empty, may repeat
     input: AlgebraExpr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(_Node):
     left: AlgebraExpr
     right: AlgebraExpr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Union(_Node):
     left: AlgebraExpr
     right: AlgebraExpr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Difference(_Node):
     left: AlgebraExpr
     right: AlgebraExpr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Intersection(_Node):
     left: AlgebraExpr
     right: AlgebraExpr

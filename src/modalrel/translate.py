@@ -19,10 +19,11 @@ in scope) adds no column: the argument is checked, then its variable
 resolves to what the argument resolves to.  ``@%g`` has a Sta column only
 when ``%g`` is λ-bound to a concept constant.
 
-``f -> g``, ``[R] f`` and ``forall v . f`` are translated through their
-definitions, as ``!f | g``, ``!<R> !f`` and ``!exists v . !f``, so the plan
-is built from atoms, negation, conjunction, disjunction, ``<R>``, ``exists``
-and λ alone.
+``f -> g``, ``[R] f``, ``forall v . f`` and ``<lam ?y . f>(@c)`` are
+translated through their definitions, as ``!f | g``, ``!<R> !f``,
+``!exists v . !f`` and ``exists ?y . ?y = @c & f``, so the plan is built
+from atoms, negation, conjunction, disjunction, ``<R>`` and ``exists``
+alone.
 
 Under an empty context there is nothing to cross: atoms select from Sta
 directly and negation reads Sta's id column as its universe.  No rewrite
@@ -272,22 +273,9 @@ class Translator:
             # constant fails even when the body never uses the variable.
             self.term_ref(argument, context)
             return self.translate(body, context.bind(var, argument))
-        column = self._concept_column(argument.inner, context)
-        n = len(context)
-        inner = self.translate(body, context.prepend(var))  # degree n+2
-        # Two columns per state: the argument concept's value and the state
-        # id.  Joining on the state id while equating the bound variable with
-        # the concept value pins the variable to the argument's value at the
-        # reported state.
-        gadget = Projection((column, 1), BaseRelation(STA))
-        selected = Selection(
-            SelectionPredicate(Column(1), "=", Column(n + 3)),
-            Selection(
-                SelectionPredicate(Column(n + 2), "=", Column(n + 4)),
-                Product(inner, gadget),
-            ),
-        )
-        return Projection(tuple(range(2, n + 3)), selected)
+        # A concept has exactly one value per state, so binding the variable
+        # to it is definitionally an existential with an equation.
+        return self.translate(Exists(var, And(Eq(var, argument), body)), context)
 
 
 def translate_query(query: ModalQuery, model: KripkeModel) -> AlgebraExpr:

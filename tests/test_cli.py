@@ -83,6 +83,15 @@ def test_map_rejects_object_with_tab(tmp_path):
     assert not list(tmp_path.glob("*.tsv"))
 
 
+@pytest.mark.parametrize("out_dir", ["Sta.tsv", "Sta.tsv/sub"])
+def test_map_unwritable_out_dir_is_usage_error(example_model_path, tmp_path, capsys, out_dir):
+    (tmp_path / "Sta.tsv").write_text("")
+    argv = ["map", str(example_model_path), "--out-dir", str(tmp_path / out_dir)]
+    assert run_main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("Error: ") and err.count("\n") == 1
+
+
 def test_map_missing_file_exit_code(tmp_path):
     assert run_main(["map", str(tmp_path / "nope.yaml")]) == EXIT_MODEL_ERROR
 
@@ -247,6 +256,13 @@ def test_fuzz_report_file(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert '"status": "OK"' in report.read_text()
+
+
+def test_fuzz_unwritable_report_is_usage_error(tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    assert run_main(["fuzz", "--cases", "1", "--report", str(report)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("Error: ") and "Traceback" not in err
 
 
 def test_fuzz_stdout_deterministic_across_hash_seeds(example_model_path):

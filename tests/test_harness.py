@@ -150,6 +150,15 @@ class LambdaIgnoresArgument(Translator):
         return self._exists(var, body, context)
 
 
+class LambdaDropsEquation(Translator):
+    """Deliberately broken: binds a relativized argument's variable to any object."""
+
+    def _abstraction(self, var, body, argument, context):
+        if isinstance(argument, Relativized):
+            return self._exists(var, body, context)
+        return super()._abstraction(var, body, argument, context)
+
+
 class ForallAsExists(Translator):
     """Deliberately broken: translates a universal as an existential."""
 
@@ -174,6 +183,7 @@ def test_mutations_trip_the_campaign():
         BoxAsDiamond.for_model,
         LambdaIgnoresArgument.for_model,
         ForallAsExists.for_model,
+        LambdaDropsEquation.for_model,
     )
     for factory in factories:
         summary = run_campaign(params, 1000, translator_factory=factory)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +235,8 @@ def test_deepest_translated_plan_round_trips(example_model):
     text = render_algebra(plan)
     assert parse_algebra(text) == plan
     assert hash(parse_algebra(text)) == hash(plan)
+    assert repr(plan) == f"parse_algebra({text!r})"
+    assert copy.deepcopy(plan) == plan
 
 
 def test_campaign_plans_round_trip():

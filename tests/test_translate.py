@@ -8,6 +8,7 @@ from modalrel import (
     REL,
     STA,
     Abstraction,
+    And,
     BaseRelation,
     Box,
     Column,
@@ -322,6 +323,20 @@ def test_forall_duality_is_structural_on_generated_formulas():
         forall = translator.translate(Forall(fresh, query.formula), ctx)
         dual = translator.translate(Not(Exists(fresh, Not(query.formula))), ctx)
         assert forall == dual
+
+
+def test_relativized_lambda_is_its_definition_on_generated_formulas():
+    fresh = ObjectVar("lam")
+    for model, query in _generated_cases(60, seed=53):
+        translator = Translator.for_model(model)
+        ctx = VarContext(tuple(query.target))
+        for concept in sorted(model.concepts):
+            argument = Relativized(ConceptConst(concept))
+            lam = translator.translate(Abstraction(fresh, query.formula, argument), ctx)
+            definition = translator.translate(
+                Exists(fresh, And(Eq(fresh, argument), query.formula)), ctx
+            )
+            assert lam == definition
 
 
 def test_atomic_equivalence_for_every_assignment_and_state():
