@@ -8,13 +8,23 @@ identified with the objects they denote (unique names), so the object
 domain doubles as the pool of object-constant symbols.
 
 A ``KripkeModel`` checks these invariants when it is built and is read-only
-afterwards, so every model that exists is valid.
+afterwards, so every model that exists is valid.  Construction also indexes
+each relation's successors by state and sorts the objects once, so a modal
+step or a quantifier reads a prepared tuple instead of scanning the model.
+
+``answer_direct`` is the oracle the algebra side is checked against, and
+shares no evaluation code with it.  It evaluates top-down, and keeps, for one
+query, the truth of every modal and quantified subformula it has decided,
+keyed on the subformula, the state and the values of that subformula's free
+variables: the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986),
+computed on demand.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -44,6 +54,7 @@ from .syntax import (
     Relativized,
     Term,
     Var,
+    free_vars,
 )
 
 ID_CONCEPT = "id"
@@ -62,7 +73,10 @@ class KripkeModel:
 
     Construction stores read-only copies of ``relations``, ``concepts`` and
     each concept's map, then checks the invariants (``validate_model``), so a
-    model is valid from the moment it exists and stays valid.
+    model is valid from the moment it exists and stays valid.  It then builds
+    the successor index and the sorted object tuple; they are not fields, so
+    equality, ``repr``, ``dataclasses.replace`` and ``dump_model`` see only
+    the fields.
     """
 
     states: tuple[str, ...]
@@ -76,11 +90,22 @@ class KripkeModel:
         object.__setattr__(self, "concepts", MappingProxyType(concepts))
         object.__setattr__(self, "relations", MappingProxyType(dict(self.relations)))
         validate_model(self)
+        index = {}
+        for name, pairs in self.relations.items():
+            by_state = defaultdict(list)
+            for src, dst in pairs:
+                by_state[src].append(dst)
+            index[name] = {src: tuple(sorted(dsts)) for src, dsts in by_state.items()}
+        object.__setattr__(self, "_successors", index)
+        object.__setattr__(self, "_sorted_objects", tuple(sorted(self.objects)))
 
-    def successors(self, relation: str, state: str) -> list[str]:
-        if relation not in self.relations:
-            raise UnknownRelation(f"unknown accessibility relation {relation!r}")
-        return sorted(dst for src, dst in self.relations[relation] if src == state)
+    def successors(self, relation: str, state: str) -> tuple[str, ...]:
+        """The states ``relation`` leads to from ``state``, sorted."""
+        try:
+            by_state = self._successors[relation]
+        except KeyError:
+            raise UnknownRelation(f"unknown accessibility relation {relation!r}") from None
+        return by_state.get(state, ())
 
     def id_of(self, state: str) -> str:
         return self.concepts[ID_CONCEPT][state]
@@ -161,13 +186,45 @@ def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str
     raise TypeError(f"not a term: {term!r}")
 
 
-def _domain(model: KripkeModel, var: Var) -> list[str]:
+def _domain(model: KripkeModel, var: Var) -> Iterable[str]:
     if isinstance(var, ObjectVar):
-        return sorted(model.objects)
-    return list(model.concepts)
+        return model._sorted_objects
+    return model.concepts
 
 
-def satisfies(model: KripkeModel, state: str, assignment: Assignment, formula: Formula) -> bool:
+class Memo:
+    """One query's record of decided modal and quantified subformulas.
+
+    ``truth`` maps (subformula identity, state, values of the subformula's
+    free variables) to its truth; ``free`` maps a subformula's identity to its
+    free variables.  Identity is a sound key only while the subformulas stay
+    alive, so a memo serves one query, whose formula outlives it.
+    """
+
+    def __init__(self):
+        self.truth: dict[tuple, bool] = {}
+        self.free: dict[int, tuple[Var, ...]] = {}
+
+
+def _memo_key(memo: Memo, formula: Formula, state: str, assignment: Assignment):
+    """The memo key of ``formula`` at ``state``, or None when a free variable
+    is unbound (evaluation then raises ``UnboundVariable`` as usual)."""
+    free = memo.free.get(id(formula))
+    if free is None:
+        free = memo.free[id(formula)] = tuple(free_vars(formula))
+    try:
+        return (id(formula), state, tuple([assignment[var] for var in free]))
+    except KeyError:
+        return None
+
+
+def satisfies(
+    model: KripkeModel,
+    state: str,
+    assignment: Assignment,
+    formula: Formula,
+    memo: Memo | None = None,
+) -> bool:
     """Truth of a formula at a state under an assignment.
 
     Quantifiers range over the model's objects (object variables) or concept
@@ -175,7 +232,19 @@ def satisfies(model: KripkeModel, state: str, assignment: Assignment, formula: F
     asks for some successor satisfying the body, a box for all successors.
     Abstraction binds its variable to the argument's value at the current
     state before evaluating the body.
+
+    With a ``memo``, the truth of each modal and quantified subformula is
+    looked up before it is evaluated and recorded after.  Evaluation order
+    and short-circuiting are the same either way, and a subformula that
+    raises records nothing.
     """
+    key = None
+    if memo is not None and isinstance(formula, (Diamond, Box, Exists, Forall)):
+        key = _memo_key(memo, formula, state, assignment)
+        if key is not None:
+            truth = memo.truth.get(key)
+            if truth is not None:
+                return truth
     match formula:
         case Eq(left, right):
             return term_eval(model, assignment, left, state) == term_eval(
@@ -186,57 +255,65 @@ def satisfies(model: KripkeModel, state: str, assignment: Assignment, formula: F
                 model, assignment, right, state
             )
         case Not(body):
-            return not satisfies(model, state, assignment, body)
+            return not satisfies(model, state, assignment, body, memo)
         case And(left, right):
-            return satisfies(model, state, assignment, left) and satisfies(
-                model, state, assignment, right
+            return satisfies(model, state, assignment, left, memo) and satisfies(
+                model, state, assignment, right, memo
             )
         case Or(left, right):
-            return satisfies(model, state, assignment, left) or satisfies(
-                model, state, assignment, right
+            return satisfies(model, state, assignment, left, memo) or satisfies(
+                model, state, assignment, right, memo
             )
         case Implies(left, right):
-            return (not satisfies(model, state, assignment, left)) or satisfies(
-                model, state, assignment, right
+            return (not satisfies(model, state, assignment, left, memo)) or satisfies(
+                model, state, assignment, right, memo
             )
         case Diamond(relation, body):
-            return any(
-                satisfies(model, nxt, assignment, body)
+            truth = any(
+                satisfies(model, nxt, assignment, body, memo)
                 for nxt in model.successors(relation, state)
             )
         case Box(relation, body):
-            return all(
-                satisfies(model, nxt, assignment, body)
+            truth = all(
+                satisfies(model, nxt, assignment, body, memo)
                 for nxt in model.successors(relation, state)
             )
         case Exists(var, body):
-            return any(
-                satisfies(model, state, {**assignment, var: value}, body)
+            truth = any(
+                satisfies(model, state, {**assignment, var: value}, body, memo)
                 for value in _domain(model, var)
             )
         case Forall(var, body):
-            return all(
-                satisfies(model, state, {**assignment, var: value}, body)
+            truth = all(
+                satisfies(model, state, {**assignment, var: value}, body, memo)
                 for value in _domain(model, var)
             )
         case Abstraction(var, body, argument):
             value = term_eval(model, assignment, argument, state)
-            return satisfies(model, state, {**assignment, var: value}, body)
-    raise TypeError(f"not a formula: {formula!r}")
+            return satisfies(model, state, {**assignment, var: value}, body, memo)
+        case _:
+            raise TypeError(f"not a formula: {formula!r}")
+    if key is not None:
+        memo.truth[key] = truth
+    return truth
 
 
 def answer_direct(model: KripkeModel, query: ModalQuery) -> RelationInstance:
     """Answer a query by enumerating assignments and states.
 
     The result has degree len(target)+1: one column per target variable plus
-    the id of the satisfying state.
+    the id of the satisfying state.  One ``Memo`` serves the whole query, so
+    a modal or quantified subformula is decided at most once per state and
+    values of its free variables (Clarke, Emerson & Sistla, TOPLAS 1986),
+    however many target assignments and enclosing steps reach it.
     """
     domains = [_domain(model, var) for var in query.target]
+    memo = Memo()
     rows = set()
     for values in itertools.product(*domains):
         assignment = dict(zip(query.target, values))
         for state in model.states:
-            if satisfies(model, state, assignment, query.formula):
+            if satisfies(model, state, assignment, query.formula, memo):
                 rows.add((*values, model.id_of(state)))
     return RelationInstance(len(query.target) + 1, frozenset(rows))
 

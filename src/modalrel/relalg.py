@@ -140,13 +140,13 @@ class SelectionPredicate:
 class _Node:
     """Equality and hashing by structure for expression nodes, without recursion.
 
-    A dataclass's generated ``__eq__`` and ``__repr__`` and ``copy.deepcopy``
-    recurse several interpreter levels per node, more than a translated plan a
-    few hundred levels deep leaves room for.  Equality and hashing here read a
-    flat listing instead: in pre-order, each node's type and then its fields
-    that are not subtrees.  Every node type has a fixed list of fields, so the
-    listing fixes the tree.  ``repr`` is the rendered text, one frame per
-    level.
+    A dataclass's generated ``__eq__`` and ``__repr__``, ``copy.deepcopy`` and
+    ``pickle`` recurse several interpreter levels per node, more than a
+    translated plan a few hundred levels deep leaves room for.  Equality and
+    hashing here read a flat listing instead: in pre-order, each node's type
+    and then its fields that are not subtrees.  Every node type has a fixed
+    list of fields, so the listing fixes the tree.  ``repr`` and the pickled
+    form are the rendered text, one frame per level.
     """
 
     def _listing(self) -> list:
@@ -180,6 +180,9 @@ class _Node:
 
     def __deepcopy__(self, memo):
         return self
+
+    def __reduce__(self):
+        return parse_algebra, (render_algebra(self),)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

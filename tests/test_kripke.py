@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import ast
+import itertools
+from pathlib import Path
+
 import pytest
 import yaml
 
 from modalrel import (
+    And,
     Box,
     ConceptConst,
     ConceptVar,
@@ -30,11 +35,15 @@ from modalrel import (
     parse_formula,
     parse_model,
     parse_query,
+    run_campaign,
     satisfies,
     term_eval,
     validate_model,
 )
+from modalrel import kripke
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
+from modalrel.kripke import Memo
+from test_acceptance import CAMPAIGN_PARAMS
 
 
 def state_with_id(model, id_value):
@@ -95,8 +104,12 @@ def test_satisfies_lambda_over_successor_codes(example_model):
 
 
 def test_satisfies_unknown_relation(example_model):
-    with pytest.raises(UnknownRelation):
-        satisfies(example_model, example_model.states[0], {}, parse_formula("<NOPE> ?x = ?x"))
+    # every state raises, also those without successors, with or without a memo
+    for text in ("<NOPE> ?x = ?x", "<NOPE> @code = 'b'", "[NOPE] @code = 'b'"):
+        formula = parse_formula(text)
+        for state, memo in itertools.product(example_model.states, (None, Memo())):
+            with pytest.raises(UnknownRelation):
+                satisfies(example_model, state, {}, formula, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +145,108 @@ def test_empty_target_answers_are_id_values(example_model):
             formula = Exists(free_vars(formula)[0], formula)
         got = answer_direct(example_model, ModalQuery(formula, ()))
         assert {row[0] for row in got.tuples} <= ids
+
+
+# ---------------------------------------------------------------------------
+# The per-query memo
+
+
+def answer_unmemoised(model, query):
+    """``answer_direct`` spelt out with the four-argument ``satisfies``."""
+    domains = [sorted(model.objects) if isinstance(v, ObjectVar) else list(model.concepts)
+               for v in query.target]
+    rows = set()
+    for values in itertools.product(*domains):
+        assignment = dict(zip(query.target, values))
+        for state in model.states:
+            if satisfies(model, state, assignment, query.formula):
+                rows.add((*values, model.id_of(state)))
+    return RelationInstance(len(query.target) + 1, frozenset(rows))
+
+
+_x, _y = ObjectVar("x"), ObjectVar("y")
+# one object, so the memo meets it under {x} and under {x, y}
+_shared = Diamond("COMP", Eq(_x, Relativized(ConceptConst("code"))))
+
+
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        (ModalQuery(And(Exists(_y, _shared), Not(_shared)), (_x,)), []),
+        (ModalQuery(And(Exists(_y, _shared), _shared), (_x,)),
+         [("a", "1"), ("b", "1"), ("c", "1")]),
+        (parse_query("exists ?y . ?y = @code & exists ?y . <COMP> ?y = @id"), [("1",)]),
+        (parse_query("exists %g . <COMP> @%g = ?v", ["?v"]),
+         [(v, "1") for v in ("2", "3", "4", "a", "b", "c")]),
+        (parse_query("forall %g . [COMP] @%g != ?v", ["?v"]),
+         [(v, s) for v in ("1", "2", "3", "4", "a", "b", "c", "d") for s in "234"]
+         + [(v, "1") for v in ("1", "d")]),
+        (parse_query("@id = @id | <COMP> @code = 'zz'"), [("1",), ("2",), ("3",), ("4",)]),
+    ],
+    ids=["shared-negated", "shared-conjoined", "shadowed",
+         "concept-exists", "concept-forall", "short-circuit-unknown-constant"],
+)
+def test_memo_keeps_answers(example_model, query, expected):
+    got = answer_direct(example_model, query)
+    assert got == RelationInstance.of(len(query.target) + 1, expected)
+    assert got == answer_unmemoised(example_model, query)
+
+
+def test_memo_records_nothing_that_raised(example_model):
+    # the diamond raises at state 1, which has successors, and is vacuous elsewhere
+    formula = parse_formula("<COMP> @code = 'zz'")
+    memo = Memo()
+    for state in example_model.states[1:]:
+        assert not satisfies(example_model, state, {}, formula, memo)
+    for _ in range(2):
+        with pytest.raises(UnknownConstant):
+            satisfies(example_model, example_model.states[0], {}, formula, memo)
+    assert len(memo.truth) == 3
+    with pytest.raises(UnknownConstant):
+        answer_direct(example_model, ModalQuery(formula, ()))
+
+
+def test_memo_skips_unbound_variables(example_model):
+    formula = parse_formula("<COMP> ?x = @code")
+    memo = Memo()
+    with pytest.raises(UnboundVariable):
+        satisfies(example_model, example_model.states[0], {}, formula, memo)
+    assert not memo.truth
+
+
+def test_generated_answers_match_unmemoised():
+    # concept-variable queries have no algebra plan, so only this checks them
+    for model, query in _sample_cases(200, allow_concept_vars=True):
+        assert answer_direct(model, query) == answer_unmemoised(model, query)
+
+
+def test_memo_key_without_variable_values_trips_the_campaign(monkeypatch):
+    # a broken oracle is caught by the same differential campaign
+    def key_without_values(memo, formula, state, assignment):
+        return id(formula), state
+
+    monkeypatch.setattr(kripke, "_memo_key", key_without_values)
+    summary = run_campaign(CAMPAIGN_PARAMS, 1000)
+    assert summary.failed >= 1
+    assert summary.first_failure is not None
+    assert summary.first_failure.witness is not None
+
+
+def test_oracle_imports_nothing_from_the_algebra_side():
+    # the engines agreeing is evidence only while they share no evaluation code
+    allowed = {"errors": None, "syntax": None, "relalg": {"RelationInstance"}}  # None: any name
+    offending = []
+    for node in ast.walk(ast.parse(Path(kripke.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            offending += [ast.unparse(node) for a in node.names if a.name.startswith("modalrel")]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("modalrel")
+        ):
+            module = (node.module or "").removeprefix("modalrel").lstrip(".")
+            names = {alias.name for alias in node.names}
+            if module not in allowed or not names <= (allowed[module] or names):
+                offending.append(ast.unparse(node))
+    assert not offending, offending
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,7 @@ def test_deepest_translated_plan_round_trips(example_model):
     assert hash(parse_algebra(text)) == hash(plan)
     assert repr(plan) == f"parse_algebra({text!r})"
     assert copy.deepcopy(plan) == plan
+    assert pickle.loads(pickle.dumps(plan)) == plan
 
 
 def test_campaign_plans_round_trip():
