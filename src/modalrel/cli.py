@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pathlib
 import sys
+from dataclasses import fields
 
 import click
 
@@ -118,24 +119,15 @@ def cmd_eval(model_path: str, query: str, target: tuple[str, ...], engine: str, 
     click.echo(to_tsv(answer, header=header), nl=False)
 
 
-# Every option but --cases and --report is the GenParams field of the same name.
 @cli.command("fuzz")
-@click.option("--seed", default=0, show_default=True)
 @click.option("--cases", default=100, show_default=True)
-@click.option("--max-states", default=6, show_default=True)
-@click.option("--max-objects", default=8, show_default=True)
-@click.option("--max-concepts", default=3, show_default=True)
-@click.option("--max-relations", default=2, show_default=True)
-@click.option("--max-depth", default=4, show_default=True)
-@click.option("--max-free-vars", default=2, show_default=True)
-@click.option("--allow-concept-vars", is_flag=True)
 @click.option("--report", "report_path", default=None, help="Write a JSON report here.")
-def cmd_fuzz(cases: int, report_path: str | None, **bounds):
+def cmd_fuzz(cases: int, report_path: str | None, **gen_params):
     """Differential campaign: random models and queries through both engines."""
     if cases < 1:
         raise click.UsageError("--cases must be at least 1")
     try:
-        params = GenParams(**bounds)
+        params = GenParams(**gen_params)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     summary = run_campaign(params, cases)
@@ -148,6 +140,14 @@ def cmd_fuzz(cases: int, report_path: str | None, **bounds):
             raise click.FileError(report_path, hint=exc.strerror) from exc
     if not summary.ok:
         sys.exit(EXIT_MISMATCH)
+
+
+# One option per GenParams field: the field's name with dashes, its default.
+cmd_fuzz.params[:0] = [
+    click.Option(["--" + f.name.replace("_", "-")], default=f.default, show_default=True,
+                 is_flag=isinstance(f.default, bool))
+    for f in fields(GenParams)
+]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -66,15 +66,15 @@ def _mix(seed: int, salt: int) -> int:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Bounds and toggles for the random model/query generators."""
+    """A fuzz campaign's seed, bounds and toggle; the defaults are the acceptance campaign's."""
 
     seed: int = 0
-    max_states: int = 4
-    max_objects: int = 6
-    max_concepts: int = 2
-    max_relations: int = 1
-    max_depth: int = 3
-    max_free_vars: int = 1
+    max_states: int = 6
+    max_objects: int = 8
+    max_concepts: int = 3
+    max_relations: int = 2
+    max_depth: int = 4
+    max_free_vars: int = 2
     allow_concept_vars: bool = False
 
     def __post_init__(self):

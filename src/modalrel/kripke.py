@@ -145,12 +145,12 @@ def validate_model(model: KripkeModel) -> None:
         raise ModelInvariantError(f"duplicate id value {duplicate!r}: id must be injective")
     if not model.object_constants <= model.objects:
         raise ModelInvariantError("object constants must denote objects of the model")
-    # A TSV cell cannot hold a tab or a line break; a quoted query constant
-    # cannot hold a quote.
+    # A TSV cell cannot hold a tab or a line break; a quoted constant (an object
+    # in a query, a relation name in every <R> plan) cannot hold a quote.
     for kind, names, forbidden in (
         ("object", model.objects, "\t\n\r'"),
         ("concept name", model.concepts, "\t\n\r"),
-        ("relation name", model.relations, "\t\n\r"),
+        ("relation name", model.relations, "\t\n\r'"),
     ):
         for name in sorted(names):
             if any(char in name for char in forbidden):

@@ -479,7 +479,7 @@ def _sexpr_read(text: str) -> list:
 
 
 def _parse_index(token) -> int:
-    if isinstance(token, str) and token.isdecimal():
+    if isinstance(token, str) and token.isdecimal() and int(token) >= 1:
         return int(token)
     raise QuerySyntaxError(f"bad column index {token!r}")
 
@@ -492,6 +492,8 @@ def _parse_operand(token) -> Column | Constant:
 
 def _build(tree) -> AlgebraExpr:
     if isinstance(tree, str):
+        if tree.startswith("'"):
+            raise QuerySyntaxError(f"expected a relation name, got the constant {tree}")
         return BaseRelation(tree)
     if not tree:
         raise QuerySyntaxError("empty algebra expression")

@@ -3,11 +3,12 @@ from __future__ import annotations
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
 
-from modalrel import parse_algebra, parse_query, translate_query
+from modalrel import GenParams, parse_algebra, parse_query, translate_query
 from modalrel.cli import (
     EXIT_MISMATCH,
     EXIT_MODEL_ERROR,
@@ -243,6 +244,22 @@ def test_fuzz_small_campaign(runner):
     assert result.exit_code == 0
     assert "passed: 10" in result.output
     assert "status: OK" in result.output
+
+
+def test_fuzz_options_are_the_gen_params_fields():
+    options = {param.name: param for param in cli.commands["fuzz"].params}
+    assert set(options) == {f.name for f in fields(GenParams)} | {"cases", "report_path"}
+    for field in fields(GenParams):
+        option = options[field.name]
+        assert option.opts == ["--" + field.name.replace("_", "-")]
+        assert (option.default, option.is_flag) == (field.default, isinstance(field.default, bool))
+
+
+def test_fuzz_allow_concept_vars_routes_untranslatable(runner):
+    result = runner.invoke(cli, ["fuzz", "--seed", "7", "--cases", "200", "--allow-concept-vars"])
+    assert result.exit_code == 0
+    assert "passed: 188\n" in result.stdout
+    assert "untranslatable (direct engine only): 12\n" in result.stdout
 
 
 def test_fuzz_rejects_zero_cases():

@@ -20,6 +20,7 @@ from modalrel import (
 from modalrel.harness import case_params, constructor_histogram, shrink_case
 from modalrel.schema import model_from_database
 from modalrel.syntax import MAX_NESTING, Abstraction, Box, Relativized, formula_depth
+from test_acceptance import CAMPAIGN_PARAMS, BoxAsDiamond, LambdaIgnoresArgument
 
 
 # ---------------------------------------------------------------------------
@@ -27,18 +28,19 @@ from modalrel.syntax import MAX_NESTING, Abstraction, Box, Relativized, formula_
 
 
 def test_gen_model_is_deterministic():
-    params = GenParams(seed=123, max_states=5, max_objects=6, max_concepts=3, max_relations=2)
+    params = GenParams(seed=123, max_states=5, max_objects=6)
     assert gen_model(params) == gen_model(params)
 
 
 def test_gen_model_minimal_frame():
-    model = gen_model(GenParams(seed=1, max_states=1, max_objects=1, max_concepts=1))
+    model = gen_model(GenParams(seed=1, max_states=1, max_objects=1, max_concepts=1,
+                                max_relations=1))
     assert len(model.states) == 1
     validate_model(model)
 
 
 def test_gen_model_instances_validate():
-    params = GenParams(seed=9, max_states=6, max_objects=8, max_concepts=3, max_relations=2)
+    params = GenParams(seed=9)
     for i in range(150):
         model = gen_model(case_params(params, i))
         validate_model(model)
@@ -63,14 +65,13 @@ def test_gen_params_bounds():
 
 
 def test_gen_query_is_deterministic():
-    params = GenParams(seed=77, max_depth=4, max_free_vars=2, max_objects=6, max_states=4)
+    params = GenParams(seed=77, max_states=4, max_objects=6, max_concepts=2, max_relations=1)
     model = gen_model(params)
     assert gen_query(params, model) == gen_query(params, model)
 
 
 def test_gen_query_round_trips_through_parser():
-    params = GenParams(seed=13, max_states=4, max_objects=6, max_concepts=3,
-                       max_relations=2, max_depth=4, max_free_vars=2)
+    params = GenParams(seed=13, max_states=4, max_objects=6)
     for i in range(100):
         local = case_params(params, i)
         model = gen_model(local)
@@ -81,8 +82,7 @@ def test_gen_query_round_trips_through_parser():
 
 
 def test_gen_query_covers_every_constructor_at_depth_4():
-    params = GenParams(seed=42, max_states=4, max_objects=6, max_concepts=3,
-                       max_relations=2, max_depth=4, max_free_vars=2)
+    params = GenParams(seed=42, max_states=4, max_objects=6, max_depth=4)
     seen = set()
     for i in range(200):
         local = case_params(params, i)
@@ -96,8 +96,8 @@ def test_gen_query_covers_every_constructor_at_depth_4():
 
 def test_generated_queries_are_no_deeper_than_their_bound():
     # each unused target variable adds a conjunction above the body
-    params = GenParams(seed=5, max_states=4, max_objects=6, max_concepts=2,
-                       max_relations=2, max_depth=5, max_free_vars=3)
+    params = GenParams(seed=5, max_states=4, max_objects=6, max_concepts=2, max_depth=5,
+                       max_free_vars=3)
     for i in range(200):
         local = case_params(params, i)
         model = gen_model(local)
@@ -106,9 +106,10 @@ def test_generated_queries_are_no_deeper_than_their_bound():
 
 
 def test_gen_query_depth_zero_is_atomic():
-    params = GenParams(seed=3, max_depth=1, max_states=3, max_objects=4)
+    params = GenParams(seed=3, max_states=3, max_objects=4, max_concepts=2, max_relations=1,
+                       max_depth=1, max_free_vars=1)
     model = gen_model(params)
-    query = gen_query(GenParams(seed=3, max_depth=1, max_states=3, max_objects=4), model)
+    query = gen_query(params, model)
     histogram = constructor_histogram(query.formula)
     assert sum(histogram.values()) <= 4  # shallow by construction
 
@@ -132,22 +133,6 @@ def test_check_reports_untranslatable_as_error(example_model):
     assert not report.equal
     assert report.error is not None and report.error.startswith("UntranslatableTerm")
     assert report.direct is not None  # the direct engine already answered
-
-
-class BoxAsDiamond(Translator):
-    """Deliberately broken: drops the box-to-dual rewrite."""
-
-    def _box(self, relation, body, context):
-        return self._diamond(relation, body, context)
-
-
-class LambdaIgnoresArgument(Translator):
-    """Deliberately broken: treats a rigid-argument binding as an exists."""
-
-    def _abstraction(self, var, body, argument, context):
-        if isinstance(argument, Relativized):
-            return super()._abstraction(var, body, argument, context)
-        return self._exists(var, body, context)
 
 
 class LambdaDropsEquation(Translator):
@@ -177,8 +162,6 @@ def test_corrupted_box_translation_is_detected(example_model):
 
 
 def test_mutations_trip_the_campaign():
-    params = GenParams(seed=42, max_states=6, max_objects=8, max_concepts=3,
-                       max_relations=2, max_depth=4, max_free_vars=2)
     factories = (
         BoxAsDiamond.for_model,
         LambdaIgnoresArgument.for_model,
@@ -186,7 +169,7 @@ def test_mutations_trip_the_campaign():
         LambdaDropsEquation.for_model,
     )
     for factory in factories:
-        summary = run_campaign(params, 1000, translator_factory=factory)
+        summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=factory)
         assert summary.failed >= 1
         assert summary.first_failure is not None
         assert summary.first_failure.witness is not None
@@ -197,8 +180,8 @@ def test_mutations_trip_the_campaign():
 
 
 def test_small_campaign_passes_and_is_deterministic():
-    params = GenParams(seed=42, max_states=4, max_objects=6, max_concepts=2,
-                       max_relations=2, max_depth=3, max_free_vars=1)
+    params = GenParams(seed=42, max_states=4, max_objects=6, max_concepts=2, max_depth=3,
+                       max_free_vars=1)
     first = run_campaign(params, 10)
     second = run_campaign(params, 10)
     assert first.passed == 10 and first.ok
@@ -211,8 +194,7 @@ def test_campaign_rejects_zero_cases():
 
 
 def test_campaign_with_concept_vars_routes_untranslatable():
-    params = GenParams(seed=7, max_states=4, max_objects=5, max_concepts=3,
-                       max_relations=2, max_depth=4, max_free_vars=1,
+    params = GenParams(seed=7, max_states=4, max_objects=5, max_free_vars=1,
                        allow_concept_vars=True)
     summary = run_campaign(params, 150)
     assert summary.ok
@@ -221,7 +203,8 @@ def test_campaign_with_concept_vars_routes_untranslatable():
 
 
 def test_campaign_json_report_shape():
-    params = GenParams(seed=2, max_states=3, max_objects=4)
+    params = GenParams(seed=2, max_states=3, max_objects=4, max_concepts=2, max_relations=1,
+                       max_depth=3, max_free_vars=1)
     summary = run_campaign(params, 5)
     import json
 
@@ -236,9 +219,7 @@ def test_campaign_json_report_shape():
 
 
 def test_shrinking_produces_small_failing_case():
-    params = GenParams(seed=42, max_states=6, max_objects=8, max_concepts=3,
-                       max_relations=2, max_depth=4, max_free_vars=2)
-    summary = run_campaign(params, 1000, translator_factory=BoxAsDiamond.for_model)
+    summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=BoxAsDiamond.for_model)
     failure = summary.first_failure
     assert failure is not None and not failure.equal
     # the shrunk witness formula still contains the broken construct

@@ -254,8 +254,8 @@ def test_oracle_imports_nothing_from_the_algebra_side():
 
 
 def _sample_cases(n, **overrides):
-    params = GenParams(seed=99, max_states=4, max_objects=5, max_concepts=2,
-                       max_relations=2, max_depth=3, max_free_vars=1, **overrides)
+    params = GenParams(seed=99, max_states=4, max_objects=5, max_concepts=2, max_depth=3,
+                       max_free_vars=1, **overrides)
     for i in range(n):
         local = case_params(params, i)
         model = gen_model(local)
@@ -388,8 +388,9 @@ def test_model_is_read_only():
         (["it's"], ["id"], "R"),
         (["a"], ["id", "c\nd"], "R"),
         (["a"], ["id"], "R\tS"),
+        (["a"], ["id"], "R'x"),
     ],
-    ids=["object-tab", "object-quote", "concept-newline", "relation-tab"],
+    ids=["object-tab", "object-quote", "concept-newline", "relation-tab", "relation-quote"],
 )
 def test_parse_model_rejects_values_tables_cannot_hold(objects, concepts, relation):
     text = yaml.safe_dump(

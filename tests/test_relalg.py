@@ -211,6 +211,10 @@ MALFORMED_ALGEBRA = [
     "(project (\u00b2) Sta)",
     "(const a)",
     "((a) Sta Sta)",
+    "'a'",
+    "(product 'a' Sta)",
+    "(select (= 0 1) Sta)",
+    "(project (0) Sta)",
     "(project (1) " * 3000 + "Sta" + ")" * 3000,
     "(" * 3000,
 ]

@@ -88,7 +88,7 @@ def test_model_with_duplicate_ids_cannot_be_built(example_model):
 
 
 def test_rel_row_count_matches_pair_count():
-    params = GenParams(seed=5, max_states=5, max_objects=6, max_concepts=3, max_relations=2)
+    params = GenParams(seed=5, max_states=5, max_objects=6)
     for i in range(50):
         model = gen_model(case_params(params, i))
         db = build_database(model)
@@ -150,7 +150,7 @@ def test_validate_instance_flags_bad_rel_rows(example_db):
 
 
 def test_generated_instances_always_validate():
-    params = GenParams(seed=11, max_states=6, max_objects=8, max_concepts=3, max_relations=2)
+    params = GenParams(seed=11)
     for i in range(200):
         db = build_database(gen_model(case_params(params, i)))
         assert build_database(model_from_database(db)) == db
@@ -169,7 +169,7 @@ def test_model_round_trips_through_database(example_model, example_db):
 
 
 def test_generated_models_round_trip():
-    params = GenParams(seed=23, max_states=5, max_objects=7, max_concepts=3, max_relations=2)
+    params = GenParams(seed=23, max_states=5, max_objects=7)
     for i in range(50):
         db = build_database(gen_model(case_params(params, i)))
         assert build_database(model_from_database(db)) == db

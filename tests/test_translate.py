@@ -253,8 +253,7 @@ def test_unknown_lambda_argument_rejected_by_both_engines(example_model, text):
 
 
 def _generated_cases(n, seed, **overrides):
-    params = GenParams(seed=seed, max_states=5, max_objects=6, max_concepts=3,
-                       max_relations=2, max_depth=3, max_free_vars=2, **overrides)
+    params = GenParams(seed=seed, max_states=5, max_objects=6, max_depth=3, **overrides)
     for i in range(n):
         local = case_params(params, i)
         model = gen_model(local)
@@ -294,8 +293,7 @@ def _nodes(expr):
 
 def test_translation_has_no_empty_projection():
     # the acceptance campaign's bounds; an empty context adds no {()} factor
-    params = GenParams(seed=42, max_states=6, max_objects=8, max_concepts=3,
-                       max_relations=2, max_depth=4, max_free_vars=2)
+    params = GenParams(seed=42)
     for i in range(200):
         local = case_params(params, i)
         model = gen_model(local)
