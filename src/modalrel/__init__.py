@@ -33,12 +33,11 @@ from .kripke import (
     ID_CONCEPT,
     KripkeModel,
     answer_direct,
+    check_query,
     dump_model,
     load_model,
     model_fingerprint,
     parse_model,
-    satisfies,
-    term_eval,
     validate_model,
 )
 from .relalg import (
@@ -59,7 +58,6 @@ from .relalg import (
     RelationInstance,
     Selection,
     SelectionPredicate,
-    SingletonConstant,
     Union,
     degree_of,
     evaluate,
@@ -94,6 +92,6 @@ from .syntax import (
     parse_query,
     render_formula,
 )
-from .translate import Translator, VarContext, translate_query
+from .translate import Translator, translate_query
 
 __version__ = "0.1.0"

@@ -302,7 +302,7 @@ def check(
     translator: Translator | None = None,
 ) -> CorrespondenceReport:
     """Answer a query via both engines and compare the results exactly."""
-    translator = translator or Translator.for_model(model)
+    translator = translator or Translator(model)
     report = CorrespondenceReport(model, query, direct=None, algebra=None, equal=False)
     start = time.perf_counter()
     try:
@@ -420,7 +420,7 @@ def run_campaign(
     """
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
-    factory = translator_factory or Translator.for_model
+    factory = translator_factory or Translator
     summary = CampaignSummary(params=params, cases=cases)
     start = time.perf_counter()
     for index in range(cases):

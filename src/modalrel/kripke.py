@@ -12,6 +12,10 @@ afterwards, so every model that exists is valid.  Construction also indexes
 each relation's successors by state and sorts the objects once, so a modal
 step or a quantifier reads a prepared tuple instead of scanning the model.
 
+``check_query`` is the one check that the model declares every symbol a query
+names.  ``answer_direct`` and the translator both make it before they start,
+so both engines raise the same error on the same query.
+
 ``answer_direct`` is the oracle the algebra side is checked against, and
 shares no evaluation code with it.  It evaluates top-down, and keeps, for one
 query, the truth of every modal and quantified subformula it has decided,
@@ -55,6 +59,7 @@ from .syntax import (
     Term,
     Var,
     free_vars,
+    subformulas,
 )
 
 ID_CONCEPT = "id"
@@ -100,12 +105,8 @@ class KripkeModel:
         object.__setattr__(self, "_sorted_objects", tuple(sorted(self.objects)))
 
     def successors(self, relation: str, state: str) -> tuple[str, ...]:
-        """The states ``relation`` leads to from ``state``, sorted."""
-        try:
-            by_state = self._successors[relation]
-        except KeyError:
-            raise UnknownRelation(f"unknown accessibility relation {relation!r}") from None
-        return by_state.get(state, ())
+        """The states a declared ``relation`` leads to from ``state``, sorted."""
+        return self._successors[relation].get(state, ())
 
     def id_of(self, state: str) -> str:
         return self.concepts[ID_CONCEPT][state]
@@ -158,20 +159,48 @@ def validate_model(model: KripkeModel) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The query's symbols
+
+
+def check_query(model: KripkeModel, formula: Formula) -> None:
+    """Raise on the first symbol of ``formula`` that ``model`` does not declare.
+
+    An object or concept constant, bare, under ``@`` or as a λ argument,
+    raises ``UnknownConstant``; a relation name raises ``UnknownRelation``.
+    Every branch is read, evaluated or not.  The walk keeps its own stack,
+    so any tree is safe.
+    """
+    pending = [formula]
+    while pending:
+        node = pending.pop()
+        terms = ()
+        match node:
+            case Diamond(relation, _) | Box(relation, _) if relation not in model.relations:
+                raise UnknownRelation(f"unknown accessibility relation {relation!r}")
+            case Eq(left, right) | Neq(left, right):
+                terms = (left, right)
+            case Abstraction(_, _, argument):
+                terms = (argument,)
+        for term in terms:
+            if isinstance(term, Relativized):
+                term = term.inner
+            if isinstance(term, ObjectConst) and term.symbol not in model.object_constants:
+                raise UnknownConstant(f"unknown object constant '{term.symbol}'")
+            if isinstance(term, ConceptConst) and term.symbol not in model.concepts:
+                raise UnknownConstant(f"unknown concept constant {term.symbol!r}")
+        pending += reversed(subformulas(node))
+
+
+# ---------------------------------------------------------------------------
 # Term evaluation and truth
 
 
 def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str) -> str:
     """Value of a term at a state: an object value, or a concept name for
-    concept terms."""
+    concept terms.  ``term`` belongs to a formula that has passed
+    ``check_query``."""
     match term:
-        case ObjectConst(symbol):
-            if symbol not in model.object_constants:
-                raise UnknownConstant(f"unknown object constant '{symbol}'")
-            return symbol
-        case ConceptConst(symbol):
-            if symbol not in model.concepts:
-                raise UnknownConstant(f"unknown concept constant {symbol!r}")
+        case ObjectConst(symbol) | ConceptConst(symbol):
             return symbol
         case ObjectVar() | ConceptVar():
             try:
@@ -179,10 +208,7 @@ def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str
             except KeyError:
                 raise UnboundVariable(f"variable {term} has no value") from None
         case Relativized(inner):
-            name = term_eval(model, assignment, inner, state)
-            if name not in model.concepts:
-                raise UnknownConstant(f"unknown concept constant {name!r}")
-            return model.concepts[name][state]
+            return model.concepts[term_eval(model, assignment, inner, state)][state]
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -225,7 +251,8 @@ def satisfies(
     formula: Formula,
     memo: Memo | None = None,
 ) -> bool:
-    """Truth of a formula at a state under an assignment.
+    """Truth of a formula that has passed ``check_query``, at a state under an
+    assignment.
 
     Quantifiers range over the model's objects (object variables) or concept
     names (concept variables) — the same domain at every state.  A diamond
@@ -305,8 +332,10 @@ def answer_direct(model: KripkeModel, query: ModalQuery) -> RelationInstance:
     the id of the satisfying state.  One ``Memo`` serves the whole query, so
     a modal or quantified subformula is decided at most once per state and
     values of its free variables (Clarke, Emerson & Sistla, TOPLAS 1986),
-    however many target assignments and enclosing steps reach it.
+    however many target assignments and enclosing steps reach it.  An
+    undeclared symbol anywhere in the query raises before any state is read.
     """
+    check_query(model, query.formula)
     domains = [_domain(model, var) for var in query.target]
     memo = Memo()
     rows = set()

@@ -2,8 +2,8 @@
 
 Relations are finite sets of equal-length string tuples; attributes are the
 1-based positions 1..degree.  Expressions are immutable trees over the four
-base relations of a mapped database plus singleton constants, closed under
-selection, projection, cross product, union, difference and intersection.
+base relations of a mapped database, closed under selection, projection,
+cross product, union, difference and intersection.
 
 Degrees are checked once, statically, by ``degree_of`` before an expression
 runs; evaluation then passes intermediate results as plain row sets, and only
@@ -191,13 +191,6 @@ class BaseRelation(_Node):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class SingletonConstant(_Node):
-    """The degree-1 instance holding exactly one value."""
-
-    value: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Selection(_Node):
     predicate: SelectionPredicate
     input: AlgebraExpr
@@ -235,7 +228,6 @@ class Intersection(_Node):
 
 AlgebraExpr = (
     BaseRelation
-    | SingletonConstant
     | Selection
     | Projection
     | Product
@@ -252,8 +244,6 @@ def degree_of(expr: AlgebraExpr, schema: Mapping[str, int]) -> int:
             if name not in schema:
                 raise UnknownRelation(f"unknown relation {name!r}")
             return schema[name]
-        case SingletonConstant(_):
-            return 1
         case Selection(predicate, inner):
             degree = degree_of(inner, schema)
             for operand in (predicate.left, predicate.right):
@@ -376,8 +366,6 @@ def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[Row]:
     match expr:
         case BaseRelation(name):
             return db.relations[name].tuples
-        case SingletonConstant(value):
-            return frozenset({(value,)})
         case Selection():
             predicates = []
             while isinstance(expr, Selection):
@@ -414,8 +402,6 @@ def render_algebra(expr: AlgebraExpr) -> str:
     match expr:
         case BaseRelation(name):
             return name
-        case SingletonConstant(value):
-            return f"(const '{value}')"
         case Selection(predicate, inner):
             pred = (
                 f"({predicate.op} {_render_operand(predicate.left)}"
@@ -500,8 +486,6 @@ def _build(tree) -> AlgebraExpr:
     head = tree[0]
     if not isinstance(head, str):
         raise QuerySyntaxError("an algebra expression must start with an operator name")
-    if head == "const" and len(tree) == 2 and isinstance(tree[1], str) and tree[1][0] == "'":
-        return SingletonConstant(tree[1][1:-1])
     if head == "select" and len(tree) == 3 and isinstance(tree[1], list) and len(tree[1]) == 3:
         op, left, right = tree[1]
         if op not in ("=", "!="):

@@ -15,9 +15,13 @@ A column binding is kept as its depth counted from the outermost column, so
 later binders do not move it, and a binder that reuses a name shadows the
 outer binding for its body alone (de Bruijn's nameless variables).  A λ
 over a rigid argument (an object or concept constant, or a variable already
-in scope) adds no column: the argument is checked, then its variable
-resolves to what the argument resolves to.  ``@%g`` has a Sta column only
-when ``%g`` is λ-bound to a concept constant.
+in scope) adds no column: its variable resolves to what the argument
+resolves to.  ``@%g`` has a Sta column only when ``%g`` is λ-bound to a
+concept constant.
+
+``translate_query`` checks the query's symbols against the model first
+(``kripke.check_query``, the same check the direct engine makes), so the
+translation itself assumes every constant and relation name is declared.
 
 ``f -> g``, ``[R] f``, ``forall v . f`` and ``<lam ?y . f>(@c)`` are
 translated through their definitions, as ``!f | g``, ``!<R> !f``,
@@ -33,15 +37,10 @@ follows translation, so the tree emitted is the plan evaluated.
 from __future__ import annotations
 
 from functools import reduce
-from typing import AbstractSet, Mapping
+from typing import Mapping
 
-from .errors import (
-    UnknownConstant,
-    UnknownRelation,
-    UnknownVariable,
-    UntranslatableTerm,
-)
-from .kripke import KripkeModel, ModalQuery
+from .errors import UnknownVariable, UntranslatableTerm
+from .kripke import KripkeModel, ModalQuery, check_query
 from .relalg import (
     CON,
     OBJ,
@@ -123,28 +122,26 @@ class VarContext:
 
 
 class Translator:
-    """Compiles formulas to algebra expressions for one model signature."""
+    """Compiles formulas to algebra expressions for one model."""
 
-    def __init__(
-        self,
-        concepts: Mapping[str, int],
-        relation_names: AbstractSet[str],
-        object_constants: AbstractSet[str],
-    ):
-        self._concepts = dict(concepts)
-        self._relations = frozenset(relation_names)
-        self._constants = frozenset(object_constants)
+    def __init__(self, model: KripkeModel):
+        self._model = model
+        self._concepts = concept_index(model)
 
     @classmethod
     def for_model(cls, model: KripkeModel) -> Translator:
-        return cls(concept_index(model), frozenset(model.relations), model.object_constants)
+        """``cls(model)``; ``perfbench/workloads.py`` calls it by this name."""
+        return cls(model)
 
     def translate_query(self, query: ModalQuery) -> AlgebraExpr:
-        """Translate a whole query; the result has degree len(target)+1."""
+        """Check a whole query's symbols, then translate it; the result has
+        degree len(target)+1."""
+        check_query(self._model, query.formula)
         context = VarContext(tuple(query.target))
         return self.translate(query.formula, context)
 
     def translate(self, formula: Formula, context: VarContext) -> AlgebraExpr:
+        """Plan of a formula that has passed ``check_query``, under ``context``."""
         match formula:
             case Eq(left, right):
                 return self._atom(left, right, "=", context)
@@ -173,7 +170,7 @@ class Translator:
     # -- terms and variable lists --------------------------------------
 
     def term_ref(self, term: Term, context: VarContext) -> Column | Constant:
-        """Attribute position or literal for a term.
+        """Attribute position or literal for a term of a checked formula.
 
         In a product of the context's domain relations with Sta, context
         variables occupy columns 1..n and the concept columns of Sta start
@@ -181,12 +178,7 @@ class Translator:
         A variable λ-bound to a constant resolves to that constant.
         """
         match term:
-            case ObjectConst(symbol):
-                if symbol not in self._constants:
-                    raise UnknownConstant(f"unknown object constant '{symbol}'")
-                return Constant(symbol)
-            case ConceptConst(symbol):
-                self._concept_column(term, context)
+            case ObjectConst(symbol) | ConceptConst(symbol):
                 return Constant(symbol)
             case ObjectVar() | ConceptVar():
                 binding = context.lookup(term)
@@ -205,8 +197,6 @@ class Translator:
                 f"@{concept} has no algebra translation: the concept a variable denotes "
                 "has no fixed column (the direct evaluator still supports it)"
             )
-        if bound.symbol not in self._concepts:
-            raise UnknownConstant(f"unknown concept constant {bound.symbol!r}")
         return self._concepts[bound.symbol]
 
     def domain_product(self, context: VarContext) -> AlgebraExpr:
@@ -238,8 +228,6 @@ class Translator:
         return Difference(universe, self.translate(body, context))
 
     def _diamond(self, relation: str, body: Formula, context: VarContext) -> AlgebraExpr:
-        if relation not in self._relations:
-            raise UnknownRelation(f"unknown accessibility relation {relation!r}")
         n = len(context)
         # Columns of body × Rel: 1..n vars, n+1 body state, n+2 source,
         # n+3 target, n+4 relation name.  Keep rows whose body state is the
@@ -269,9 +257,7 @@ class Translator:
     ) -> AlgebraExpr:
         if not isinstance(argument, Relativized):
             # Rigid argument: its value does not depend on the state, so the
-            # variable resolves to it.  Checked here so that an unknown
-            # constant fails even when the body never uses the variable.
-            self.term_ref(argument, context)
+            # variable resolves to it.
             return self.translate(body, context.bind(var, argument))
         # A concept has exactly one value per state, so binding the variable
         # to it is definitionally an existential with an equation.
@@ -279,5 +265,5 @@ class Translator:
 
 
 def translate_query(query: ModalQuery, model: KripkeModel) -> AlgebraExpr:
-    """Translate a query against a model's signature."""
-    return Translator.for_model(model).translate_query(query)
+    """Check a query's symbols against a model, then translate it."""
+    return Translator(model).translate_query(query)

@@ -28,7 +28,6 @@ from modalrel import (
     Selection,
     SelectionPredicate,
     Translator,
-    VarContext,
     answer_direct,
     build_database,
     evaluate,
@@ -42,6 +41,7 @@ from modalrel.cli import cli
 from modalrel.harness import GenParams, case_params
 from modalrel.relalg import REL
 from modalrel.syntax import Relativized
+from modalrel.translate import VarContext
 
 CAMPAIGN_PARAMS = GenParams(seed=42)  # the default bounds are the campaign's
 
@@ -232,7 +232,7 @@ def _duality_checks() -> tuple[int, int, str]:
         local = case_params(DUALITY_PARAMS, index)
         model = gen_model(local)
         query = gen_query(local, model)
-        translator = Translator.for_model(model)
+        translator = Translator(model)
         ctx = VarContext(tuple(query.target))
         relation = sorted(model.relations)[0]
 
@@ -283,8 +283,8 @@ class LambdaIgnoresArgument(Translator):
 def test_criterion_8_mutation_sensitivity():
     outcomes = {}
     for name, factory in (
-        ("box rewrite disabled", BoxAsDiamond.for_model),
-        ("lambda substitution disabled", LambdaIgnoresArgument.for_model),
+        ("box rewrite disabled", BoxAsDiamond),
+        ("lambda substitution disabled", LambdaIgnoresArgument),
     ):
         summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=factory)
         outcomes[name] = summary.failed

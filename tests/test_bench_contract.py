@@ -49,6 +49,12 @@ def test_sparse_model_builds():
     assert len(model.states) == 6
 
 
+def test_campaign_case_runs():
+    # a case calls harness.check with Translator.for_model, which the package keeps for it
+    op = load_perfbench("workloads").Campaign.case(CAMPAIGN_PARAMS, 0)
+    assert op.ok
+
+
 def test_campaign_bounds_build_the_acceptance_params():
     # the benchmark builds GenParams by keyword from CAMPAIGN_BOUNDS
     bounds = load_perfbench("workloads").CAMPAIGN_BOUNDS

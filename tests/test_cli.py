@@ -12,6 +12,7 @@ from modalrel import GenParams, parse_algebra, parse_query, translate_query
 from modalrel.cli import (
     EXIT_MISMATCH,
     EXIT_MODEL_ERROR,
+    EXIT_OK,
     EXIT_QUERY_ERROR,
     EXIT_UNTRANSLATABLE,
     EXIT_USAGE,
@@ -146,10 +147,11 @@ def test_eval_header_flag(runner, example_model_path):
 
 
 def test_eval_untranslatable_exit_code(example_model_path):
-    code = run_main(
-        ["eval", str(example_model_path), "exists %g . @%g = 'b'", "--engine", "algebra"]
-    )
-    assert code == EXIT_UNTRANSLATABLE
+    # the one exit code the engines may differ on: the direct engine answers
+    for engine, expected in (("direct", EXIT_OK), ("algebra", EXIT_UNTRANSLATABLE),
+                             ("both", EXIT_UNTRANSLATABLE)):
+        argv = ["eval", str(example_model_path), "exists %g . @%g = 'b'", "--engine", engine]
+        assert run_main(argv) == expected, engine
 
 
 def test_eval_parse_error_exit_code(example_model_path):
@@ -165,6 +167,23 @@ def test_eval_usage_error_exit_code(example_model_path):
 
 def test_eval_unknown_relation_exit_code(example_model_path):
     assert run_main(["eval", str(example_model_path), "<NOPE> @code = 'b'"]) == EXIT_QUERY_ERROR
+
+
+UNDECLARED_SYMBOL = {
+    "unreached-constant": "@id = @id | <COMP> @code = 'zz'",
+    "constant-past-untranslatable": "exists %g . @%g = 'zz'",
+    "unreached-relation": "'a' = 'a' | <NOPE> @code = 'b'",
+    "unreached-lambda-argument": "'a' = 'a' | <lam %g . 'a' = 'a'>(nope)",
+    "constant-under-vacuous-boxes": "[COMP] " * MAX_NESTING + "@code = 'zz'",
+}
+
+
+@pytest.mark.parametrize("engine", ["direct", "algebra", "both"])
+@pytest.mark.parametrize("text", UNDECLARED_SYMBOL.values(), ids=UNDECLARED_SYMBOL.keys())
+def test_eval_undeclared_symbol_exit_code_on_every_engine(example_model_path, text, engine):
+    # the symbols are checked before either engine runs, reached or not
+    argv = ["eval", str(example_model_path), text, "--engine", engine]
+    assert run_main(argv) == EXIT_QUERY_ERROR
 
 
 TOO_DEEP = {
@@ -201,9 +220,9 @@ def test_eval_unknown_lambda_argument_exit_code(example_model_path, engine):
 
 def test_eval_both_prints_nothing_on_disagreement(runner, example_model_path, monkeypatch):
     import modalrel.cli as cli_module
-    from modalrel import SingletonConstant
 
-    monkeypatch.setattr(cli_module, "translate_query", lambda q, m: SingletonConstant("9"))
+    every_object = parse_algebra("(project (1) Obj)")
+    monkeypatch.setattr(cli_module, "translate_query", lambda q, m: every_object)
     result = runner.invoke(cli, ["eval", str(example_model_path), "@code = 'b'"])
     assert result.exit_code == EXIT_MISMATCH
     assert result.stdout == ""

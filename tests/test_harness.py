@@ -153,7 +153,7 @@ class ForallAsExists(Translator):
 
 def test_corrupted_box_translation_is_detected(example_model):
     query = parse_query("[COMP] @code = 'b'")
-    report = check(example_model, query, BoxAsDiamond.for_model(example_model))
+    report = check(example_model, query, BoxAsDiamond(example_model))
     assert not report.equal
     assert report.witness is not None
     only_one_side = (
@@ -163,10 +163,10 @@ def test_corrupted_box_translation_is_detected(example_model):
 
 def test_mutations_trip_the_campaign():
     factories = (
-        BoxAsDiamond.for_model,
-        LambdaIgnoresArgument.for_model,
-        ForallAsExists.for_model,
-        LambdaDropsEquation.for_model,
+        BoxAsDiamond,
+        LambdaIgnoresArgument,
+        ForallAsExists,
+        LambdaDropsEquation,
     )
     for factory in factories:
         summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=factory)
@@ -219,7 +219,7 @@ def test_campaign_json_report_shape():
 
 
 def test_shrinking_produces_small_failing_case():
-    summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=BoxAsDiamond.for_model)
+    summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=BoxAsDiamond)
     failure = summary.first_failure
     assert failure is not None and not failure.equal
     # the shrunk witness formula still contains the broken construct
@@ -228,7 +228,7 @@ def test_shrinking_produces_small_failing_case():
 
 def test_shrink_preserves_mismatch(example_model):
     query = parse_query("[COMP] @code = 'b' & (@id = '1' | @id != '1')")
-    factory = BoxAsDiamond.for_model
+    factory = BoxAsDiamond
     model, small = shrink_case(example_model, query, factory)
     report = check(model, small, factory(model))
     assert not report.equal and report.error is None

@@ -29,6 +29,7 @@ from modalrel import (
     UnknownConstant,
     UnknownRelation,
     answer_direct,
+    check_query,
     dump_model,
     free_vars,
     model_fingerprint,
@@ -36,13 +37,11 @@ from modalrel import (
     parse_model,
     parse_query,
     run_campaign,
-    satisfies,
-    term_eval,
     validate_model,
 )
-from modalrel import kripke
+from modalrel import kripke, relalg, translate
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
-from modalrel.kripke import Memo
+from modalrel.kripke import Memo, satisfies, term_eval
 from test_acceptance import CAMPAIGN_PARAMS
 
 
@@ -74,10 +73,10 @@ def test_term_eval_concept_variable(example_model):
 
 
 def test_term_eval_unknown_constant(example_model):
-    with pytest.raises(UnknownConstant):
-        term_eval(example_model, {}, ObjectConst("zz"), example_model.states[0])
-    with pytest.raises(UnknownConstant):
-        term_eval(example_model, {}, Relativized(ConceptConst("nope")), example_model.states[0])
+    # term_eval reads checked terms only: check_query is what rejects these
+    for term in (ObjectConst("zz"), Relativized(ConceptConst("nope"))):
+        with pytest.raises(UnknownConstant):
+            check_query(example_model, Eq(term, term))
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +103,13 @@ def test_satisfies_lambda_over_successor_codes(example_model):
 
 
 def test_satisfies_unknown_relation(example_model):
-    # every state raises, also those without successors, with or without a memo
+    # the check reads no state, so every state raises, also those without successors
     for text in ("<NOPE> ?x = ?x", "<NOPE> @code = 'b'", "[NOPE] @code = 'b'"):
         formula = parse_formula(text)
-        for state, memo in itertools.product(example_model.states, (None, Memo())):
-            with pytest.raises(UnknownRelation):
-                satisfies(example_model, state, {}, formula, memo)
+        with pytest.raises(UnknownRelation):
+            check_query(example_model, formula)
+        with pytest.raises(UnknownRelation):
+            answer_direct(example_model, ModalQuery(formula, tuple(free_vars(formula))))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,8 @@ _shared = Diamond("COMP", Eq(_x, Relativized(ConceptConst("code"))))
         (parse_query("forall %g . [COMP] @%g != ?v", ["?v"]),
          [(v, s) for v in ("1", "2", "3", "4", "a", "b", "c", "d") for s in "234"]
          + [(v, "1") for v in ("1", "d")]),
-        (parse_query("@id = @id | <COMP> @code = 'zz'"), [("1",), ("2",), ("3",), ("4",)]),
     ],
-    ids=["shared-negated", "shared-conjoined", "shadowed",
-         "concept-exists", "concept-forall", "short-circuit-unknown-constant"],
+    ids=["shared-negated", "shared-conjoined", "shadowed", "concept-exists", "concept-forall"],
 )
 def test_memo_keeps_answers(example_model, query, expected):
     got = answer_direct(example_model, query)
@@ -193,16 +191,18 @@ def test_memo_keeps_answers(example_model, query, expected):
 
 
 def test_memo_records_nothing_that_raised(example_model):
-    # the diamond raises at state 1, which has successors, and is vacuous elsewhere
-    formula = parse_formula("<COMP> @code = 'zz'")
+    # A body that is not a formula passes the symbol check and raises only
+    # when evaluated: at state 1, which has successors; the diamond is
+    # vacuous elsewhere.
+    formula = Diamond("COMP", Not(None))
     memo = Memo()
     for state in example_model.states[1:]:
         assert not satisfies(example_model, state, {}, formula, memo)
     for _ in range(2):
-        with pytest.raises(UnknownConstant):
+        with pytest.raises(TypeError):
             satisfies(example_model, example_model.states[0], {}, formula, memo)
     assert len(memo.truth) == 3
-    with pytest.raises(UnknownConstant):
+    with pytest.raises(TypeError):
         answer_direct(example_model, ModalQuery(formula, ()))
 
 
@@ -232,20 +232,48 @@ def test_memo_key_without_variable_values_trips_the_campaign(monkeypatch):
     assert summary.first_failure.witness is not None
 
 
-def test_oracle_imports_nothing_from_the_algebra_side():
-    # the engines agreeing is evidence only while they share no evaluation code
-    allowed = {"errors": None, "syntax": None, "relalg": {"RelationInstance"}}  # None: any name
-    offending = []
-    for node in ast.walk(ast.parse(Path(kripke.__file__).read_text(encoding="utf-8"))):
+def _package_imports(module):
+    """(module imported, names or None for the whole module, statement) for
+    each import of a package module in ``module``'s source."""
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            offending += [ast.unparse(node) for a in node.names if a.name.startswith("modalrel")]
+            for alias in node.names:
+                if alias.name.startswith("modalrel"):
+                    yield alias.name.removeprefix("modalrel").lstrip("."), None, ast.unparse(node)
         elif isinstance(node, ast.ImportFrom) and (
             node.level or (node.module or "").startswith("modalrel")
         ):
-            module = (node.module or "").removeprefix("modalrel").lstrip(".")
+            imported = (node.module or "").removeprefix("modalrel").lstrip(".")
             names = {alias.name for alias in node.names}
-            if module not in allowed or not names <= (allowed[module] or names):
-                offending.append(ast.unparse(node))
+            if imported:
+                yield imported, names, ast.unparse(node)
+            else:
+                yield from ((name, None, ast.unparse(node)) for name in names)
+
+
+def _within(names, allowed):
+    """Whether imported ``names`` (None: the whole module) are among ``allowed``
+    (None: any name)."""
+    return allowed is None or (names is not None and names <= allowed)
+
+
+def test_oracle_imports_nothing_from_the_algebra_side():
+    # the engines agreeing is evidence only while they share no evaluation code
+    allowed = {"errors": None, "syntax": None, "relalg": {"RelationInstance"}}  # None: any name
+    offending = [
+        statement for imported, names, statement in _package_imports(kripke)
+        if imported not in allowed or not _within(names, allowed[imported])
+    ]
+    assert not offending, offending
+
+
+def test_algebra_side_imports_only_the_model_and_the_check_from_the_oracle():
+    allowed = {"KripkeModel", "ModalQuery", "check_query"}
+    offending = [
+        statement for module in (translate, relalg)
+        for imported, names, statement in _package_imports(module)
+        if imported == "kripke" and not _within(names, allowed)
+    ]
     assert not offending, offending
 
 

@@ -25,7 +25,6 @@ from modalrel import (
     RelationInstance,
     Selection,
     SelectionPredicate,
-    SingletonConstant,
     Union,
     UnknownRelation,
     degree_of,
@@ -138,14 +137,11 @@ def test_projection_with_repeats(example_db):
 def test_product_identity_with_empty_tuple(example_db):
     unit = Projection((), STA_REL)  # evaluates to {()} since Sta is non-empty
     assert evaluate(unit, example_db) == RelationInstance.of(0, [()])
-    got = evaluate(Product(unit, SingletonConstant("c")), example_db)
+    c = Selection(eq(Column(1), Constant("c")), OBJ_REL)  # the object c, one row
+    got = evaluate(Product(unit, c), example_db)
     assert got == RelationInstance.of(1, [("c",)])
-    got = evaluate(Product(SingletonConstant("c"), unit), example_db)
+    got = evaluate(Product(c, unit), example_db)
     assert got == RelationInstance.of(1, [("c",)])
-
-
-def test_singleton_constant(example_db):
-    assert evaluate(SingletonConstant("b"), example_db) == RelationInstance.of(1, [("b",)])
 
 
 def test_constant_constant_selection(example_db):
@@ -186,7 +182,6 @@ def test_evaluate_checks_degrees_before_running(example_db):
 RENDER_TABLE = [
     (Projection((1,), Selection(eq(Column(2), Constant("b")), STA_REL)),
      "(project (1) (select (= 2 'b') Sta))"),
-    (SingletonConstant("b"), "(const 'b')"),
     (Difference(OBJ_REL, CON_REL), "(diff Obj Con)"),
     (Projection((), STA_REL), "(project () Sta)"),
     (Selection(SelectionPredicate(Column(1), "!=", Column(3)), REL_REL),
@@ -210,6 +205,7 @@ MALFORMED_ALGEBRA = [
     "(project (1 (2)) Sta)",
     "(project (\u00b2) Sta)",
     "(const a)",
+    "(const 'a')",
     "((a) Sta Sta)",
     "'a'",
     "(product 'a' Sta)",
@@ -333,7 +329,7 @@ _SIDES = [
     REL_REL,
     CON_REL,
     Projection((), STA_REL),
-    SingletonConstant("a"),
+    Selection(eq(Column(1), Constant("a")), OBJ_REL),
     Selection(eq(Column(1), Column(2)), Product(OBJ_REL, CON_REL)),
 ]
 

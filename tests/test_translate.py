@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from modalrel import (
@@ -22,9 +24,11 @@ from modalrel import (
     Forall,
     Intersection,
     ModalQuery,
+    ModalRelError,
     Not,
     ObjectConst,
     ObjectVar,
+    Or,
     Product,
     Projection,
     Relativized,
@@ -35,9 +39,9 @@ from modalrel import (
     UnknownRelation,
     UnknownVariable,
     UntranslatableTerm,
-    VarContext,
     answer_direct,
     build_database,
+    check_query,
     degree_of,
     evaluate,
     parse_query,
@@ -45,6 +49,9 @@ from modalrel import (
     translate_query,
 )
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
+from modalrel.kripke import term_eval
+from modalrel.syntax import subformulas
+from modalrel.translate import VarContext
 
 STA_REL = BaseRelation(STA)
 REL_REL = BaseRelation(REL)
@@ -60,7 +67,7 @@ def eq(left, right):
 
 @pytest.fixture
 def translator(example_model):
-    return Translator.for_model(example_model)
+    return Translator(example_model)
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +93,13 @@ def test_term_ref_relativized_concept(translator):
     assert translator.term_ref(CODE, VarContext((X, A))) == Column(4)
 
 
-def test_term_ref_errors(translator):
+def test_term_ref_errors(translator, example_model):
     with pytest.raises(UnknownVariable):
         translator.term_ref(X, VarContext())
-    with pytest.raises(UnknownConstant):
-        translator.term_ref(ObjectConst("zz"), VarContext())
-    with pytest.raises(UnknownConstant):
-        translator.term_ref(Relativized(ConceptConst("nope")), VarContext())
+    # term_ref reads checked terms only: check_query is what rejects these
+    for term in (ObjectConst("zz"), Relativized(ConceptConst("nope"))):
+        with pytest.raises(UnknownConstant):
+            check_query(example_model, Eq(term, term))
     with pytest.raises(UntranslatableTerm):
         translator.term_ref(Relativized(G), VarContext((G,)))
 
@@ -248,6 +255,70 @@ def test_unknown_lambda_argument_rejected_by_both_engines(example_model, text):
         answer_direct(example_model, query)
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [("@id = @id | <COMP> @code = 'zz'", UnknownConstant),
+     ("'a' = 'a' | <NOPE> @code = 'b'", UnknownRelation)],
+    ids=["short-circuit-unknown-constant", "short-circuit-unknown-relation"],
+)
+def test_unreached_unknown_symbol_rejected_by_both_engines(example_model, text, error):
+    # the direct engine stops at the true left disjunct, yet the right one is checked
+    query = parse_query(text)
+    with pytest.raises(error):
+        translate_query(query, example_model)
+    with pytest.raises(error):
+        answer_direct(example_model, query)
+
+
+UNDECLARED = "undeclared"
+
+# Rewrites of an atom that add one symbol no generated model declares.
+PLANTS = {
+    "object-constant": lambda atom: Or(atom, Eq(ObjectConst(UNDECLARED), ObjectConst(UNDECLARED))),
+    "concept-under-at": lambda atom: Or(
+        atom, Eq(Relativized(ConceptConst(UNDECLARED)), Relativized(ConceptConst("id")))
+    ),
+    "concept-lambda-argument": lambda atom: Abstraction(
+        ConceptVar("planted"), atom, ConceptConst(UNDECLARED)
+    ),
+    "relation": lambda atom: Diamond(UNDECLARED, atom),
+}
+
+
+def _plant_in_last_atom(formula, plant):
+    """``formula`` with its last atom, reading left to right, replaced by ``plant(atom)``."""
+    children = subformulas(formula)
+    if not children:
+        return plant(formula)
+    field = "right" if len(children) == 2 else "body"
+    return replace(formula, **{field: _plant_in_last_atom(getattr(formula, field), plant)})
+
+
+def _error_of(call, *args):
+    """Name of the ``ModalRelError`` that ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except ModalRelError as exc:
+        return type(exc).__name__
+    return None
+
+
+@pytest.mark.parametrize("kind", PLANTS)
+def test_engines_raise_the_same_error_on_a_planted_symbol(kind):
+    # campaign cases i < 200, one plant each, whether or not evaluation reaches it
+    expected = "UnknownRelation" if kind == "relation" else "UnknownConstant"
+    outcomes = []
+    for i in range(list(PLANTS).index(kind), 200, len(PLANTS)):
+        local = case_params(GenParams(seed=42), i)
+        model = gen_model(local)
+        query = gen_query(local, model)
+        planted = ModalQuery(_plant_in_last_atom(query.formula, PLANTS[kind]), query.target)
+        outcomes.append(
+            (_error_of(answer_direct, model, planted), _error_of(translate_query, planted, model))
+        )
+    assert all(outcome == (expected, expected) for outcome in outcomes), outcomes
+
+
 # ---------------------------------------------------------------------------
 # Properties over generated inputs
 
@@ -272,7 +343,7 @@ def test_padding_identity_for_unused_variable():
     # extended context, whenever the variable does not occur
     fresh = ObjectVar("pad")
     for model, query in _generated_cases(40, seed=37):
-        translator = Translator.for_model(model)
+        translator = Translator(model)
         db = build_database(model)
         ctx = VarContext(tuple(query.target))
         extended = translator.translate(query.formula, ctx.prepend(fresh))
@@ -305,7 +376,7 @@ def test_translation_has_no_empty_projection():
 
 def test_box_duality_is_structural_on_generated_formulas():
     for model, query in _generated_cases(60, seed=41):
-        translator = Translator.for_model(model)
+        translator = Translator(model)
         ctx = VarContext(tuple(query.target))
         relation = sorted(model.relations)[0]
         box = translator.translate(Box(relation, query.formula), ctx)
@@ -316,7 +387,7 @@ def test_box_duality_is_structural_on_generated_formulas():
 def test_forall_duality_is_structural_on_generated_formulas():
     fresh = ObjectVar("univ")
     for model, query in _generated_cases(60, seed=43):
-        translator = Translator.for_model(model)
+        translator = Translator(model)
         ctx = VarContext(tuple(query.target))
         forall = translator.translate(Forall(fresh, query.formula), ctx)
         dual = translator.translate(Not(Exists(fresh, Not(query.formula))), ctx)
@@ -326,7 +397,7 @@ def test_forall_duality_is_structural_on_generated_formulas():
 def test_relativized_lambda_is_its_definition_on_generated_formulas():
     fresh = ObjectVar("lam")
     for model, query in _generated_cases(60, seed=53):
-        translator = Translator.for_model(model)
+        translator = Translator(model)
         ctx = VarContext(tuple(query.target))
         for concept in sorted(model.concepts):
             argument = Relativized(ConceptConst(concept))
@@ -342,11 +413,9 @@ def test_atomic_equivalence_for_every_assignment_and_state():
     translated image must agree on every assignment and every state."""
     import itertools
 
-    from modalrel import term_eval
-
     x, y = ObjectVar("x"), ObjectVar("y")
     for model, _ in _generated_cases(25, seed=47):
-        translator = Translator.for_model(model)
+        translator = Translator(model)
         db = build_database(model)
         concept = sorted(model.concepts)[0]
         constant = sorted(model.object_constants)[0]
