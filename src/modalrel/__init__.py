@@ -14,10 +14,8 @@ from .errors import (
     ModalRelError,
     ModelInvariantError,
     QuerySyntaxError,
-    UnboundVariable,
     UnknownConstant,
     UnknownRelation,
-    UnknownVariable,
     UntranslatableTerm,
 )
 from .harness import (

@@ -40,14 +40,6 @@ class UnknownConstant(ModalRelError):
     """A constant symbol is not part of the model being queried."""
 
 
-class UnboundVariable(ModalRelError):
-    """A variable was evaluated without a value in the assignment."""
-
-
-class UnknownVariable(ModalRelError):
-    """A variable was translated outside of any context that binds it."""
-
-
 class UnknownRelation(ModalRelError):
     """An accessibility or database relation name is not declared."""
 

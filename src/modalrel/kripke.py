@@ -14,7 +14,9 @@ step or a quantifier reads a prepared tuple instead of scanning the model.
 
 ``check_query`` is the one check that the model declares every symbol a query
 names.  ``answer_direct`` and the translator both make it before they start,
-so both engines raise the same error on the same query.
+so both engines raise the same error on the same query.  Scope is checked
+once too, by ``ModalQuery``: its target lists exactly the formula's free
+variables, so an assignment that binds the target binds every variable read.
 
 ``answer_direct`` is the oracle the algebra side is checked against, and
 shares no evaluation code with it.  It evaluates top-down, and keeps, for one
@@ -35,7 +37,7 @@ from typing import Iterable, Mapping
 
 import yaml
 
-from .errors import ModelInvariantError, UnboundVariable, UnknownConstant, UnknownRelation
+from .errors import ModelInvariantError, UnknownConstant, UnknownRelation
 from .relalg import RelationInstance
 from .syntax import (
     Abstraction,
@@ -198,15 +200,12 @@ def check_query(model: KripkeModel, formula: Formula) -> None:
 def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str) -> str:
     """Value of a term at a state: an object value, or a concept name for
     concept terms.  ``term`` belongs to a formula that has passed
-    ``check_query``."""
+    ``check_query``, and ``assignment`` binds its variables."""
     match term:
         case ObjectConst(symbol) | ConceptConst(symbol):
             return symbol
         case ObjectVar() | ConceptVar():
-            try:
-                return assignment[term]
-            except KeyError:
-                raise UnboundVariable(f"variable {term} has no value") from None
+            return assignment[term]
         case Relativized(inner):
             return model.concepts[term_eval(model, assignment, inner, state)][state]
     raise TypeError(f"not a term: {term!r}")
@@ -232,16 +231,12 @@ class Memo:
         self.free: dict[int, tuple[Var, ...]] = {}
 
 
-def _memo_key(memo: Memo, formula: Formula, state: str, assignment: Assignment):
-    """The memo key of ``formula`` at ``state``, or None when a free variable
-    is unbound (evaluation then raises ``UnboundVariable`` as usual)."""
+def _memo_key(memo: Memo, formula: Formula, state: str, assignment: Assignment) -> tuple:
+    """The memo key of ``formula`` at ``state`` under ``assignment``."""
     free = memo.free.get(id(formula))
     if free is None:
         free = memo.free[id(formula)] = tuple(free_vars(formula))
-    try:
-        return (id(formula), state, tuple([assignment[var] for var in free]))
-    except KeyError:
-        return None
+    return (id(formula), state, tuple([assignment[var] for var in free]))
 
 
 def satisfies(
@@ -252,7 +247,7 @@ def satisfies(
     memo: Memo | None = None,
 ) -> bool:
     """Truth of a formula that has passed ``check_query``, at a state under an
-    assignment.
+    assignment that binds its free variables.
 
     Quantifiers range over the model's objects (object variables) or concept
     names (concept variables) — the same domain at every state.  A diamond
@@ -268,10 +263,9 @@ def satisfies(
     key = None
     if memo is not None and isinstance(formula, (Diamond, Box, Exists, Forall)):
         key = _memo_key(memo, formula, state, assignment)
-        if key is not None:
-            truth = memo.truth.get(key)
-            if truth is not None:
-                return truth
+        truth = memo.truth.get(key)
+        if truth is not None:
+            return truth
     match formula:
         case Eq(left, right):
             return term_eval(model, assignment, left, state) == term_eval(

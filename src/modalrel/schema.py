@@ -9,7 +9,7 @@ and Obj enumerate the concept names and the objects.
 from __future__ import annotations
 
 from .errors import ModelInvariantError
-from .kripke import ID_CONCEPT, KripkeModel, concept_order, model_from_data
+from .kripke import KripkeModel, concept_order, model_from_data
 from .relalg import CON, OBJ, REL, STA, DatabaseInstance, RelationInstance
 
 ConceptIndex = dict  # concept name -> column index in Sta, bijective onto 1..k
@@ -52,10 +52,7 @@ def model_from_database(db: DatabaseInstance) -> KripkeModel:
     model maps to raise ``ModelInvariantError``: this is how an instance is
     checked.
     """
-    concept_names = [row[0] for row in db.relations[CON].tuples]
-    if ID_CONCEPT not in concept_names:
-        raise ModelInvariantError(f"Con does not list the {ID_CONCEPT!r} concept")
-    columns = concept_order(concept_names)
+    columns = concept_order(row[0] for row in db.relations[CON].tuples)
     sta = db.relations[STA]
     if sta.degree != len(columns):
         raise ModelInvariantError(

@@ -514,12 +514,8 @@ class _Parser:
         if token.kind == "OBJCONST":
             self._advance()
             return ObjectConst(token.value[1:-1])
-        if token.kind == "OVAR":
-            self._advance()
-            return ObjectVar(token.value[1:])
-        if token.kind == "CVAR":
-            self._advance()
-            return ConceptVar(token.value[1:])
+        if token.kind in ("OVAR", "CVAR"):
+            return self._variable()
         if token.value == "@":
             self._advance()
             inner = self._peek()

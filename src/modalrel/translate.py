@@ -22,6 +22,9 @@ concept constant.
 ``translate_query`` checks the query's symbols against the model first
 (``kripke.check_query``, the same check the direct engine makes), so the
 translation itself assumes every constant and relation name is declared.
+It starts from a context of the query's target, which ``ModalQuery`` has
+checked is exactly the formula's free variables, so every lookup finds a
+binding.
 
 ``f -> g``, ``[R] f``, ``forall v . f`` and ``<lam ?y . f>(@c)`` are
 translated through their definitions, as ``!f | g``, ``!<R> !f``,
@@ -39,7 +42,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Mapping
 
-from .errors import UnknownVariable, UntranslatableTerm
+from .errors import UntranslatableTerm
 from .kripke import KripkeModel, ModalQuery, check_query
 from .relalg import (
     CON,
@@ -107,10 +110,7 @@ class VarContext:
         return len(self.variables)
 
     def lookup(self, var: Var) -> Binding:
-        try:
-            return self._bindings[var]
-        except KeyError:
-            raise UnknownVariable(f"variable {var} is not in scope") from None
+        return self._bindings[var]
 
     def prepend(self, var: Var) -> VarContext:
         return VarContext((var,) + self.variables, {**self._bindings, var: len(self) + 1})
@@ -141,7 +141,8 @@ class Translator:
         return self.translate(query.formula, context)
 
     def translate(self, formula: Formula, context: VarContext) -> AlgebraExpr:
-        """Plan of a formula that has passed ``check_query``, under ``context``."""
+        """Plan of a formula that has passed ``check_query``, under a
+        ``context`` that binds its free variables."""
         match formula:
             case Eq(left, right):
                 return self._atom(left, right, "=", context)
@@ -170,7 +171,8 @@ class Translator:
     # -- terms and variable lists --------------------------------------
 
     def term_ref(self, term: Term, context: VarContext) -> Column | Constant:
-        """Attribute position or literal for a term of a checked formula.
+        """Attribute position or literal for a term of a checked formula,
+        under a ``context`` that binds its variables.
 
         In a product of the context's domain relations with Sta, context
         variables occupy columns 1..n and the concept columns of Sta start

@@ -8,7 +8,25 @@ from dataclasses import fields
 import pytest
 from click.testing import CliRunner
 
-from modalrel import GenParams, parse_algebra, parse_query, translate_query
+import modalrel
+from modalrel import (
+    DegreeError,
+    FreeVarMismatch,
+    GenParams,
+    KindError,
+    ModalRelError,
+    ModelInvariantError,
+    QuerySyntaxError,
+    UnknownConstant,
+    UnknownRelation,
+    UntranslatableTerm,
+    answer_direct,
+    evaluate,
+    parse_algebra,
+    parse_model,
+    parse_query,
+    translate_query,
+)
 from modalrel.cli import (
     EXIT_MISMATCH,
     EXIT_MODEL_ERROR,
@@ -316,3 +334,53 @@ def test_fuzz_stdout_deterministic_across_hash_seeds(example_model_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Error classes
+
+
+# One input per exported error class, through an exported entry point, with
+# the exit code the command line reports for it.
+RAISED_BY = {
+    QuerySyntaxError: (EXIT_QUERY_ERROR, lambda model, db: parse_query("?x =")),
+    KindError: (EXIT_QUERY_ERROR, lambda model, db: parse_query("code = 'b'")),
+    FreeVarMismatch: (EXIT_QUERY_ERROR, lambda model, db: parse_query("?x = ?x")),
+    UnknownConstant: (
+        EXIT_QUERY_ERROR,
+        lambda model, db: answer_direct(model, parse_query("@code = 'zz'")),
+    ),
+    UnknownRelation: (
+        EXIT_QUERY_ERROR,
+        lambda model, db: translate_query(parse_query("<NOPE> @code = 'b'"), model),
+    ),
+    ModelInvariantError: (EXIT_MODEL_ERROR, lambda model, db: parse_model("[]")),
+    UntranslatableTerm: (
+        EXIT_UNTRANSLATABLE,
+        lambda model, db: translate_query(parse_query("exists %g . @%g = 'b'"), model),
+    ),
+    DegreeError: (
+        EXIT_QUERY_ERROR,
+        lambda model, db: evaluate(parse_algebra("(project (9) Obj)"), db),
+    ),
+}
+
+EXPORTED_ERRORS = sorted(
+    (
+        value
+        for value in vars(modalrel).values()
+        if isinstance(value, type) and issubclass(value, ModalRelError)
+        and value is not ModalRelError
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_exported_error_class_can_be_raised(error, example_model, example_db):
+    assert error in RAISED_BY, f"no input raises {error.__name__}"
+    exit_code, raise_it = RAISED_BY[error]
+    with pytest.raises(ModalRelError) as info:
+        raise_it(example_model, example_db)
+    assert type(info.value) is error
+    assert error.exit_code == exit_code

@@ -176,12 +176,15 @@ def test_generated_models_round_trip():
 
 
 def test_model_from_database_requires_id_concept(example_db):
-    broken = DatabaseInstance(
-        relations={**example_db.relations, CON: RelationInstance.of(1, [("code",), ("kind",)])},
-        relation_names=example_db.relation_names,
-    )
-    with pytest.raises(ModelInvariantError, match="id"):
-        model_from_database(broken)
+    # Sta's degree matches Con each time, so the model format's rule is what fires
+    codes = RelationInstance.of(1, [(code,) for _, code in example_db.relations[STA].tuples])
+    for names, sta in (
+        (["code", "kind"], example_db.relations[STA]),
+        (["code"], codes),
+    ):
+        broken = _with(example_db, Con=RelationInstance.of(1, [(n,) for n in names]), Sta=sta)
+        with pytest.raises(ModelInvariantError, match="a concept named 'id' is required"):
+            model_from_database(broken)
 
 
 def test_model_from_database_rejects_unknown_rel_endpoint(example_db):
