@@ -1,23 +1,39 @@
 """Compilation of modal queries to relational algebra.
 
-Column convention: a (sub)formula translated under a context of n variables
-yields an expression of degree n+1 — columns 1..n hold the context
-variables' values in context order and column n+1 holds the id of the
-satisfying state.  Atoms establish the convention by crossing the domain
-relations of the context variables with Sta and projecting the variable
-columns plus Sta's id column; every other construct preserves it.  Binders
-prepend their variable to the context, so a bound variable always occupies
-column 1 of the subquery and is projected away afterwards.
+Column convention: each subformula is translated over its own free
+variables, in the safe-range style of Abiteboul, Hull & Vianu
+(*Foundations of Databases*, 1995, ch. 5).  Its plan has one column per
+column-bound free variable, outermost binder last, and then a column for
+the id of the satisfying state.  Only where the rules below need it is a
+plan crossed with the domain relation (``Obj`` or ``Con``) of a variable
+it does not use:
+
+- an atom crosses ``Sta`` with the domains of its own variables only;
+- ``!f`` takes its universe over the domains of ``f``'s variables;
+- ``f & g`` is an intersection when both sides have the same variables,
+  and otherwise a join on the state and the shared variables (a chain of
+  selections over a product, which ``relalg`` runs as a hash join);
+- ``f | g`` pads each side to the variables of both;
+- ``exists v`` projects ``v``'s column away, and leaves a plan that has no
+  ``v`` column as it is (no domain is empty: ``Obj`` holds every ``Sta``
+  value and ``Con`` holds ``id``).
+
+``translate(formula, context)`` pads the result once, at the top, to the
+whole context: degree len(context)+1, columns in context order.  So a
+target variable the formula never reads is crossed in there, and nowhere
+else.
 
 The context is an environment, not a rewrite of the formula: each variable
 in scope is bound either to a column or to the rigid term a λ bound it to.
 A column binding is kept as its depth counted from the outermost column, so
 later binders do not move it, and a binder that reuses a name shadows the
-outer binding for its body alone (de Bruijn's nameless variables).  A λ
-over a rigid argument (an object or concept constant, or a variable already
-in scope) adds no column: its variable resolves to what the argument
-resolves to.  ``@%g`` has a Sta column only when ``%g`` is λ-bound to a
-concept constant.
+outer binding for its body alone (de Bruijn's nameless variables).  A
+plan's columns are named by these depths, so a shared variable is a shared
+depth, and the innermost binder's column, where a plan has one, is first.
+A λ over a rigid argument (an object or concept constant, or a variable
+already in scope) adds no column: its variable resolves to what the
+argument resolves to.  ``@%g`` has a Sta column only when ``%g`` is
+λ-bound to a concept constant.
 
 ``translate_query`` checks the query's symbols against the model first
 (``kripke.check_query``, the same check the direct engine makes), so the
@@ -30,17 +46,14 @@ binding.
 translated through their definitions, as ``!f | g``, ``!<R> !f``,
 ``!exists v . !f`` and ``exists ?y . ?y = @c & f``, so the plan is built
 from atoms, negation, conjunction, disjunction, ``<R>`` and ``exists``
-alone.
-
-Under an empty context there is nothing to cross: atoms select from Sta
-directly and negation reads Sta's id column as its universe.  No rewrite
-follows translation, so the tree emitted is the plan evaluated.
+alone.  No rewrite follows translation, so the tree emitted is the plan
+evaluated.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import UntranslatableTerm
 from .kripke import KripkeModel, ModalQuery, check_query
@@ -93,9 +106,10 @@ class VarContext:
     """Variables in scope, each bound to a column or to a rigid λ argument.
 
     ``variables`` lists the column variables innermost first: column i
-    (1-based) holds ``variables[i-1]``.  A name may repeat; its innermost
-    binding wins.  A column binding is stored as its depth counted from the
-    outermost column, so prepending a variable does not move it.
+    (1-based) of the padded answer holds ``variables[i-1]``.  A name may
+    repeat; its innermost binding wins.  A column binding is stored as its
+    depth counted from the outermost column, so prepending a variable does
+    not move it.
     """
 
     def __init__(
@@ -112,6 +126,15 @@ class VarContext:
     def lookup(self, var: Var) -> Binding:
         return self._bindings[var]
 
+    def domain(self, depth: int) -> BaseRelation:
+        """The domain relation of the column variable at ``depth``."""
+        var = self.variables[len(self) - depth]
+        return BaseRelation(OBJ if isinstance(var, ObjectVar) else CON)
+
+    def cross(self, depths, expr: AlgebraExpr) -> AlgebraExpr:
+        """``expr`` with the domains of the variables at ``depths`` crossed in front."""
+        return reduce(Product, [*map(self.domain, depths), expr])
+
     def prepend(self, var: Var) -> VarContext:
         return VarContext((var,) + self.variables, {**self._bindings, var: len(self) + 1})
 
@@ -119,6 +142,22 @@ class VarContext:
         """Bind ``var`` to a constant, or to what a variable argument is bound to."""
         binding = self.lookup(argument) if is_variable(argument) else argument
         return VarContext(self.variables, {**self._bindings, var: binding})
+
+
+class Plan(NamedTuple):
+    """A subformula's expression, and the depths of its free variables in
+    column order: innermost binder (greatest depth) first, then the state."""
+
+    expr: AlgebraExpr
+    columns: tuple[int, ...]
+
+
+def _in_column_order(depths) -> tuple[int, ...]:
+    return tuple(sorted(set(depths), reverse=True))
+
+
+def _equal(left: int, right: int) -> SelectionPredicate:
+    return SelectionPredicate(Column(left), "=", Column(right))
 
 
 class Translator:
@@ -142,7 +181,12 @@ class Translator:
 
     def translate(self, formula: Formula, context: VarContext) -> AlgebraExpr:
         """Plan of a formula that has passed ``check_query``, under a
-        ``context`` that binds its free variables."""
+        ``context`` that binds its free variables: degree len(context)+1,
+        one column per context variable in context order, then the state."""
+        return self._pad(self._plan(formula, context), tuple(range(len(context), 0, -1)), context)
+
+    def _plan(self, formula: Formula, context: VarContext) -> Plan:
+        """Plan of ``formula`` over its own free variables."""
         match formula:
             case Eq(left, right):
                 return self._atom(left, right, "=", context)
@@ -151,11 +195,11 @@ class Translator:
             case Not(body):
                 return self._negation(body, context)
             case And(left, right):
-                return Intersection(self.translate(left, context), self.translate(right, context))
+                return self._conjunction(left, right, context)
             case Or(left, right):
-                return Union(self.translate(left, context), self.translate(right, context))
+                return self._disjunction(left, right, context)
             case Implies(left, right):
-                return self.translate(Or(Not(left), right), context)
+                return self._plan(Or(Not(left), right), context)
             case Diamond(relation, body):
                 return self._diamond(relation, body, context)
             case Box(relation, body):
@@ -168,27 +212,37 @@ class Translator:
                 return self._abstraction(var, body, argument, context)
         raise TypeError(f"not a formula: {formula!r}")
 
-    # -- terms and variable lists --------------------------------------
+    def _pad(self, plan: Plan, columns: tuple[int, ...], context: VarContext) -> AlgebraExpr:
+        """``plan`` over ``columns``, a superset of its own in column order:
+        the domain of each missing variable is crossed in front, then the
+        columns are put in order."""
+        missing = [depth for depth in columns if depth not in plan.columns]
+        if not missing:
+            return plan.expr
+        crossed = context.cross(missing, plan.expr)
+        position = {depth: i for i, depth in enumerate(missing + list(plan.columns), 1)}
+        indices = tuple(position[depth] for depth in columns) + (len(columns) + 1,)
+        if indices == tuple(range(1, len(indices) + 1)):
+            return crossed
+        return Projection(indices, crossed)
 
-    def term_ref(self, term: Term, context: VarContext) -> Column | Constant:
-        """Attribute position or literal for a term of a checked formula,
-        under a ``context`` that binds its variables.
+    # -- terms -----------------------------------------------------------
 
-        In a product of the context's domain relations with Sta, context
-        variables occupy columns 1..n and the concept columns of Sta start
-        at n+1, so a relativized concept lands on n plus its Sta column.
-        A variable λ-bound to a constant resolves to that constant.
-        """
+    def _operand(
+        self, term: Term, context: VarContext, columns: tuple[int, ...]
+    ) -> Column | Constant:
+        """Attribute position or literal for a term of an atom whose plan
+        crosses the domains of ``columns`` with Sta, in that order."""
         match term:
             case ObjectConst(symbol) | ConceptConst(symbol):
                 return Constant(symbol)
             case ObjectVar() | ConceptVar():
                 binding = context.lookup(term)
                 if isinstance(binding, int):
-                    return Column(len(context) - binding + 1)
-                return self.term_ref(binding, context)
+                    return Column(columns.index(binding) + 1)
+                return Constant(binding.symbol)
             case Relativized(inner):
-                return Column(len(context) + self._concept_column(inner, context))
+                return Column(len(columns) + self._concept_column(inner, context))
         raise TypeError(f"not a term: {term!r}")
 
     def _concept_column(self, concept: Term, context: VarContext) -> int:
@@ -201,69 +255,93 @@ class Translator:
             )
         return self._concepts[bound.symbol]
 
-    def domain_product(self, context: VarContext) -> AlgebraExpr:
-        """Cross product of one domain relation per variable of a non-empty context."""
-        factors = [
-            BaseRelation(OBJ if isinstance(var, ObjectVar) else CON)
-            for var in context.variables
-        ]
-        return reduce(Product, factors)
-
-    def _under_context(self, states: AlgebraExpr, context: VarContext) -> AlgebraExpr:
-        """``states`` with the context's domain columns crossed in front."""
-        if not len(context):
-            return states
-        return Product(self.domain_product(context), states)
-
     # -- formula constructs --------------------------------------------
 
-    def _atom(self, left: Term, right: Term, op: str, context: VarContext) -> AlgebraExpr:
-        n = len(context)
+    def _atom(self, left: Term, right: Term, op: str, context: VarContext) -> Plan:
+        columns = _in_column_order(
+            binding
+            for term in (left, right)
+            if is_variable(term) and isinstance(binding := context.lookup(term), int)
+        )
         predicate = SelectionPredicate(
-            self.term_ref(left, context), op, self.term_ref(right, context)
+            self._operand(left, context, columns), op, self._operand(right, context, columns)
         )
-        base = self._under_context(BaseRelation(STA), context)
-        return Projection(tuple(range(1, n + 2)), Selection(predicate, base))
+        base = context.cross(columns, BaseRelation(STA))
+        return Plan(
+            Projection(tuple(range(1, len(columns) + 2)), Selection(predicate, base)), columns
+        )
 
-    def _negation(self, body: Formula, context: VarContext) -> AlgebraExpr:
-        universe = self._under_context(Projection((1,), BaseRelation(STA)), context)
-        return Difference(universe, self.translate(body, context))
+    def _negation(self, body: Formula, context: VarContext) -> Plan:
+        inner = self._plan(body, context)
+        universe = context.cross(inner.columns, Projection((1,), BaseRelation(STA)))
+        return Plan(Difference(universe, inner.expr), inner.columns)
 
-    def _diamond(self, relation: str, body: Formula, context: VarContext) -> AlgebraExpr:
-        n = len(context)
-        # Columns of body × Rel: 1..n vars, n+1 body state, n+2 source,
-        # n+3 target, n+4 relation name.  Keep rows whose body state is the
+    def _conjunction(self, left: Formula, right: Formula, context: VarContext) -> Plan:
+        first, second = self._plan(left, context), self._plan(right, context)
+        if first.columns == second.columns:
+            return Plan(Intersection(first.expr, second.expr), first.columns)
+        # Columns of first × second: 1..k first's variables, k+1 its state,
+        # then second's variables and its state.  Join on the state and on
+        # every shared variable, keeping one column per variable.
+        k = len(first.columns)
+        state = k + len(second.columns) + 2
+        joined = Selection(_equal(k + 1, state), Product(first.expr, second.expr))
+        position = {depth: i for i, depth in enumerate(first.columns, 1)}
+        for i, depth in enumerate(second.columns, k + 2):
+            if depth in position:
+                joined = Selection(_equal(position[depth], i), joined)
+            else:
+                position[depth] = i
+        columns = _in_column_order(position)
+        indices = tuple(position[depth] for depth in columns) + (k + 1,)
+        return Plan(Projection(indices, joined), columns)
+
+    def _disjunction(self, left: Formula, right: Formula, context: VarContext) -> Plan:
+        first, second = self._plan(left, context), self._plan(right, context)
+        columns = _in_column_order(first.columns + second.columns)
+        return Plan(
+            Union(self._pad(first, columns, context), self._pad(second, columns, context)),
+            columns,
+        )
+
+    def _diamond(self, relation: str, body: Formula, context: VarContext) -> Plan:
+        inner = self._plan(body, context)
+        k = len(inner.columns)
+        # Columns of body × Rel: 1..k vars, k+1 body state, k+2 source,
+        # k+3 target, k+4 relation name.  Keep rows whose body state is the
         # target of a matching edge, then report the source state.
-        crossed = Product(self.translate(body, context), BaseRelation(REL))
+        crossed = Product(inner.expr, BaseRelation(REL))
         selected = Selection(
-            SelectionPredicate(Column(n + 4), "=", Constant(relation)),
-            Selection(SelectionPredicate(Column(n + 1), "=", Column(n + 3)), crossed),
+            SelectionPredicate(Column(k + 4), "=", Constant(relation)),
+            Selection(_equal(k + 1, k + 3), crossed),
         )
-        return Projection(tuple(range(1, n + 1)) + (n + 2,), selected)
+        return Plan(Projection(tuple(range(1, k + 1)) + (k + 2,), selected), inner.columns)
 
-    def _box(self, relation: str, body: Formula, context: VarContext) -> AlgebraExpr:
+    def _box(self, relation: str, body: Formula, context: VarContext) -> Plan:
         # A box is definitionally the dual of the diamond.
-        return self.translate(Not(Diamond(relation, Not(body))), context)
+        return self._plan(Not(Diamond(relation, Not(body))), context)
 
-    def _exists(self, var: Var, body: Formula, context: VarContext) -> AlgebraExpr:
-        n = len(context)
-        inner = self.translate(body, context.prepend(var))
-        return Projection(tuple(range(2, n + 3)), inner)
+    def _exists(self, var: Var, body: Formula, context: VarContext) -> Plan:
+        scope = context.prepend(var)
+        inner = self._plan(body, scope)
+        # The bound variable has the greatest depth: column 1, if the body uses it.
+        if inner.columns[:1] != (len(scope),):
+            return inner
+        k = len(inner.columns)
+        return Plan(Projection(tuple(range(2, k + 2)), inner.expr), inner.columns[1:])
 
-    def _forall(self, var: Var, body: Formula, context: VarContext) -> AlgebraExpr:
+    def _forall(self, var: Var, body: Formula, context: VarContext) -> Plan:
         # A universal is definitionally the dual of the existential.
-        return self.translate(Not(Exists(var, Not(body))), context)
+        return self._plan(Not(Exists(var, Not(body))), context)
 
-    def _abstraction(
-        self, var: Var, body: Formula, argument: Term, context: VarContext
-    ) -> AlgebraExpr:
+    def _abstraction(self, var: Var, body: Formula, argument: Term, context: VarContext) -> Plan:
         if not isinstance(argument, Relativized):
             # Rigid argument: its value does not depend on the state, so the
             # variable resolves to it.
-            return self.translate(body, context.bind(var, argument))
+            return self._plan(body, context.bind(var, argument))
         # A concept has exactly one value per state, so binding the variable
         # to it is definitionally an existential with an equation.
-        return self.translate(Exists(var, And(Eq(var, argument), body)), context)
+        return self._plan(Exists(var, And(Eq(var, argument), body)), context)
 
 
 def translate_query(query: ModalQuery, model: KripkeModel) -> AlgebraExpr:

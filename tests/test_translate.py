@@ -70,48 +70,54 @@ def translator(example_model):
 
 
 # ---------------------------------------------------------------------------
-# Term references
+# Atoms: operands and the columns they cross in
 
 
-def test_term_ref_constant(translator):
-    assert translator.term_ref(ObjectConst("b"), VarContext()) == Constant("b")
+def test_atom_crosses_only_its_own_variables(translator):
+    # ?a is column 1 of the atom's own plan, so the Sta columns start at 2;
+    # ?x is crossed in only when the plan is padded to the context, at the top
+    obj_sta = Product(BaseRelation(OBJ), STA_REL)
+    atom = Projection((1, 2), Selection(eq(Column(1), Column(3)), obj_sta))
+    assert translator.translate(Eq(A, CODE), VarContext((A,))) == atom
+    assert translator.translate(Eq(A, CODE), VarContext((X, A))) == Product(BaseRelation(OBJ), atom)
+    # two variables: the innermost context variable comes first
+    pair = Product(Product(BaseRelation(OBJ), BaseRelation(OBJ)), STA_REL)
+    assert translator.translate(Eq(A, X), VarContext((X, A))) == Projection(
+        (1, 2, 3), Selection(eq(Column(2), Column(1)), pair)
+    )
 
 
-def test_term_ref_context_variable(translator):
-    ctx = VarContext((A,))
-    assert translator.term_ref(A, ctx) == Column(1)
-    ctx2 = VarContext((X, A))
-    assert translator.term_ref(A, ctx2) == Column(2)
+def test_atom_operand_of_a_rigid_lambda_is_a_constant(translator):
+    # a variable λ-bound to a constant adds no column; the atom reads the constant
+    lam = Abstraction(ObjectVar("y"), Eq(ObjectVar("y"), CODE), ObjectConst("b"))
+    assert translator.translate(lam, VarContext()) == Projection(
+        (1,), Selection(eq(Constant("b"), Column(2)), STA_REL)
+    )
+    assert translator.translate(
+        Eq(Relativized(ConceptConst("id")), CODE), VarContext()
+    ) == Projection((1,), Selection(eq(Column(1), Column(2)), STA_REL))
 
 
-def test_term_ref_relativized_concept(translator):
-    # with an empty context the concept lands on its own Sta column
-    assert translator.term_ref(CODE, VarContext()) == Column(2)
-    assert translator.term_ref(Relativized(ConceptConst("id")), VarContext()) == Column(1)
-    # context variables shift the Sta columns right
-    assert translator.term_ref(CODE, VarContext((X, A))) == Column(4)
-
-
-def test_term_ref_errors(translator, example_model):
-    # term_ref reads checked terms only: check_query is what rejects these
+def test_unknown_and_untranslatable_terms(example_model):
+    # the translator reads checked terms only: check_query is what rejects these
     for term in (ObjectConst("zz"), Relativized(ConceptConst("nope"))):
         with pytest.raises(UnknownConstant):
             check_query(example_model, Eq(term, term))
-    with pytest.raises(UntranslatableTerm):
-        translator.term_ref(Relativized(G), VarContext((G,)))
+    # @%g has no Sta column when %g is bound to a column, directly or through a λ
+    for text, target in (("exists %g . @%g = 'b'", []), ("<lam %h . @%h = 'b'>(%g)", ["%g"])):
+        with pytest.raises(UntranslatableTerm):
+            translate_query(parse_query(text, target), example_model)
 
 
 # ---------------------------------------------------------------------------
-# Domain relations for variable lists
+# Padding to the context, once, at the top
 
 
-def test_domain_product_single_object_var(translator):
-    assert translator.domain_product(VarContext((X,))) == BaseRelation(OBJ)
-
-
-def test_domain_product_mixed_kinds(translator, example_db):
-    expr = translator.domain_product(VarContext((G, X)))
-    assert expr == Product(BaseRelation(CON), BaseRelation(OBJ))
+def test_closed_formula_is_padded_with_every_context_domain(translator, example_db):
+    atom = Eq(CODE, ObjectConst("b"))
+    assert translator.translate(atom, VarContext((X,))) == Product(BaseRelation(OBJ), ATOMIC_GOLDEN)
+    expr = translator.translate(atom, VarContext((G, X)))
+    assert expr == Product(Product(BaseRelation(CON), BaseRelation(OBJ)), ATOMIC_GOLDEN)
     assert len(evaluate(expr, example_db).tuples) == 2 * 8
 
 
@@ -344,10 +350,7 @@ def test_padding_identity_for_unused_variable():
         db = build_database(model)
         ctx = VarContext(tuple(query.target))
         extended = translator.translate(query.formula, ctx.prepend(fresh))
-        padded = Product(
-            translator.domain_product(VarContext((fresh,))),
-            translator.translate(query.formula, ctx),
-        )
+        padded = Product(BaseRelation(OBJ), translator.translate(query.formula, ctx))
         assert evaluate(extended, db) == evaluate(padded, db)
 
 
@@ -369,6 +372,26 @@ def test_translation_has_no_empty_projection():
         assert not any(
             isinstance(node, Projection) and not node.indices for node in _nodes(expr)
         )
+
+
+def test_plan_depends_only_on_its_free_variables():
+    # the bound ?v is crossed in by its own atom alone: f's plan, closed,
+    # carries no column for it and gains no domain leaf under its scope
+    v = ObjectVar("v")
+
+    def domain_leaves(expr):
+        return sum(
+            isinstance(node, BaseRelation) and node.name in (OBJ, CON) for node in _nodes(expr)
+        )
+
+    closed = [(model, query) for model, query in _generated_cases(200, seed=59) if not query.target]
+    assert len(closed) >= 60
+    for model, query in closed[:60]:
+        translator = Translator(model)
+        wrapped = Exists(v, And(Eq(v, Relativized(ConceptConst("id"))), query.formula))
+        plain = translator.translate(query.formula, VarContext())
+        scoped = translator.translate(wrapped, VarContext())
+        assert domain_leaves(scoped) == domain_leaves(plain) + 1
 
 
 def test_box_duality_is_structural_on_generated_formulas():
