@@ -73,17 +73,36 @@ def translator(example_model):
 # Atoms: operands and the columns they cross in
 
 
-def test_atom_crosses_only_its_own_variables(translator):
-    # ?a is column 1 of the atom's own plan, so the Sta columns start at 2;
-    # ?x is crossed in only when the plan is padded to the context, at the top
+def test_term_ref_context_variable(translator):
+    # a variable reads its column in the atom's own plan, which crosses in only
+    # that atom's variables: ?a is column 1 whether or not ?x is in the
+    # context, as ?x is crossed in only when the plan is padded, at the top
     obj_sta = Product(BaseRelation(OBJ), STA_REL)
     atom = Projection((1, 2), Selection(eq(Column(1), Column(3)), obj_sta))
-    assert translator.translate(Eq(A, CODE), VarContext((A,))) == atom
     assert translator.translate(Eq(A, CODE), VarContext((X, A))) == Product(BaseRelation(OBJ), atom)
     # two variables: the innermost context variable comes first
     pair = Product(Product(BaseRelation(OBJ), BaseRelation(OBJ)), STA_REL)
     assert translator.translate(Eq(A, X), VarContext((X, A))) == Projection(
         (1, 2, 3), Selection(eq(Column(2), Column(1)), pair)
+    )
+
+
+def test_term_ref_relativized_concept(translator):
+    # with no variables in the atom the concept lands on its own Sta column
+    assert translator.translate(Eq(CODE, ObjectConst("b")), VarContext()) == Projection(
+        (1,), Selection(eq(Column(2), Constant("b")), STA_REL)
+    )
+    assert translator.translate(
+        Eq(Relativized(ConceptConst("id")), CODE), VarContext()
+    ) == Projection((1,), Selection(eq(Column(1), Column(2)), STA_REL))
+    # the atom's own variables shift the Sta columns right: after ?a, @code is
+    # column 3; the rest of the context does not, since it is crossed in above
+    # the atom
+    assert translator.translate(Eq(A, CODE), VarContext((A,))) == Projection(
+        (1, 2), Selection(eq(Column(1), Column(3)), Product(BaseRelation(OBJ), STA_REL))
+    )
+    assert translator.translate(Eq(CODE, ObjectConst("b")), VarContext((X, A))) == Product(
+        Product(BaseRelation(OBJ), BaseRelation(OBJ)), ATOMIC_GOLDEN
     )
 
 
@@ -93,9 +112,6 @@ def test_atom_operand_of_a_rigid_lambda_is_a_constant(translator):
     assert translator.translate(lam, VarContext()) == Projection(
         (1,), Selection(eq(Constant("b"), Column(2)), STA_REL)
     )
-    assert translator.translate(
-        Eq(Relativized(ConceptConst("id")), CODE), VarContext()
-    ) == Projection((1,), Selection(eq(Column(1), Column(2)), STA_REL))
 
 
 def test_unknown_and_untranslatable_terms(example_model):
@@ -113,10 +129,15 @@ def test_unknown_and_untranslatable_terms(example_model):
 # Padding to the context, once, at the top
 
 
-def test_closed_formula_is_padded_with_every_context_domain(translator, example_db):
+def test_domain_product_single_object_var(translator):
+    # a closed formula under one object variable is crossed with Obj, once
     atom = Eq(CODE, ObjectConst("b"))
     assert translator.translate(atom, VarContext((X,))) == Product(BaseRelation(OBJ), ATOMIC_GOLDEN)
-    expr = translator.translate(atom, VarContext((G, X)))
+
+
+def test_domain_product_mixed_kinds(translator, example_db):
+    # a concept and an object variable pad with Con x Obj, in context order
+    expr = translator.translate(Eq(CODE, ObjectConst("b")), VarContext((G, X)))
     assert expr == Product(Product(BaseRelation(CON), BaseRelation(OBJ)), ATOMIC_GOLDEN)
     assert len(evaluate(expr, example_db).tuples) == 2 * 8
 
