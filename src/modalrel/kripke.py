@@ -395,6 +395,10 @@ def model_from_data(data) -> KripkeModel:
         if not isinstance(record, Mapping):
             raise ModelInvariantError("each state must be a record of concept values")
         keys = {_scalar(k) for k in record}
+        if len(keys) != len(record):
+            raise ModelInvariantError(
+                f"state record fields must be distinct as strings, got {list(record)!r}"
+            )
         if keys != set(concept_names):
             raise ModelInvariantError(
                 f"state record fields {sorted(keys)} do not match concepts {sorted(concept_names)}"
@@ -416,6 +420,8 @@ def model_from_data(data) -> KripkeModel:
     relations: dict[str, frozenset[tuple[str, str]]] = {}
     for raw_name, raw_pairs in data["relations"].items():
         name = _scalar(raw_name)
+        if name in relations:
+            raise ModelInvariantError(f"relation names must be distinct, got {name!r} twice")
         if raw_pairs is not None and not isinstance(raw_pairs, list):
             raise ModelInvariantError(f"relation {name!r} must map to a list of pairs")
         pairs = set()

@@ -33,8 +33,8 @@ CON = "Con"
 OBJ = "Obj"
 SCHEMA_NAMES = (STA, REL, CON, OBJ)
 
-# Deepest parenthesis nesting that ``parse_algebra`` reads; its reader and
-# builder recurse once per level.  The deepest plan the translator emits for
+# Deepest parenthesis nesting that ``parse_algebra`` reads; its reader
+# recurses once per level.  The deepest plan the translator emits for
 # query text within ``MAX_NESTING`` is 64 ``[R]`` at 387 levels (each ``[R]``
 # adds 6), so 8 levels per query level keep every emitted plan readable.
 MAX_PLAN_DEPTH = 8 * MAX_NESTING
@@ -236,6 +236,15 @@ AlgebraExpr = (
     | Intersection
 )
 
+# The text keyword of each binary node, read by ``parse_algebra`` and
+# ``render_algebra`` alike.
+BINARY_OPERATORS = {
+    "product": Product,
+    "union": Union,
+    "diff": Difference,
+    "intersect": Intersection,
+}
+
 
 def degree_of(expr: AlgebraExpr, schema: Mapping[str, int]) -> int:
     """Static degree of an expression; raises on any arity violation."""
@@ -411,96 +420,14 @@ def render_algebra(expr: AlgebraExpr) -> str:
         case Projection(indices, inner):
             cols = " ".join(str(i) for i in indices)
             return f"(project ({cols}) {render_algebra(inner)})"
-        case Product(left, right):
-            return f"(product {render_algebra(left)} {render_algebra(right)})"
-        case Union(left, right):
-            return f"(union {render_algebra(left)} {render_algebra(right)})"
-        case Difference(left, right):
-            return f"(diff {render_algebra(left)} {render_algebra(right)})"
-        case Intersection(left, right):
-            return f"(intersect {render_algebra(left)} {render_algebra(right)})"
+        case Product() | Union() | Difference() | Intersection():
+            keyword = next(k for k, node in BINARY_OPERATORS.items() if isinstance(expr, node))
+            return f"({keyword} {render_algebra(expr.left)} {render_algebra(expr.right)})"
     raise TypeError(f"not an algebra expression: {expr!r}")
 
 
-_SEXPR_TOKEN = re.compile(r"\s*('[^']*'|\(|\)|[^\s()']+)")
-
-
-def _sexpr_read(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _SEXPR_TOKEN.match(text, pos)
-        if m is None:
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if text[pos:].strip():
-        raise QuerySyntaxError(f"bad algebra text near {text[pos:pos + 10]!r}")
-
-    def read(index: int, depth: int):
-        if index >= len(tokens):
-            raise QuerySyntaxError("unexpected end of algebra text")
-        token = tokens[index]
-        if token == "(":
-            if depth == MAX_PLAN_DEPTH:
-                raise QuerySyntaxError(
-                    f"algebra text nests more than {MAX_PLAN_DEPTH} levels deep"
-                )
-            items = []
-            index += 1
-            while index < len(tokens) and tokens[index] != ")":
-                item, index = read(index, depth + 1)
-                items.append(item)
-            if index >= len(tokens):
-                raise QuerySyntaxError("missing ')' in algebra text")
-            return items, index + 1
-        if token == ")":
-            raise QuerySyntaxError("unexpected ')' in algebra text")
-        return token, index + 1
-
-    tree, end = read(0, 0)
-    if end != len(tokens):
-        raise QuerySyntaxError("trailing tokens after algebra expression")
-    return tree
-
-
-def _parse_index(token) -> int:
-    if isinstance(token, str) and token.isdecimal() and int(token) >= 1:
-        return int(token)
-    raise QuerySyntaxError(f"bad column index {token!r}")
-
-
-def _parse_operand(token) -> Column | Constant:
-    if isinstance(token, str) and token.startswith("'"):
-        return Constant(token[1:-1])
-    return Column(_parse_index(token))
-
-
-def _build(tree) -> AlgebraExpr:
-    if isinstance(tree, str):
-        if tree.startswith("'"):
-            raise QuerySyntaxError(f"expected a relation name, got the constant {tree}")
-        return BaseRelation(tree)
-    if not tree:
-        raise QuerySyntaxError("empty algebra expression")
-    head = tree[0]
-    if not isinstance(head, str):
-        raise QuerySyntaxError("an algebra expression must start with an operator name")
-    if head == "select" and len(tree) == 3 and isinstance(tree[1], list) and len(tree[1]) == 3:
-        op, left, right = tree[1]
-        if op not in ("=", "!="):
-            raise QuerySyntaxError(f"bad selection operator {op!r}")
-        return Selection(
-            SelectionPredicate(_parse_operand(left), op, _parse_operand(right)),
-            _build(tree[2]),
-        )
-    if head == "project" and len(tree) == 3 and isinstance(tree[1], list):
-        indices = tuple(_parse_index(i) for i in tree[1])
-        return Projection(indices, _build(tree[2]))
-    binary = {"product": Product, "union": Union, "diff": Difference, "intersect": Intersection}
-    if head in binary and len(tree) == 3:
-        return binary[head](_build(tree[1]), _build(tree[2]))
-    raise QuerySyntaxError(f"malformed {head!r} expression in algebra text")
+# A quote with no closing quote after it is a token of its own, and an error.
+_TOKEN = re.compile(r"'[^']*'|[()]|[^\s()']+|'")
 
 
 def parse_algebra(text: str) -> AlgebraExpr:
@@ -509,4 +436,72 @@ def parse_algebra(text: str) -> AlgebraExpr:
     Malformed text, or text nesting more than ``MAX_PLAN_DEPTH`` levels,
     raises ``QuerySyntaxError``.
     """
-    return _build(_sexpr_read(text))
+    tokens = iter(_TOKEN.findall(text))
+    depth = 0  # the parentheses open before the next token
+
+    def take() -> str:
+        nonlocal depth
+        token = next(tokens, None)
+        if token is None:
+            raise QuerySyntaxError("unexpected end of algebra text")
+        if token == "'":
+            raise QuerySyntaxError("unclosed quote in algebra text")
+        if token == "(":
+            if depth == MAX_PLAN_DEPTH:
+                raise QuerySyntaxError(
+                    f"algebra text nests more than {MAX_PLAN_DEPTH} levels deep"
+                )
+            depth += 1
+        elif token == ")":
+            depth -= 1
+        return token
+
+    def expect(want: str) -> None:
+        token = take()
+        if token != want:
+            raise QuerySyntaxError(f"expected {want!r} in algebra text, got {token!r}")
+
+    def index(token: str) -> int:
+        if token.isdecimal() and int(token) >= 1:
+            return int(token)
+        raise QuerySyntaxError(f"bad column index {token!r}")
+
+    def operand() -> Column | Constant:
+        token = take()
+        if token.startswith("'"):
+            return Constant(token[1:-1])
+        return Column(index(token))
+
+    def expression() -> AlgebraExpr:
+        token = take()
+        if token != "(":
+            if token == ")" or token.startswith("'"):
+                raise QuerySyntaxError(f"expected a relation name, got {token!r}")
+            return BaseRelation(token)
+        head = take()
+        if head == "select":
+            expect("(")
+            op = take()
+            if op not in ("=", "!="):
+                raise QuerySyntaxError(f"bad selection operator {op!r}")
+            left = operand()
+            right = operand()
+            expect(")")
+            node = Selection(SelectionPredicate(left, op, right), expression())
+        elif head == "project":
+            expect("(")
+            indices = []
+            while (token := take()) != ")":
+                indices.append(index(token))
+            node = Projection(tuple(indices), expression())
+        elif head in BINARY_OPERATORS:
+            node = BINARY_OPERATORS[head](expression(), expression())
+        else:
+            raise QuerySyntaxError(f"unknown algebra operator {head!r}")
+        expect(")")
+        return node
+
+    plan = expression()
+    if next(tokens, None) is not None:
+        raise QuerySyntaxError("trailing tokens after algebra expression")
+    return plan

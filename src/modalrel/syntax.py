@@ -537,12 +537,12 @@ def parse_formula(text: str) -> Formula:
     return _Parser(_tokenize(text)).parse()
 
 
-_VAR_NAME_RE = re.compile(r"[?%][A-Za-z_][A-Za-z0-9_]*$")
+_VAR_NAME_RE = re.compile(r"[?%][A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_variable(name: str) -> Var:
     """Parse a sigiled variable name such as ``?x`` or ``%a``."""
-    if not _VAR_NAME_RE.match(name):
+    if not _VAR_NAME_RE.fullmatch(name):
         raise QuerySyntaxError(f"not a variable name: {name!r} (use '?name' or '%name')")
     return ObjectVar(name[1:]) if name[0] == "?" else ConceptVar(name[1:])
 

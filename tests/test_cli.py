@@ -38,6 +38,8 @@ from modalrel.cli import (
     main,
 )
 from modalrel.syntax import MAX_NESTING
+from test_kripke import KEYS_EQUAL_AS_STRINGS
+from test_syntax import NOT_VARIABLE_NAMES
 
 EXPECTED_TABLES = {
     "Sta.tsv": "1\td\n2\ta\n3\tb\n4\tc\n",
@@ -123,6 +125,15 @@ def test_map_rejects_relation_that_is_not_a_pair_list(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", KEYS_EQUAL_AS_STRINGS.values(), ids=KEYS_EQUAL_AS_STRINGS.keys())
+def test_map_rejects_keys_equal_as_strings(tmp_path, capsys, text):
+    model_file = tmp_path / "keys.yaml"
+    model_file.write_text(text)
+    assert run_main(["map", str(model_file), "--out-dir", str(tmp_path)]) == EXIT_MODEL_ERROR
+    assert "distinct" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.tsv"))
+
+
 def test_map_rejects_model_file_that_is_not_utf8(tmp_path, capsys):
     model_file = tmp_path / "bytes.yaml"
     model_file.write_bytes(b"\xff\xfe")
@@ -176,6 +187,13 @@ def test_eval_parse_error_exit_code(example_model_path):
     assert run_main(["eval", str(example_model_path), "code = 'b'"]) == EXIT_QUERY_ERROR
     assert run_main(["eval", str(example_model_path), "?x ="]) == EXIT_QUERY_ERROR
     assert run_main(["eval", str(example_model_path), "?x = ?x"]) == EXIT_QUERY_ERROR  # target
+
+
+@pytest.mark.parametrize("name", NOT_VARIABLE_NAMES)
+def test_eval_target_that_is_not_a_variable_name_exit_code(example_model_path, capsys, name):
+    argv = ["eval", str(example_model_path), "?x = ?x", "-t", name]
+    assert run_main(argv) == EXIT_QUERY_ERROR
+    assert "not a variable name" in capsys.readouterr().err
 
 
 def test_eval_usage_error_exit_code(example_model_path):

@@ -422,6 +422,25 @@ def test_parse_model_rejects_values_tables_cannot_hold(objects, concepts, relati
         parse_model(text)
 
 
+# Keys that YAML reads as different values but that are equal as strings.
+KEYS_EQUAL_AS_STRINGS = {
+    "relation-name": (
+        "objects: ['1', '2']\nconcepts: [id]\nstates: [{id: 1}, {id: 2}]\n"
+        "relations: {1: [[1, 2]], '1': [[2, 1]]}\n"
+    ),
+    "record-field": (
+        "objects: ['1', a, b]\nconcepts: [id, 7]\nstates: [{id: 1, 7: a, '7': b}]\n"
+        "relations: {R: []}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", KEYS_EQUAL_AS_STRINGS.values(), ids=KEYS_EQUAL_AS_STRINGS.keys())
+def test_parse_model_rejects_keys_equal_as_strings(text):
+    with pytest.raises(ModelInvariantError, match="distinct"):
+        parse_model(text)
+
+
 def test_concept_value_must_be_object():
     text = "objects: [a]\nconcepts: [id, c1]\nstates: [{id: a, c1: z}]\nrelations: {R: []}\n"
     with pytest.raises(ModelInvariantError, match="not an object"):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import functools
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,7 @@ from modalrel import (
     translate_query,
 )
 from modalrel.harness import case_params
-from modalrel.relalg import MAX_PLAN_DEPTH
+from modalrel.relalg import BINARY_OPERATORS, MAX_PLAN_DEPTH
 from test_acceptance import CAMPAIGN_PARAMS
 
 STA_REL = BaseRelation(STA)
@@ -213,6 +215,14 @@ MALFORMED_ALGEBRA = [
     "(project (0) Sta)",
     "(project (1) " * 3000 + "Sta" + ")" * 3000,
     "(" * 3000,
+    "",
+    ")",
+    "()",
+    "Sta Sta",
+    "(union Sta)",
+    "(select (= 1 2) Sta Sta)",
+    "(project 1 Sta)",
+    "(project (1) Sta",
 ]
 
 
@@ -247,6 +257,46 @@ def test_campaign_plans_round_trip():
         model = gen_model(local)
         plan = translate_query(gen_query(local, model), model)
         assert parse_algebra(render_algebra(plan)) == plan
+
+
+ALGEBRA_TOKENS = [
+    "(", ")", "'", "''", "'a'", "select", "project", *BINARY_OPERATORS,
+    "=", "!=", "0", "1", "2", STA, REL, CON, OBJ,
+]
+
+
+@functools.cache
+def _campaign_plan_tokens(i: int) -> tuple[str, ...]:
+    local = case_params(CAMPAIGN_PARAMS, i)
+    model = gen_model(local)
+    text = render_algebra(translate_query(gen_query(local, model), model))
+    return tuple(re.findall(r"'[^']*'|[()]|[^\s()']+", text))
+
+
+@st.composite
+def _edited_campaign_plans(draw):
+    """A rendered campaign plan with one token inserted, dropped or replaced."""
+    tokens = list(_campaign_plan_tokens(draw(st.integers(0, 9))))
+    at = draw(st.integers(0, len(tokens) - 1))
+    edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+    if edit == "drop":
+        del tokens[at]
+    else:
+        tokens[at:at + (edit == "replace")] = [draw(st.sampled_from(ALGEBRA_TOKENS))]
+    return " ".join(tokens)
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(ALGEBRA_TOKENS), max_size=16).map(" ".join),
+    _edited_campaign_plans(),
+))
+@settings(max_examples=200, deadline=None)
+def test_algebra_text_is_a_plan_or_a_syntax_error(text):
+    try:
+        plan = parse_algebra(text)
+    except QuerySyntaxError:
+        return
+    assert parse_algebra(render_algebra(plan)) == plan
 
 
 # ---------------------------------------------------------------------------

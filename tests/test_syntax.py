@@ -239,6 +239,15 @@ def test_parse_query_checks_target():
         parse_query("?x = ?y", ["?x", "?y", "?x"])
 
 
+NOT_VARIABLE_NAMES = ["x", "?1x", "?x y", "%", "", "?x\n"]
+
+
+@pytest.mark.parametrize("name", NOT_VARIABLE_NAMES)
+def test_parse_query_rejects_target_that_is_not_a_variable_name(name):
+    with pytest.raises(QuerySyntaxError, match="not a variable name"):
+        parse_query("?x = ?x", [name])
+
+
 def test_free_vars_order_and_binding():
     assert free_vars(Eq(X, CODE)) == [X]
     assert free_vars(Exists(X, Eq(X, Y))) == [Y]
