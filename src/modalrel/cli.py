@@ -1,4 +1,11 @@
-"""Command-line front door: map models, translate and evaluate queries, fuzz.
+"""Answer modal queries over a Kripke model, two independent ways.
+
+Query grammar: terms are 'quoted' object constants, ?object and %concept
+variables, bare-name concept constants, and @t for the value of concept t in
+the current state.  Formulas: t1 = t2, t1 != t2, !f, f & g, f | g, f -> g,
+<R> f, [R] f, exists ?x . f, forall %a . f, <lam ?x . f>(t).  Prefix
+operators bind tightest; quantifier bodies extend to the right; -> is
+right-associative.
 
 Exit codes: 0 success, 1 usage, 2 query parse/kind error, 3 model invariant
 violation, 4 untranslatable query, 5 correspondence mismatch.
@@ -6,11 +13,12 @@ violation, 4 untranslatable query, 5 correspondence mismatch.
 
 from __future__ import annotations
 
+import argparse
+import os
 import pathlib
 import sys
 from dataclasses import fields
-
-import click
+from typing import NoReturn
 
 from .errors import ModalRelError, ModelInvariantError, UntranslatableTerm
 from .harness import GenParams, run_campaign
@@ -28,6 +36,11 @@ EXIT_UNTRANSLATABLE = UntranslatableTerm.exit_code
 EXIT_MISMATCH = 5
 
 
+def _exit(code: int, line: str) -> NoReturn:
+    sys.stderr.write(line + "\n")
+    raise SystemExit(code)
+
+
 def _read_model(path: str) -> KripkeModel:
     try:
         return load_model(path)
@@ -35,133 +48,120 @@ def _read_model(path: str) -> KripkeModel:
         raise ModelInvariantError(f"cannot read model file {path}: {exc}") from exc
 
 
-@click.group()
-def cli():
-    """Answer modal queries over a Kripke model, two independent ways.
-
-    Query grammar: terms are 'quoted' object constants, ?object and
-    %concept variables, bare-name concept constants, and @t for the value
-    of concept t in the current state.  Formulas: t1 = t2, t1 != t2, !f,
-    f & g, f | g, f -> g, <R> f, [R] f, exists ?x . f, forall %a . f,
-    <lam ?x . f>(t).  Prefix operators bind tightest; quantifier bodies
-    extend to the right; -> is right-associative.
-
-    Exit codes: 0 success, 1 usage, 2 query parse/kind error, 3 model
-    invariant violation, 4 untranslatable query, 5 engine mismatch.
-    """
-
-
-@cli.command("map")
-@click.argument("model_path")
-@click.option(
-    "--out-dir",
-    default=".",
-    show_default=True,
-    help="Directory for the Sta.tsv, Rel.tsv, Con.tsv, Obj.tsv files.",
-)
-def cmd_map(model_path: str, out_dir: str):
+def cmd_map(args: argparse.Namespace) -> None:
     """Write the four database tables derived from MODEL_PATH."""
-    model = _read_model(model_path)
-    db = build_database(model)
-    target = pathlib.Path(out_dir)
+    db = build_database(_read_model(args.model_path))
+    target = pathlib.Path(args.out_dir)
     try:
         target.mkdir(parents=True, exist_ok=True)
         for name in SCHEMA_NAMES:
             (target / f"{name}.tsv").write_text(to_tsv(db.relations[name]), encoding="utf-8")
     except OSError as exc:
-        raise click.FileError(exc.filename or out_dir, hint=exc.strerror) from exc
+        _exit(EXIT_USAGE, f"Error: {exc}")
 
 
-@cli.command("translate")
-@click.argument("model_path")
-@click.argument("query")
-@click.option("--target", "-t", multiple=True, help="Target variable, e.g. -t '?x'.")
-@click.option("--eval", "evaluate_too", is_flag=True, help="Also evaluate and print TSV rows.")
-def cmd_translate(model_path: str, query: str, target: tuple[str, ...], evaluate_too: bool):
+def cmd_translate(args: argparse.Namespace) -> None:
     """Print the algebra translation of QUERY against MODEL_PATH."""
-    model = _read_model(model_path)
-    parsed = parse_query(query, list(target))
-    expr = translate_query(parsed, model)
-    click.echo(render_algebra(expr))
-    if evaluate_too:
-        db = build_database(model)
-        click.echo(to_tsv(evaluate(expr, db)), nl=False)
+    model = _read_model(args.model_path)
+    expr = translate_query(parse_query(args.query, args.target), model)
+    sys.stdout.write(render_algebra(expr) + "\n")
+    if args.eval:
+        sys.stdout.write(to_tsv(evaluate(expr, build_database(model))))
 
 
-@cli.command("eval")
-@click.argument("model_path")
-@click.argument("query")
-@click.option("--target", "-t", multiple=True, help="Target variable, e.g. -t '?x'.")
-@click.option(
-    "--engine",
-    type=click.Choice(["direct", "algebra", "both"]),
-    default="both",
-    show_default=True,
-    help="Which engine answers the query; 'both' also cross-checks them.",
-)
-@click.option("--header", is_flag=True, help="Prepend a line of 1-based column indices.")
-def cmd_eval(model_path: str, query: str, target: tuple[str, ...], engine: str, header: bool):
+def cmd_eval(args: argparse.Namespace) -> None:
     """Evaluate QUERY against MODEL_PATH and print the answer as TSV."""
-    model = _read_model(model_path)
-    parsed = parse_query(query, list(target))
+    model = _read_model(args.model_path)
+    parsed = parse_query(args.query, args.target)
     answers = {}
-    if engine in ("direct", "both"):
+    if args.engine in ("direct", "both"):
         answers["direct"] = answer_direct(model, parsed)
-    if engine in ("algebra", "both"):
-        db = build_database(model)
-        answers["algebra"] = evaluate(translate_query(parsed, model), db)
-    if engine == "both" and answers["direct"] != answers["algebra"]:
-        click.echo("engines disagree on this query:", err=True)
-        click.echo(f"  direct:  {to_tsv(answers['direct']).strip() or '(empty)'}", err=True)
-        click.echo(f"  algebra: {to_tsv(answers['algebra']).strip() or '(empty)'}", err=True)
-        sys.exit(EXIT_MISMATCH)
+    if args.engine in ("algebra", "both"):
+        answers["algebra"] = evaluate(translate_query(parsed, model), build_database(model))
+    if args.engine == "both" and answers["direct"] != answers["algebra"]:
+        _exit(EXIT_MISMATCH, "engines disagree on this query:\n"
+              f"  direct:  {to_tsv(answers['direct']).strip() or '(empty)'}\n"
+              f"  algebra: {to_tsv(answers['algebra']).strip() or '(empty)'}")
     answer = answers["direct"] if "direct" in answers else answers["algebra"]
-    click.echo(to_tsv(answer, header=header), nl=False)
+    sys.stdout.write(to_tsv(answer, header=args.header))
 
 
-@cli.command("fuzz")
-@click.option("--cases", default=100, show_default=True)
-@click.option("--report", "report_path", default=None, help="Write a JSON report here.")
-def cmd_fuzz(cases: int, report_path: str | None, **gen_params):
+def cmd_fuzz(args: argparse.Namespace) -> None:
     """Differential campaign: random models and queries through both engines."""
-    if cases < 1:
-        raise click.UsageError("--cases must be at least 1")
+    if args.cases < 1:
+        _exit(EXIT_USAGE, "Error: --cases must be at least 1")
     try:
-        params = GenParams(**gen_params)
+        params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams)})
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    summary = run_campaign(params, cases)
-    click.echo(summary.render(), nl=False)
-    click.echo(f"wall time: {summary.seconds:.2f}s", err=True)
-    if report_path:
+        _exit(EXIT_USAGE, f"Error: {exc}")
+    summary = run_campaign(params, args.cases)
+    sys.stdout.write(summary.render())
+    sys.stderr.write(f"wall time: {summary.seconds:.2f}s\n")
+    if args.report:
         try:
-            pathlib.Path(report_path).write_text(summary.to_json(), encoding="utf-8")
+            pathlib.Path(args.report).write_text(summary.to_json(), encoding="utf-8")
         except OSError as exc:
-            raise click.FileError(report_path, hint=exc.strerror) from exc
+            _exit(EXIT_USAGE, f"Error: {exc}")
     if not summary.ok:
-        sys.exit(EXIT_MISMATCH)
+        raise SystemExit(EXIT_MISMATCH)
 
 
-# One option per GenParams field: the field's name with dashes, its default.
-cmd_fuzz.params[:0] = [
-    click.Option(["--" + f.name.replace("_", "-")], default=f.default, show_default=True,
-                 is_flag=isinstance(f.default, bool))
-    for f in fields(GenParams)
-]
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str) -> NoReturn:
+        # Exit code 2, argparse's own, is the query errors' here.
+        self.print_usage(sys.stderr)
+        _exit(EXIT_USAGE, f"Error: {message}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point with the documented exit codes."""
+    """Entry point with the documented exit codes. Writes go to the current sys.stdout."""
+    parser = _Parser(prog="modalrel", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run, *positionals: str) -> _Parser:
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run)
+        for positional in positionals:
+            sub.add_argument(positional.lower(), metavar=positional)
+        if "QUERY" in positionals:
+            sub.add_argument("--target", "-t", action="append", default=[],
+                             help="Target variable, e.g. -t '?x'.")
+        return sub
+
+    sub = command("map", cmd_map, "MODEL_PATH")
+    sub.add_argument("--out-dir", default=".",
+                     help="Directory for the four .tsv files (default: %(default)s).")
+    sub = command("translate", cmd_translate, "MODEL_PATH", "QUERY")
+    sub.add_argument("--eval", action="store_true", help="Also evaluate and print TSV rows.")
+    sub = command("eval", cmd_eval, "MODEL_PATH", "QUERY")
+    sub.add_argument("--engine", choices=["direct", "algebra", "both"], default="both",
+                     help="Engine to use; 'both' also cross-checks them (default: %(default)s).")
+    sub.add_argument("--header", action="store_true", help="Prepend 1-based column indices.")
+    sub = command("fuzz", cmd_fuzz)
+    for f in fields(GenParams):
+        kind = {"action": "store_true"} if isinstance(f.default, bool) else {"type": int}
+        sub.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                         help="(default: %(default)s)", **kind)
+    sub.add_argument("--cases", type=int, default=100, help="(default: %(default)s)")
+    sub.add_argument("--report", help="Write a JSON report here.")
+
+    args = parser.parse_args(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_USAGE)
-    except click.Abort:
-        sys.exit(EXIT_USAGE)
+        args.run(args)
+        sys.stdout.flush()
     except ModalRelError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(exc.exit_code)
+        _exit(exc.exit_code, f"error: {exc}")
+    except KeyboardInterrupt:
+        _exit(EXIT_USAGE, "")
+    except OSError as exc:
+        # Standard output failed (closed pipe, full disk): quiet the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _exit(EXIT_USAGE, f"Error: {exc}")
     return EXIT_OK
 
 

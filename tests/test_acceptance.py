@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import time
 
-from click.testing import CliRunner
-
 from modalrel import (
     OBJ,
     STA,
@@ -37,7 +35,7 @@ from modalrel import (
     run_campaign,
     translate_query,
 )
-from modalrel.cli import cli
+from modalrel.cli import main
 from modalrel.harness import GenParams, case_params
 from modalrel.relalg import REL
 from modalrel.syntax import Relativized
@@ -73,8 +71,7 @@ EXPECTED_TABLES = {
 
 def _map_output(example_model_path, tmp_path) -> str:
     out = tmp_path / "tables"
-    result = CliRunner().invoke(cli, ["map", str(example_model_path), "--out-dir", str(out)])
-    assert result.exit_code == 0, result.output
+    assert main(["map", str(example_model_path), "--out-dir", str(out)]) == 0
     return "".join(f"{name}:{(out / name).read_text()}" for name in sorted(EXPECTED_TABLES))
 
 

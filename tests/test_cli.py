@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
+import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import fields
 
 import pytest
-from click.testing import CliRunner
 
 import modalrel
 from modalrel import (
@@ -25,6 +27,8 @@ from modalrel import (
     parse_algebra,
     parse_model,
     parse_query,
+    run_campaign,
+    to_tsv,
     translate_query,
 )
 from modalrel.cli import (
@@ -34,7 +38,6 @@ from modalrel.cli import (
     EXIT_QUERY_ERROR,
     EXIT_UNTRANSLATABLE,
     EXIT_USAGE,
-    cli,
     main,
 )
 from modalrel.syntax import MAX_NESTING
@@ -49,9 +52,7 @@ EXPECTED_TABLES = {
 }
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_main(argv):
@@ -63,26 +64,30 @@ def run_main(argv):
     return 0
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """The inherited environment, with the source tree first on PYTHONPATH."""
+    env = {**os.environ, **extra}
+    path = os.environ.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + path if path else "")
+    return env
+
+
 # ---------------------------------------------------------------------------
 # map
 
 
-def test_map_writes_expected_tables(runner, example_model_path, tmp_path):
-    result = runner.invoke(
-        cli, ["map", str(example_model_path), "--out-dir", str(tmp_path)]
-    )
-    assert result.exit_code == 0
+def test_map_writes_expected_tables(example_model_path, tmp_path):
+    assert run_main(["map", str(example_model_path), "--out-dir", str(tmp_path)]) == 0
     for name, expected in EXPECTED_TABLES.items():
         assert (tmp_path / name).read_text() == expected
 
 
-def test_map_minimal_model(runner, tmp_path):
+def test_map_minimal_model(tmp_path):
     model_file = tmp_path / "mini.yaml"
     model_file.write_text(
         "objects: [s]\nconcepts: [id]\nstates: [{id: s}]\nrelations: {R: []}\n"
     )
-    result = runner.invoke(cli, ["map", str(model_file), "--out-dir", str(tmp_path)])
-    assert result.exit_code == 0
+    assert run_main(["map", str(model_file), "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "Sta.tsv").read_text() == "s\n"
     assert (tmp_path / "Rel.tsv").read_text() == ""
 
@@ -145,34 +150,47 @@ def test_map_rejects_model_file_that_is_not_utf8(tmp_path, capsys):
 # eval
 
 
-def test_eval_both_engines(runner, example_model_path):
-    result = runner.invoke(cli, ["eval", str(example_model_path), "@code = 'b'"])
-    assert result.exit_code == 0
-    assert result.output == "3\n"
+def test_eval_both_engines(example_model_path, capsys):
+    assert run_main(["eval", str(example_model_path), "@code = 'b'"]) == 0
+    assert capsys.readouterr().out == "3\n"
 
 
-def test_eval_with_target(runner, example_model_path):
-    result = runner.invoke(
-        cli, ["eval", str(example_model_path), "@id = '3' & @code = ?a", "-t", "?a"]
-    )
-    assert result.output == "b\t3\n"
+def test_eval_with_target(example_model_path, capsys):
+    run_main(["eval", str(example_model_path), "@id = '3' & @code = ?a", "-t", "?a"])
+    assert capsys.readouterr().out == "b\t3\n"
 
 
-def test_eval_direct_lambda_empty(runner, example_model_path):
-    result = runner.invoke(
-        cli,
-        ["eval", str(example_model_path), "<lam ?y . <COMP> @code = ?y>(@code)",
-         "--engine", "direct"],
-    )
-    assert result.exit_code == 0
-    assert result.output == ""
+def test_eval_direct_lambda_empty(example_model_path, capsys):
+    argv = ["eval", str(example_model_path), "<lam ?y . <COMP> @code = ?y>(@code)",
+            "--engine", "direct"]
+    assert run_main(argv) == 0
+    assert capsys.readouterr().out == ""
 
 
-def test_eval_header_flag(runner, example_model_path):
-    result = runner.invoke(
-        cli, ["eval", str(example_model_path), "@code = 'b'", "--header"]
-    )
-    assert result.output == "1\n3\n"
+def test_eval_header_flag(example_model_path, capsys):
+    run_main(["eval", str(example_model_path), "@code = 'b'", "--header"])
+    assert capsys.readouterr().out == "1\n3\n"
+
+
+# Two objects that differ only by a terminal escape sequence.
+ANSI_MODEL = (
+    'objects: ["\\e[31mred", red]\nconcepts: [id]\n'
+    'states: [{id: "\\e[31mred"}, {id: red}]\nrelations: {R: []}\n'
+)
+
+
+def test_output_keeps_terminal_escapes(tmp_path, capsys):
+    model_file = tmp_path / "ansi.yaml"
+    model_file.write_text(ANSI_MODEL)
+    model = parse_model(ANSI_MODEL)
+    assert run_main(["eval", str(model_file), "@id = @id"]) == 0
+    out = capsys.readouterr().out
+    assert out == to_tsv(answer_direct(model, parse_query("@id = @id")))
+    assert len(set(out.splitlines())) == 2
+    text = "@id = '\x1b[31mred'"
+    assert run_main(["translate", str(model_file), text, "--eval"]) == 0
+    plan = capsys.readouterr().out.splitlines()[0]
+    assert parse_algebra(plan) == translate_query(parse_query(text), model)
 
 
 def test_eval_untranslatable_exit_code(example_model_path):
@@ -199,6 +217,10 @@ def test_eval_target_that_is_not_a_variable_name_exit_code(example_model_path, c
 def test_eval_usage_error_exit_code(example_model_path):
     assert run_main(["eval", str(example_model_path), "?x = ?x", "--engine", "bogus"]) == EXIT_USAGE
     assert run_main(["eval"]) == EXIT_USAGE
+    assert run_main([]) == EXIT_USAGE
+    assert run_main(["bogus"]) == EXIT_USAGE
+    # options are never abbreviated
+    assert run_main(["eval", str(example_model_path), "?x = ?x", "--eng", "both"]) == EXIT_USAGE
 
 
 def test_eval_unknown_relation_exit_code(example_model_path):
@@ -236,12 +258,13 @@ def test_eval_too_deep_query_exit_code(example_model_path, text, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_eval_box_chain_at_nesting_limit(runner, example_model_path):
+def test_eval_box_chain_at_nesting_limit(example_model_path, capsys):
     # --engine both answers only when the two engines agree
     text = "[COMP] " * MAX_NESTING + "@code = 'b'"
-    result = runner.invoke(cli, ["eval", str(example_model_path), text, "--engine", "both"])
-    assert result.exit_code == 0, result.output
-    assert result.output == "1\n2\n3\n4\n"
+    code = run_main(["eval", str(example_model_path), text, "--engine", "both"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out == "1\n2\n3\n4\n"
 
 
 def test_fuzz_rejects_depth_past_nesting_limit():
@@ -254,38 +277,34 @@ def test_eval_unknown_lambda_argument_exit_code(example_model_path, engine):
     assert run_main(argv) == EXIT_QUERY_ERROR
 
 
-def test_eval_both_prints_nothing_on_disagreement(runner, example_model_path, monkeypatch):
+def test_eval_both_prints_nothing_on_disagreement(example_model_path, monkeypatch, capsys):
     import modalrel.cli as cli_module
 
     every_object = parse_algebra("(project (1) Obj)")
     monkeypatch.setattr(cli_module, "translate_query", lambda q, m: every_object)
-    result = runner.invoke(cli, ["eval", str(example_model_path), "@code = 'b'"])
-    assert result.exit_code == EXIT_MISMATCH
-    assert result.stdout == ""
+    assert run_main(["eval", str(example_model_path), "@code = 'b'"]) == EXIT_MISMATCH
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
 # translate
 
 
-def test_translate_prints_simplified_algebra(runner, example_model_path):
-    result = runner.invoke(cli, ["translate", str(example_model_path), "@code = 'b'"])
-    assert result.output == "(project (1) (select (= 2 'b') Sta))\n"
+def test_translate_prints_simplified_algebra(example_model_path, capsys):
+    run_main(["translate", str(example_model_path), "@code = 'b'"])
+    assert capsys.readouterr().out == "(project (1) (select (= 2 'b') Sta))\n"
 
 
 @pytest.mark.parametrize("text", ["<COMP> @code = 'b'", "[COMP] @code = 'b'"])
-def test_translate_prints_the_plan_it_evaluates(runner, example_model_path, example_model, text):
-    result = runner.invoke(cli, ["translate", str(example_model_path), text, "--eval"])
-    assert result.exit_code == 0
-    printed = parse_algebra(result.output.splitlines()[0])
+def test_translate_prints_the_plan_it_evaluates(example_model_path, example_model, capsys, text):
+    assert run_main(["translate", str(example_model_path), text, "--eval"]) == 0
+    printed = parse_algebra(capsys.readouterr().out.splitlines()[0])
     assert printed == translate_query(parse_query(text), example_model)
 
 
-def test_translate_with_eval(runner, example_model_path):
-    result = runner.invoke(
-        cli, ["translate", str(example_model_path), "<COMP> @code = 'b'", "--eval"]
-    )
-    lines = result.output.splitlines()
+def test_translate_with_eval(example_model_path, capsys):
+    run_main(["translate", str(example_model_path), "<COMP> @code = 'b'", "--eval"])
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("(project (2) (select (= 4 'COMP')")
     assert lines[1] == "1"
 
@@ -294,39 +313,61 @@ def test_translate_with_eval(runner, example_model_path):
 # fuzz
 
 
-def test_fuzz_small_campaign(runner):
-    result = runner.invoke(cli, ["fuzz", "--seed", "42", "--cases", "10"])
-    assert result.exit_code == 0
-    assert "passed: 10" in result.output
-    assert "status: OK" in result.output
+def test_fuzz_small_campaign(capsys):
+    assert run_main(["fuzz", "--seed", "42", "--cases", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "passed: 10" in out
+    assert "status: OK" in out
+    assert run_main(["fuzz", "--seed", "-5", "--cases", "3"]) == 0
 
 
-def test_fuzz_options_are_the_gen_params_fields():
-    options = {param.name: param for param in cli.commands["fuzz"].params}
-    assert set(options) == {f.name for f in fields(GenParams)} | {"cases", "report_path"}
-    for field in fields(GenParams):
-        option = options[field.name]
-        assert option.opts == ["--" + field.name.replace("_", "-")]
-        assert (option.default, option.is_flag) == (field.default, isinstance(field.default, bool))
+def test_fuzz_options_are_the_gen_params_fields(monkeypatch):
+    import modalrel.cli as cli_module
+
+    reached = []
+
+    def record(params, cases):
+        reached.append(params)
+        return run_campaign(params, 1)
+
+    monkeypatch.setattr(cli_module, "run_campaign", record)
+    changed = {f.name: not f.default if isinstance(f.default, bool) else f.default + 1
+               for f in fields(GenParams)}
+    argv = ["fuzz", "--cases", "1"]
+    for name, value in changed.items():
+        option = "--" + name.replace("_", "-")
+        argv += [option] if value is True else [option, str(value)]
+    assert run_main(argv) == 0
+    assert run_main(["fuzz"]) == 0
+    assert reached == [GenParams(**changed), GenParams()]
 
 
-def test_fuzz_allow_concept_vars_routes_untranslatable(runner):
-    result = runner.invoke(cli, ["fuzz", "--seed", "7", "--cases", "200", "--allow-concept-vars"])
-    assert result.exit_code == 0
-    assert "passed: 188\n" in result.stdout
-    assert "untranslatable (direct engine only): 12\n" in result.stdout
+def test_fuzz_allow_concept_vars_routes_untranslatable(capsys):
+    assert run_main(["fuzz", "--seed", "7", "--cases", "200", "--allow-concept-vars"]) == 0
+    out = capsys.readouterr().out
+    assert "passed: 188\n" in out
+    assert "untranslatable (direct engine only): 12\n" in out
 
 
 def test_fuzz_rejects_zero_cases():
     assert run_main(["fuzz", "--cases", "0"]) == EXIT_USAGE
+    assert run_main(["fuzz", "--cases", "x"]) == EXIT_USAGE
 
 
-def test_fuzz_report_file(runner, tmp_path):
+def test_fuzz_interrupted_exits_without_traceback(monkeypatch, capsys):
+    import modalrel.cli as cli_module
+
+    def interrupt(params, cases):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "run_campaign", interrupt)
+    assert run_main(["fuzz", "--cases", "1"]) == EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_fuzz_report_file(tmp_path):
     report = tmp_path / "report.json"
-    result = runner.invoke(
-        cli, ["fuzz", "--seed", "1", "--cases", "5", "--report", str(report)]
-    )
-    assert result.exit_code == 0
+    assert run_main(["fuzz", "--seed", "1", "--cases", "5", "--report", str(report)]) == 0
     assert '"status": "OK"' in report.read_text()
 
 
@@ -340,18 +381,35 @@ def test_fuzz_unwritable_report_is_usage_error(tmp_path, capsys):
 def test_fuzz_stdout_deterministic_across_hash_seeds(example_model_path):
     """Re-running in fresh interpreters with different hash seeds must not
     change a single output byte."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     outputs = []
     for hash_seed in ("0", "424242"):
         proc = subprocess.run(
             [sys.executable, "-m", "modalrel.cli", "fuzz", "--seed", "11", "--cases", "25"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+            env=child_env(PYTHONHASHSEED=hash_seed),
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_cli_imports_no_third_party_module_but_yaml():
+    # Only modules loaded from a file count: PyYAML's Cython extension also
+    # registers in-memory helper modules such as cython_runtime.
+    probe = (
+        "import json, sys; before = set(sys.modules); import modalrel.cli; "
+        "print(json.dumps([name for name in set(sys.modules) - before "
+        "if getattr(sys.modules[name], '__file__', None)]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=child_env(), check=True)
+    loaded = {name.partition(".")[0] for name in json.loads(proc.stdout)}
+    assert loaded - set(sys.stdlib_module_names) <= {"modalrel", "yaml"}
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    names = [re.match(r"[\w.-]+", spec).group() for spec in re.findall(r'"(.*?)"', dependencies)]
+    assert names == ["PyYAML"]
 
 
 # ---------------------------------------------------------------------------

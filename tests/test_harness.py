@@ -8,10 +8,12 @@ from modalrel import (
     Translator,
     build_database,
     check,
+    dump_model,
     free_vars,
     gen_model,
     gen_query,
     parse_formula,
+    parse_model,
     parse_query,
     render_formula,
     run_campaign,
@@ -44,6 +46,7 @@ def test_gen_model_instances_validate():
     for i in range(150):
         model = gen_model(case_params(params, i))
         validate_model(model)
+        assert parse_model(dump_model(model)) == model
         db = build_database(model)
         assert build_database(model_from_database(db)) == db
 
