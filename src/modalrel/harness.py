@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator
 
-from .errors import ModalRelError
+from .errors import ModalRelError, UntranslatableTerm
 from .kripke import (
     ID_CONCEPT,
     KripkeModel,
@@ -269,8 +269,9 @@ TranslatorFactory = Callable[[KripkeModel], Translator]
 class CorrespondenceReport:
     """Outcome of answering one query through both engines.
 
-    The model and query are kept as given; their printable forms are read
-    only when a failure is reported, so they are computed on demand.
+    The model, the query and any error are kept as given, the error without
+    its traceback; ``CampaignSummary.failure_record`` prints them, and only
+    for a failed case.
     """
 
     model: KripkeModel
@@ -280,20 +281,8 @@ class CorrespondenceReport:
     equal: bool
     witness: tuple[str, ...] | None = None
     witness_side: str | None = None
-    error: str | None = None
+    error: ModalRelError | None = None
     seconds: float = 0.0
-
-    @property
-    def model_fingerprint(self) -> str:
-        return model_fingerprint(self.model)
-
-    @property
-    def query_text(self) -> str:
-        return render_formula(self.query.formula)
-
-    @property
-    def target(self) -> tuple[str, ...]:
-        return tuple(str(v) for v in self.query.target)
 
 
 def check(
@@ -311,7 +300,7 @@ def check(
         expr = translator.translate_query(query)
         report.algebra = evaluate(expr, db)
     except ModalRelError as exc:
-        report.error = f"{type(exc).__name__}: {exc}"
+        report.error = exc.with_traceback(None)
         report.seconds = time.perf_counter() - start
         return report
     report.equal = report.direct == report.algebra
@@ -343,6 +332,31 @@ class CampaignSummary:
     def ok(self) -> bool:
         return self.failed == 0
 
+    def failure_record(self) -> dict | None:
+        """The first failure's fields in report order, or None if every case passed.
+
+        ``render`` and ``to_json`` both print this record, so they cannot drift.
+        """
+        failure = self.first_failure
+        if failure is None:
+            return None
+
+        def rows(inst: RelationInstance | None):
+            return None if inst is None else [list(r) for r in inst.sorted_rows()]
+
+        error = failure.error
+        return {
+            "case": self.first_failure_case,
+            "model": model_fingerprint(failure.model),
+            "query": render_formula(failure.query.formula),
+            "target": [str(v) for v in failure.query.target],
+            "error": None if error is None else f"{type(error).__name__}: {error}",
+            "witness": list(failure.witness) if failure.witness else None,
+            "witness_side": failure.witness_side,
+            "direct": rows(failure.direct),
+            "algebra": rows(failure.algebra),
+        }
+
     def render(self) -> str:
         """Deterministic line-oriented summary (no timings)."""
         lines = [
@@ -353,28 +367,24 @@ class CampaignSummary:
             f"untranslatable (direct engine only): {self.untranslatable}",
             f"status: {'OK' if self.ok else 'MISMATCH'}",
         ]
-        if self.first_failure is not None:
-            failure = self.first_failure
-            lines.append(f"first failure: case {self.first_failure_case}")
-            lines.append(f"  model: {failure.model_fingerprint}")
-            target = ", ".join(failure.target) or "(none)"
-            lines.append(f"  query: {failure.query_text}  [target: {target}]")
-            if failure.error is not None:
-                lines.append(f"  error: {failure.error}")
-            if failure.witness is not None:
-                row = "(" + ", ".join(failure.witness) + ")"
-                lines.append(f"  witness: {row} present in {failure.witness_side}")
-            if failure.direct is not None and failure.algebra is not None:
+        failure = self.failure_record()
+        if failure is not None:
+            lines.append(f"first failure: case {failure['case']}")
+            lines.append(f"  model: {failure['model']}")
+            target = ", ".join(failure["target"]) or "(none)"
+            lines.append(f"  query: {failure['query']}  [target: {target}]")
+            if failure["error"] is not None:
+                lines.append(f"  error: {failure['error']}")
+            if failure["witness"] is not None:
+                row = "(" + ", ".join(failure["witness"]) + ")"
+                lines.append(f"  witness: {row} present in {failure['witness_side']}")
+            if failure["direct"] is not None and failure["algebra"] is not None:
                 lines.append(
-                    f"  rows: direct={len(failure.direct.tuples)}"
-                    f" algebra={len(failure.algebra.tuples)}"
+                    f"  rows: direct={len(failure['direct'])} algebra={len(failure['algebra'])}"
                 )
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        def rows(inst: RelationInstance | None):
-            return None if inst is None else [list(r) for r in inst.sorted_rows()]
-
         payload = {
             "seed": self.params.seed,
             "cases": self.cases,
@@ -383,21 +393,8 @@ class CampaignSummary:
             "untranslatable": self.untranslatable,
             "status": "OK" if self.ok else "MISMATCH",
             "seconds": self.seconds,
-            "first_failure": None,
+            "first_failure": self.failure_record(),
         }
-        if self.first_failure is not None:
-            failure = self.first_failure
-            payload["first_failure"] = {
-                "case": self.first_failure_case,
-                "model": failure.model_fingerprint,
-                "query": failure.query_text,
-                "target": list(failure.target),
-                "error": failure.error,
-                "witness": list(failure.witness) if failure.witness else None,
-                "witness_side": failure.witness_side,
-                "direct": rows(failure.direct),
-                "algebra": rows(failure.algebra),
-            }
         return json.dumps(payload, indent=2) + "\n"
 
 
@@ -432,7 +429,7 @@ def run_campaign(
         if report.equal:
             summary.passed += 1
             continue
-        if report.error is not None and report.error.startswith("UntranslatableTerm"):
+        if isinstance(report.error, UntranslatableTerm):
             summary.untranslatable += 1
             continue
         summary.failed += 1

@@ -149,7 +149,8 @@ def validate_model(model: KripkeModel) -> None:
     if not model.object_constants <= model.objects:
         raise ModelInvariantError("object constants must denote objects of the model")
     # A TSV cell cannot hold a tab or a line break; a quoted constant (an object
-    # in a query, a relation name in every <R> plan) cannot hold a quote.
+    # in a query, a relation name in every <R> plan) cannot hold a quote; and
+    # output is UTF-8, which has no encoding for a lone surrogate.
     for kind, names, forbidden in (
         ("object", model.objects, "\t\n\r'"),
         ("concept name", model.concepts, "\t\n\r"),
@@ -158,6 +159,12 @@ def validate_model(model: KripkeModel) -> None:
         for name in sorted(names):
             if any(char in name for char in forbidden):
                 raise ModelInvariantError(f"{kind} {name!r} may not contain any of {forbidden!r}")
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ModelInvariantError(
+                    f"{kind} {name!r} may not contain a lone surrogate, which UTF-8 cannot encode"
+                ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +366,9 @@ def parse_model(text: str) -> KripkeModel:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ModelInvariantError(f"model file is not valid YAML: {exc}") from exc
+    except RecursionError:
+        # PyYAML composes nested collections by recursion: a few hundred levels fill the stack.
+        raise ModelInvariantError("model file is nested too deeply") from None
     return model_from_data(data)
 
 

@@ -41,6 +41,7 @@ from modalrel.cli import (
     main,
 )
 from modalrel.syntax import MAX_NESTING
+from test_acceptance import BoxAsDiamond
 from test_kripke import KEYS_EQUAL_AS_STRINGS
 from test_syntax import NOT_VARIABLE_NAMES
 
@@ -144,6 +145,41 @@ def test_map_rejects_model_file_that_is_not_utf8(tmp_path, capsys):
     model_file.write_bytes(b"\xff\xfe")
     assert run_main(["map", str(model_file), "--out-dir", str(tmp_path)]) == EXIT_MODEL_ERROR
     assert capsys.readouterr().err.startswith("error: ")
+
+
+SURROGATE_MODEL = (
+    'objects: ["\\ud800", c]\nconcepts: [id]\nstates: [{id: "\\ud800"}, {id: c}]\n'
+    "relations: {R: []}\n"
+)
+
+
+@pytest.mark.parametrize("command", [["eval", "@id = @id"], ["map", "--out-dir", "."]],
+                         ids=["eval", "map"])
+def test_model_with_lone_surrogate_exit_code(tmp_path, capsys, monkeypatch, command):
+    # "\ud800" reads as a lone surrogate, which no UTF-8 output can hold.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.yaml").write_text(SURROGATE_MODEL)
+    assert run_main([command[0], "m.yaml", *command[1:]]) == EXIT_MODEL_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "surrogate" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.tsv"))
+
+
+DEEP_MODELS = {
+    "objects": "objects: " + "[" * 5000 + "a" + "]" * 5000
+    + "\nconcepts: [id]\nstates: [{id: a}]\nrelations: {R: []}\n",
+    "relations": "objects: [a]\nconcepts: [id]\nstates: [{id: a}]\nrelations: {R: "
+    + "[" * 3000 + "]" * 3000 + "}\n",
+}
+
+
+@pytest.mark.parametrize("text", DEEP_MODELS.values(), ids=DEEP_MODELS.keys())
+def test_deeply_nested_model_file_exit_code(tmp_path, capsys, text):
+    model_file = tmp_path / "deep.yaml"
+    model_file.write_text(text)
+    assert run_main(["eval", str(model_file), "@id = @id"]) == EXIT_MODEL_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: model file is nested too deeply\n"
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +399,24 @@ def test_fuzz_interrupted_exits_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "run_campaign", interrupt)
     assert run_main(["fuzz", "--cases", "1"]) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_fuzz_mismatch_prints_first_failure_and_exits_5(monkeypatch, capsys, tmp_path):
+    import modalrel.cli as cli_module
+
+    summaries = []
+
+    def broken(params, cases):
+        summaries.append(run_campaign(params, cases, translator_factory=BoxAsDiamond))
+        return summaries[-1]
+
+    monkeypatch.setattr(cli_module, "run_campaign", broken)
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["fuzz", "--cases", "1000", "--report", str(report)])
+    assert exc_info.value.code == EXIT_MISMATCH == 5
+    assert capsys.readouterr().out == summaries[0].render()
+    assert json.loads(report.read_text())["first_failure"] is not None
 
 
 def test_fuzz_report_file(tmp_path):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from modalrel import (
     GenParams,
+    Projection,
     RelationInstance,
     Translator,
+    UntranslatableTerm,
     build_database,
     check,
     dump_model,
@@ -22,6 +26,7 @@ from modalrel import (
 from modalrel.harness import case_params, constructor_histogram, shrink_case
 from modalrel.schema import model_from_database
 from modalrel.syntax import MAX_NESTING, Abstraction, Box, Relativized, formula_depth
+from modalrel.translate import Plan
 from test_acceptance import CAMPAIGN_PARAMS, BoxAsDiamond, LambdaIgnoresArgument
 
 
@@ -134,7 +139,8 @@ def test_check_on_worked_queries(example_model):
 def test_check_reports_untranslatable_as_error(example_model):
     report = check(example_model, parse_query("exists %g . @%g = 'b'"))
     assert not report.equal
-    assert report.error is not None and report.error.startswith("UntranslatableTerm")
+    assert isinstance(report.error, UntranslatableTerm)
+    assert report.error.__traceback__ is None  # a report holds no frames
     assert report.direct is not None  # the direct engine already answered
 
 
@@ -152,6 +158,14 @@ class ForallAsExists(Translator):
 
     def _forall(self, var, body, context):
         return self._exists(var, body, context)
+
+
+class ExistsProjectsPastDegree(Translator):
+    """Deliberately broken: projects each existential's plan on a column it lacks."""
+
+    def _exists(self, var, body, context):
+        plan = super()._exists(var, body, context)
+        return Plan(Projection((99,), plan.expr), plan.columns)
 
 
 def test_corrupted_box_translation_is_detected(example_model):
@@ -176,6 +190,37 @@ def test_mutations_trip_the_campaign():
         assert summary.failed >= 1
         assert summary.first_failure is not None
         assert summary.first_failure.witness is not None
+
+
+def test_mismatch_is_reported_the_same_in_text_and_json():
+    summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=BoxAsDiamond)
+    assert summary.render().split("status: MISMATCH\n")[1] == (
+        "first failure: case 3\n"
+        "  model: d42b900a13de\n"
+        "  query: [R1] (@c1 != '5' & @c1 = '1')  [target: (none)]\n"
+        "  witness: (3) present in direct only\n"
+        "  rows: direct=1 algebra=0\n"
+    )
+    expected = {
+        "case": 3,
+        "model": "d42b900a13de",
+        "query": "[R1] (@c1 != '5' & @c1 = '1')",
+        "target": [],
+        "error": None,
+        "witness": ["3"],
+        "witness_side": "direct only",
+        "direct": [["3"]],
+        "algebra": [],
+    }
+    assert list(json.loads(summary.to_json())["first_failure"].items()) == list(expected.items())
+
+
+def test_engine_error_is_reported_with_its_type():
+    summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=ExistsProjectsPastDegree)
+    error = "DegreeError: projection index 99 out of range (expected 2, found 99)"
+    assert summary.failed == 1
+    assert summary.render().endswith(f"\n  error: {error}\n")
+    assert json.loads(summary.to_json())["first_failure"]["error"] == error
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +254,6 @@ def test_campaign_json_report_shape():
     params = GenParams(seed=2, max_states=3, max_objects=4, max_concepts=2, max_relations=1,
                        max_depth=3, max_free_vars=1)
     summary = run_campaign(params, 5)
-    import json
-
     payload = json.loads(summary.to_json())
     assert payload["status"] == "OK"
     assert payload["cases"] == 5
@@ -226,7 +269,8 @@ def test_shrinking_produces_small_failing_case():
     failure = summary.first_failure
     assert failure is not None and not failure.equal
     # the shrunk witness formula still contains the broken construct
-    assert "[" in failure.query_text or "<lam" in failure.query_text
+    query_text = render_formula(failure.query.formula)
+    assert "[" in query_text or "<lam" in query_text
 
 
 def test_shrink_preserves_mismatch(example_model):

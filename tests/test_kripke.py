@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,53 @@ def test_validate_model_needs_relation_and_concept():
                                    base.concepts, frozenset()))
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"states": ("s0", "s1", "s0")}, "state handles must be distinct"),
+        ({"relations": {"R": frozenset({("s0", "s9")})}}, "references unknown state in pair"),
+        ({"concepts": {"id": {"s0": "a"}}}, "concept 'id' must be total on the states"),
+    ],
+    ids=["repeated-state", "unknown-state", "partial-concept"],
+)
+def test_model_construction_names_the_broken_invariant(change, message):
+    base = parse_model("objects: [a, b]\nconcepts: [id]\nstates: [{id: a}, {id: b}]\n"
+                       "relations: {R: [[a, b]]}\n")
+    with pytest.raises(ModelInvariantError, match=message):
+        replace(base, **change)
+
+
+def model_text(**fields: str) -> str:
+    """A two-state model file, with the given fields' YAML text substituted."""
+    text = {"objects": "[a, b]", "concepts": "[id]", "states": "[{id: a}, {id: b}]",
+            "relations": "{R: [[a, b]]}", **fields}
+    return "".join(f"{name}: {value}\n" for name, value in text.items())
+
+
+MALFORMED_MODEL_FILES = {
+    "not-yaml": ("objects: [a, b\n", "model file is not valid YAML"),
+    "not-a-mapping": ("[a, b]\n", "model file must be a mapping"),
+    "objects-not-list": (model_text(objects="a"), "'objects' must be a list"),
+    "concepts-not-list": (model_text(concepts="id"), "'concepts' must be a list"),
+    "states-not-list": (model_text(states="{id: a}"), "'states' must be a list"),
+    "repeated-concept": (model_text(concepts="[id, id]"), "concept names must be distinct"),
+    "state-not-record": (model_text(states="[a, b]"), "each state must be a record"),
+    "relations-not-map": (model_text(relations="[R]"), "'relations' must be a map"),
+    "pair-of-three": (model_text(relations="{R: [[a, b, a]]}"), r"pairs must be \[source-id"),
+    "pair-not-list": (model_text(relations="{R: [a]}"), r"pairs must be \[source-id"),
+    "list-as-object": (model_text(objects="[[a], b]"), r"must be strings or numbers, got \['a'\]"),
+    "null-as-value": (model_text(states="[{id: a}, {id: null}]"),
+                      "must be strings or numbers, got None"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_MODEL_FILES.values(),
+                         ids=MALFORMED_MODEL_FILES.keys())
+def test_parse_model_names_what_is_malformed(text, message):
+    with pytest.raises(ModelInvariantError, match=message):
+        parse_model(text)
+
+
 def test_model_is_read_only():
     model = parse_model("objects: [a, b]\nconcepts: [id]\nstates: [{id: a}]\nrelations: {R: []}\n")
     with pytest.raises(TypeError):
@@ -406,8 +454,12 @@ def test_model_is_read_only():
         (["a"], ["id", "c\nd"], "R"),
         (["a"], ["id"], "R\tS"),
         (["a"], ["id"], "R'x"),
+        (["\ud800"], ["id"], "R"),
+        (["a"], ["id", "c\udc80"], "R"),
+        (["a"], ["id"], "R\ud800"),
     ],
-    ids=["object-tab", "object-quote", "concept-newline", "relation-tab", "relation-quote"],
+    ids=["object-tab", "object-quote", "concept-newline", "relation-tab", "relation-quote",
+         "object-surrogate", "concept-surrogate", "relation-surrogate"],
 )
 def test_parse_model_rejects_values_tables_cannot_hold(objects, concepts, relation):
     text = yaml.safe_dump(

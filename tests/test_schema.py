@@ -187,6 +187,12 @@ def test_model_from_database_requires_id_concept(example_db):
             model_from_database(broken)
 
 
+def test_model_from_database_rejects_sta_degree_unlike_con(example_db):
+    broken = _with(example_db, Con=RelationInstance.of(1, [("id",), ("code",), ("kind",)]))
+    with pytest.raises(ModelInvariantError, match="Sta degree 2 does not match the 3 concepts"):
+        model_from_database(broken)
+
+
 def test_model_from_database_rejects_unknown_rel_endpoint(example_db):
     rows = set(example_db.relations[REL].tuples) | {("1", "9", "COMP")}
     broken = _with(example_db, Rel=RelationInstance.of(3, rows))

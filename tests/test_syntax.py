@@ -140,6 +140,9 @@ def test_syntax_error_reports_position():
         parse_formula("?x = $")
     assert exc_info.value.line == 1
     assert exc_info.value.column == 6
+    # a column counts from the start of its own line
+    with pytest.raises(QuerySyntaxError, match=r"^3:4: unexpected character '\$'"):
+        parse_formula("?x = 'b'\n  &\n  @$")
 
 
 def test_kind_error_reports_position():
