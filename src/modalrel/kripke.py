@@ -23,13 +23,15 @@ shares no evaluation code with it.  It evaluates top-down, and keeps, for one
 query, the truth of every modal and quantified subformula it has decided,
 keyed on the subformula, the state and the values of that subformula's free
 variables: the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986),
-computed on demand.
+computed on demand.  The query's formula itself is not kept, since no
+(state, target values) pair asks for it twice.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import reprlib
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -230,12 +232,15 @@ class Memo:
     ``truth`` maps (subformula identity, state, values of the subformula's
     free variables) to its truth; ``free`` maps a subformula's identity to its
     free variables.  Identity is a sound key only while the subformulas stay
-    alive, so a memo serves one query, whose formula outlives it.
+    alive, so a memo serves one query, whose formula outlives it.  ``root``,
+    when given, is that query's formula: it is asked once per state and
+    values of the target, so it is never recorded.
     """
 
-    def __init__(self):
+    def __init__(self, root: Formula | None = None):
         self.truth: dict[tuple, bool] = {}
         self.free: dict[int, tuple[Var, ...]] = {}
+        self.root = root
 
 
 def _memo_key(memo: Memo, formula: Formula, state: str, assignment: Assignment) -> tuple:
@@ -262,13 +267,17 @@ def satisfies(
     Abstraction binds its variable to the argument's value at the current
     state before evaluating the body.
 
-    With a ``memo``, the truth of each modal and quantified subformula is
-    looked up before it is evaluated and recorded after.  Evaluation order
-    and short-circuiting are the same either way, and a subformula that
-    raises records nothing.
+    With a ``memo``, the truth of each modal and quantified subformula other
+    than the memo's root is looked up before it is evaluated and recorded
+    after.  Evaluation order and short-circuiting are the same either way,
+    and a subformula that raises records nothing.
     """
     key = None
-    if memo is not None and isinstance(formula, (Diamond, Box, Exists, Forall)):
+    if (
+        memo is not None
+        and isinstance(formula, (Diamond, Box, Exists, Forall))
+        and formula is not memo.root
+    ):
         key = _memo_key(memo, formula, state, assignment)
         truth = memo.truth.get(key)
         if truth is not None:
@@ -333,12 +342,13 @@ def answer_direct(model: KripkeModel, query: ModalQuery) -> RelationInstance:
     the id of the satisfying state.  One ``Memo`` serves the whole query, so
     a modal or quantified subformula is decided at most once per state and
     values of its free variables (Clarke, Emerson & Sistla, TOPLAS 1986),
-    however many target assignments and enclosing steps reach it.  An
-    undeclared symbol anywhere in the query raises before any state is read.
+    however many target assignments and enclosing steps reach it.  The query's
+    own formula is not memoised: each (values, state) pair asks for it once.
+    An undeclared symbol anywhere in the query raises before any state is read.
     """
     check_query(model, query.formula)
     domains = [_domain(model, var) for var in query.target]
-    memo = Memo()
+    memo = Memo(query.formula)
     rows = set()
     for values in itertools.product(*domains):
         assignment = dict(zip(query.target, values))
@@ -356,7 +366,9 @@ def _scalar(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, bool) or value is None or isinstance(value, (list, dict)):
-        raise ModelInvariantError(f"model values must be strings or numbers, got {value!r}")
+        raise ModelInvariantError(
+            f"model values must be strings or numbers, got {reprlib.repr(value)}"
+        )
     return str(value)
 
 
@@ -407,11 +419,12 @@ def model_from_data(data) -> KripkeModel:
         keys = {_scalar(k) for k in record}
         if len(keys) != len(record):
             raise ModelInvariantError(
-                f"state record fields must be distinct as strings, got {list(record)!r}"
+                f"state record fields must be distinct as strings, got {reprlib.repr(list(record))}"
             )
         if keys != set(concept_names):
             raise ModelInvariantError(
-                f"state record fields {sorted(keys)} do not match concepts {sorted(concept_names)}"
+                f"state record fields {reprlib.repr(sorted(keys))} do not match concepts "
+                f"{reprlib.repr(sorted(concept_names))}"
             )
         for key, value in record.items():
             concepts[_scalar(key)][handle] = _scalar(value)

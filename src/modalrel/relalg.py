@@ -12,9 +12,11 @@ the answer becomes a ``RelationInstance``.
 Evaluation follows the tree node by node, with one physical shortcut: a chain
 of ``Selection`` nodes over a ``Product`` runs as a hash equi-join (the
 build/probe join of Graefe, "Query Evaluation Techniques for Large
-Databases", ACM CSUR 1993) and never builds the product.  The tree itself is
-not rewritten, so the plan ``translate`` prints is still the logical plan
-that runs.
+Databases", ACM CSUR 1993) and never builds the product.  A ``Projection``
+directly above such a chain, or above a bare ``Product``, is applied to each
+row as the join yields it, so the join's wide rows are never collected.  The
+tree itself is not rewritten, so the plan ``translate`` prints is still the
+logical plan that runs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DegreeError, QuerySyntaxError, UnknownRelation
 from .syntax import MAX_NESTING
@@ -318,16 +320,42 @@ def _holds_all(predicates: list[SelectionPredicate], row: Row, offset: int = 0) 
     return True
 
 
+def _picker(indices: tuple[int, ...]) -> Callable[[Row], Row]:
+    """The function that projects a row onto the 1-based ``indices``."""
+    if not indices:
+        return lambda row: ()
+    if len(indices) == 1:
+        # ``itemgetter`` of one index returns the item, not a 1-tuple.
+        index = indices[0] - 1
+        return lambda row: (row[index],)
+    return itemgetter(*(index - 1 for index in indices))
+
+
+def _selection_chain(expr: AlgebraExpr) -> tuple[list[SelectionPredicate], AlgebraExpr]:
+    """The predicates of the ``Selection`` nodes atop ``expr``, and the node below them."""
+    predicates = []
+    while isinstance(expr, Selection):
+        predicates.append(expr.predicate)
+        expr = expr.input
+    return predicates, expr
+
+
 def _join(
-    predicates: list[SelectionPredicate], product: Product, db: DatabaseInstance
+    predicates: list[SelectionPredicate],
+    product: Product,
+    db: DatabaseInstance,
+    pick: Callable[[Row], Row] | None = None,
 ) -> frozenset[Row]:
-    """The rows of ``product`` that satisfy every predicate (all rows if none).
+    """The rows of ``product`` that satisfy every predicate (all rows if none),
+    each projected by ``pick`` when one is given.
 
     The product is built whole only when it is the answer.  Each predicate
     reading one side only filters that side first; every ``=`` between a left
     and a right column joins into one (maybe composite) key, on which the
     right side is hashed and probed with the left; the other predicates
-    filter the joined rows.
+    filter the joined rows.  A projection above the join is ``pick``: each
+    joined row is projected as the join yields it, so the wide rows are never
+    collected into a set.
     """
     left_rows = _eval(product.left, db)
     if not left_rows:
@@ -367,8 +395,8 @@ def _join(
     else:
         joined = (t + u for t in left_rows for u in right_rows)
     if residual:
-        return frozenset(row for row in joined if _holds_all(residual, row))
-    return frozenset(joined)
+        joined = (row for row in joined if _holds_all(residual, row))
+    return frozenset(joined if pick is None else map(pick, joined))
 
 
 def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[Row]:
@@ -376,15 +404,16 @@ def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[Row]:
         case BaseRelation(name):
             return db.relations[name].tuples
         case Selection():
-            predicates = []
-            while isinstance(expr, Selection):
-                predicates.append(expr.predicate)
-                expr = expr.input
-            if isinstance(expr, Product):
-                return _join(predicates, expr, db)
-            return frozenset(row for row in _eval(expr, db) if _holds_all(predicates, row))
+            predicates, source = _selection_chain(expr)
+            if isinstance(source, Product):
+                return _join(predicates, source, db)
+            return frozenset(row for row in _eval(source, db) if _holds_all(predicates, row))
         case Projection(indices, inner):
-            return frozenset(tuple(row[i - 1] for i in indices) for row in _eval(inner, db))
+            pick = _picker(indices)
+            predicates, source = _selection_chain(inner)
+            if isinstance(source, Product):
+                return _join(predicates, source, db, pick)
+            return frozenset(map(pick, _eval(inner, db)))
         case Product():
             return _join([], expr, db)
         case Union(left, right):

@@ -10,9 +10,13 @@ it does not use:
 
 - an atom crosses ``Sta`` with the domains of its own variables only;
 - ``!f`` takes its universe over the domains of ``f``'s variables;
-- ``f & g`` is an intersection when both sides have the same variables,
-  and otherwise a join on the state and the shared variables (a chain of
-  selections over a product, which ``relalg`` runs as a hash join);
+- ``f & g``, where one side is an ``=`` or ``!=`` atom whose column
+  variables the other side's plan has, is a selection on that plan (joined
+  with ``Sta`` on the state first if the atom reads a concept), so the atom
+  crosses in no domain of its own;
+- any other ``f & g`` is an intersection when both sides have the same
+  variables, and otherwise a join on the state and the shared variables (a
+  chain of selections over a product, which ``relalg`` runs as a hash join);
 - ``f | g`` pads each side to the variables of both;
 - ``exists v`` projects ``v``'s column away, and leaves a plan that has no
   ``v`` column as it is (no domain is empty: ``Obj`` holds every ``Sta``
@@ -160,6 +164,22 @@ def _equal(left: int, right: int) -> SelectionPredicate:
     return SelectionPredicate(Column(left), "=", Column(right))
 
 
+def _atom_columns(atom: Eq | Neq, context: VarContext) -> tuple[int, ...]:
+    """The depths of an atom's column-bound variables, in column order."""
+    return _in_column_order(
+        binding
+        for term in (atom.left, atom.right)
+        if is_variable(term) and isinstance(binding := context.lookup(term), int)
+    )
+
+
+def _selects_on(formula: Formula, plan: Plan, context: VarContext) -> bool:
+    """Whether ``formula`` is an atom whose column variables are all columns of ``plan``."""
+    return isinstance(formula, (Eq, Neq)) and set(_atom_columns(formula, context)) <= set(
+        plan.columns
+    )
+
+
 class Translator:
     """Compiles formulas to algebra expressions for one model."""
 
@@ -188,10 +208,8 @@ class Translator:
     def _plan(self, formula: Formula, context: VarContext) -> Plan:
         """Plan of ``formula`` over its own free variables."""
         match formula:
-            case Eq(left, right):
-                return self._atom(left, right, "=", context)
-            case Neq(left, right):
-                return self._atom(left, right, "!=", context)
+            case Eq() | Neq():
+                return self._atom(formula, context)
             case Not(body):
                 return self._negation(body, context)
             case And(left, right):
@@ -229,10 +247,11 @@ class Translator:
     # -- terms -----------------------------------------------------------
 
     def _operand(
-        self, term: Term, context: VarContext, columns: tuple[int, ...]
+        self, term: Term, context: VarContext, columns: tuple[int, ...], sta: int
     ) -> Column | Constant:
-        """Attribute position or literal for a term of an atom whose plan
-        crosses the domains of ``columns`` with Sta, in that order."""
+        """Attribute position or literal for a term of an atom read in rows
+        whose first columns hold the variables at ``columns``, in that order,
+        and whose Sta columns follow column ``sta``."""
         match term:
             case ObjectConst(symbol) | ConceptConst(symbol):
                 return Constant(symbol)
@@ -242,7 +261,7 @@ class Translator:
                     return Column(columns.index(binding) + 1)
                 return Constant(binding.symbol)
             case Relativized(inner):
-                return Column(len(columns) + self._concept_column(inner, context))
+                return Column(sta + self._concept_column(inner, context))
         raise TypeError(f"not a term: {term!r}")
 
     def _concept_column(self, concept: Term, context: VarContext) -> int:
@@ -257,19 +276,34 @@ class Translator:
 
     # -- formula constructs --------------------------------------------
 
-    def _atom(self, left: Term, right: Term, op: str, context: VarContext) -> Plan:
-        columns = _in_column_order(
-            binding
-            for term in (left, right)
-            if is_variable(term) and isinstance(binding := context.lookup(term), int)
+    def _predicate(
+        self, atom: Eq | Neq, context: VarContext, columns: tuple[int, ...], sta: int
+    ) -> SelectionPredicate:
+        """The comparison of ``atom``, read as ``_operand`` reads its terms."""
+        return SelectionPredicate(
+            self._operand(atom.left, context, columns, sta),
+            "=" if isinstance(atom, Eq) else "!=",
+            self._operand(atom.right, context, columns, sta),
         )
-        predicate = SelectionPredicate(
-            self._operand(left, context, columns), op, self._operand(right, context, columns)
-        )
+
+    def _atom(self, atom: Eq | Neq, context: VarContext) -> Plan:
+        columns = _atom_columns(atom, context)
         base = context.cross(columns, BaseRelation(STA))
-        return Plan(
-            Projection(tuple(range(1, len(columns) + 2)), Selection(predicate, base)), columns
-        )
+        selected = Selection(self._predicate(atom, context, columns, len(columns)), base)
+        return Plan(Projection(tuple(range(1, len(columns) + 2)), selected), columns)
+
+    def _filter(self, plan: Plan, atom: Eq | Neq, context: VarContext) -> Plan:
+        """``plan`` restricted to the rows that satisfy ``atom``, whose column
+        variables are all columns of ``plan``: a selection, on ``plan``
+        joined with Sta on the state when the atom reads a concept."""
+        k = len(plan.columns)
+        if not any(isinstance(term, Relativized) for term in (atom.left, atom.right)):
+            predicate = self._predicate(atom, context, plan.columns, 0)
+            return Plan(Selection(predicate, plan.expr), plan.columns)
+        # Columns of plan × Sta: 1..k variables, k+1 the state, then Sta.
+        joined = Selection(_equal(k + 1, k + 2), Product(plan.expr, BaseRelation(STA)))
+        selected = Selection(self._predicate(atom, context, plan.columns, k + 1), joined)
+        return Plan(Projection(tuple(range(1, k + 2)), selected), plan.columns)
 
     def _negation(self, body: Formula, context: VarContext) -> Plan:
         inner = self._plan(body, context)
@@ -277,7 +311,18 @@ class Translator:
         return Plan(Difference(universe, inner.expr), inner.columns)
 
     def _conjunction(self, left: Formula, right: Formula, context: VarContext) -> Plan:
-        first, second = self._plan(left, context), self._plan(right, context)
+        # An atom whose column variables the other side's plan already has
+        # is a selection on that plan (the safe-range rule for a comparison).
+        second = None
+        if isinstance(left, (Eq, Neq)):
+            second = self._plan(right, context)
+            if _selects_on(left, second, context):
+                return self._filter(second, left, context)
+        first = self._plan(left, context)
+        if _selects_on(right, first, context):
+            return self._filter(first, right, context)
+        if second is None:
+            second = self._plan(right, context)
         if first.columns == second.columns:
             return Plan(Intersection(first.expr, second.expr), first.columns)
         # Columns of first × second: 1..k first's variables, k+1 its state,

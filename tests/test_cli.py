@@ -173,6 +173,25 @@ DEEP_MODELS = {
 }
 
 
+MODEL_TAIL = "\nconcepts: [id]\nstates: [{id: a}]\nrelations: {R: []}\n"
+# Values the model format rejects that YAML still reads.
+LARGE_REJECTED_VALUES = {
+    "nested-400-deep": "objects: [a, " + "[" * 400 + "b" + "]" * 400 + "]" + MODEL_TAIL,
+    "list-of-20000": "objects: [a, [" + ", ".join(f"x{i}" for i in range(20000)) + "]]"
+    + MODEL_TAIL,
+}
+
+
+@pytest.mark.parametrize("text", LARGE_REJECTED_VALUES.values(), ids=LARGE_REJECTED_VALUES.keys())
+def test_large_rejected_value_prints_a_short_line(tmp_path, capsys, text):
+    model_file = tmp_path / "large.yaml"
+    model_file.write_text(text)
+    assert run_main(["eval", str(model_file), "@id = @id"]) == EXIT_MODEL_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200 and "Traceback" not in err
+    assert "must be strings or numbers" in err
+
+
 @pytest.mark.parametrize("text", DEEP_MODELS.values(), ids=DEEP_MODELS.keys())
 def test_deeply_nested_model_file_exit_code(tmp_path, capsys, text):
     model_file = tmp_path / "deep.yaml"

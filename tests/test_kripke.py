@@ -210,6 +210,25 @@ def test_generated_answers_match_unmemoised():
         assert answer_direct(model, query) == answer_unmemoised(model, query)
 
 
+def test_answer_direct_does_not_memoise_the_root(example_model, monkeypatch):
+    # each (target value, state) pair asks for the root once, so a root entry
+    # would never be read; the inner diamond is met again and stays memoised
+    memos = []
+
+    class RecordingMemo(Memo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(kripke, "Memo", RecordingMemo)
+    query = parse_query("[COMP] <COMP> @code = ?x", ["?x"])
+    got = answer_direct(example_model, query)
+    assert got == answer_unmemoised(example_model, query)
+    (memo,) = memos
+    assert memo.truth
+    assert {key[0] for key in memo.truth} == {id(query.formula.body)}
+
+
 def test_memo_key_without_variable_values_trips_the_campaign(monkeypatch):
     # a broken oracle is caught by the same differential campaign
     def key_without_values(memo, formula, state, assignment):
@@ -425,6 +444,16 @@ MALFORMED_MODEL_FILES = {
     "list-as-object": (model_text(objects="[[a], b]"), r"must be strings or numbers, got \['a'\]"),
     "null-as-value": (model_text(states="[{id: a}, {id: null}]"),
                       "must be strings or numbers, got None"),
+    # a long key list is shortened, as reprlib shortens it
+    "many-unknown-fields": (
+        model_text(states="[{id: a, " + ", ".join(f"k{i}: a" for i in range(100)) + "}, {id: b}]"),
+        r"fields \['id', 'k0', 'k1', 'k10', 'k11', 'k12', \.\.\.\] do not match concepts \['id'\]$",
+    ),
+    "many-fields-equal-as-strings": (
+        model_text(states="[{id: a, 1: a, '1': a, " + ", ".join(f"k{i}: a" for i in range(100))
+                   + "}, {id: b}]"),
+        r"distinct as strings, got \['id', 1, '1', 'k0', 'k1', 'k2', \.\.\.\]$",
+    ),
 }
 
 

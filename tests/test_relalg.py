@@ -476,3 +476,69 @@ def test_eval_degree_matches_static_degree(example_db):
     ]
     for expr in exprs:
         assert evaluate(expr, example_db).degree == degree_of(expr, example_db.schema)
+
+
+# ---------------------------------------------------------------------------
+# A projection over a join projects each joined row as the join yields it
+
+
+def _unfused(projection, db):
+    """The rows of ``projection`` spelled out: its input evaluated whole, then
+    each row projected."""
+    rows = evaluate(projection.input, db).tuples
+    return {tuple(row[i - 1] for i in projection.indices) for row in rows}
+
+
+_STA_REL_JOIN = Selection(eq(Column(4), Column(1)), Product(STA_REL, REL_REL))
+_SAME_CODE = Selection(eq(Column(2), Column(4)), Product(STA_REL, STA_REL))
+_PROJECTED_JOINS = {
+    "no-columns": Projection((), _STA_REL_JOIN),
+    "no-columns-of-an-empty-join": Projection(
+        (), Selection(eq(Column(1), Constant("zz")), _STA_REL_JOIN)
+    ),
+    "one-column": Projection((3,), _STA_REL_JOIN),
+    "repeated-columns": Projection((5, 1, 5, 2), _STA_REL_JOIN),
+    "residual-not-equal": Projection(
+        (1, 3), Selection(SelectionPredicate(Column(3), "!=", Column(1)), _SAME_CODE)
+    ),
+    "two-equal-constants": Projection(
+        (2, 1), Selection(eq(Constant("a"), Constant("a")), Product(OBJ_REL, CON_REL))
+    ),
+    "two-unequal-constants": Projection(
+        (2,), Selection(eq(Constant("a"), Constant("b")), Product(OBJ_REL, CON_REL))
+    ),
+    "empty-left-side": Projection(
+        (2,), Selection(eq(Column(1), Column(2)), Product(_EMPTY, OBJ_REL))
+    ),
+    "empty-right-side": Projection((1,), Product(OBJ_REL, _EMPTY)),
+    "bare-product": Projection((2, 2), Product(OBJ_REL, CON_REL)),
+}
+
+
+@pytest.mark.parametrize("expr", _PROJECTED_JOINS.values(), ids=_PROJECTED_JOINS.keys())
+def test_projection_over_a_join_matches_the_unfused_plan(expr):
+    got = evaluate(expr, _REPEATS)
+    assert got.degree == len(expr.indices)
+    assert got.tuples == _unfused(expr, _REPEATS)
+
+
+def test_projected_joins_cover_empty_and_nonempty_answers():
+    answers = {name: evaluate(expr, _REPEATS).tuples for name, expr in _PROJECTED_JOINS.items()}
+    assert answers["no-columns"] == {()}
+    assert answers["no-columns-of-an-empty-join"] == set()
+    assert answers["one-column"] == {("1",), ("2",)}
+    assert answers["residual-not-equal"] == {("1", "2"), ("2", "1")}
+    assert answers["two-unequal-constants"] == set()
+    assert answers["empty-left-side"] == answers["empty-right-side"] == set()
+
+
+@given(_databases, _chains(), st.data())
+@settings(max_examples=200)
+def test_projection_over_selection_chain_projects_the_filtered_product(db, chain, data):
+    product, predicates = chain
+    degree = degree_of(product, _SCHEMA)
+    columns = st.lists(st.integers(1, degree), max_size=4) if degree else st.just([])
+    indices = tuple(data.draw(columns))
+    for inner in (product, _select_all(predicates, product)):
+        projection = Projection(indices, inner)
+        assert evaluate(projection, db).tuples == _unfused(projection, db)

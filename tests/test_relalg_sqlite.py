@@ -120,3 +120,15 @@ def test_sqlite_agrees_with_evaluate_on_campaign_plans():
         db = build_database(model)
         expr = translate_query(gen_query(local, model), model)
         assert sqlite_rows(expr, db) == evaluate(expr, db).tuples, i
+
+
+def test_sqlite_agrees_with_evaluate_on_wider_models():
+    # 10 states and 10 objects: joins on two or more columns over larger
+    # inputs, and projections of joins that the acceptance bounds keep small
+    params = GenParams(seed=10, max_states=10, max_objects=10)
+    for i in range(300):
+        local = case_params(params, i)
+        model = gen_model(local)
+        db = build_database(model)
+        expr = translate_query(gen_query(local, model), model)
+        assert sqlite_rows(expr, db) == evaluate(expr, db).tuples, i

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from modalrel import (
     Exists,
     Forall,
     Intersection,
+    KripkeModel,
     ModalQuery,
     ModalRelError,
     Not,
@@ -478,3 +480,80 @@ def test_atomic_equivalence_for_every_assignment_and_state():
                     right = term_eval(model, assignment, atom.right, state)
                     row = (*values, model.id_of(state))
                     assert (left == right) == (row in image)
+
+
+# ---------------------------------------------------------------------------
+# An atom whose variables the other conjunct binds is a selection on it
+
+
+def test_bound_atom_is_a_selection_not_a_domain_product(example_model, example_db):
+    query = parse_query("exists ?y . <COMP> @code = ?y & @id != ?y")
+    expr = translate_query(query, example_model)
+    # one Obj x Sta, for the atom under the diamond; the != filters its plan
+    assert render_algebra(expr).count("(product Obj Sta)") == 1
+    not_equal = [
+        node for node in _nodes(expr)
+        if isinstance(node, Selection) and node.predicate.op == "!="
+    ]
+    assert len(not_equal) == 1
+    source = not_equal[0].input
+    while isinstance(source, Selection):
+        source = source.input
+    assert isinstance(source, Product) and source.right == STA_REL
+    assert evaluate(expr, example_db) == answer_direct(example_model, query)
+
+
+def test_bound_atom_without_a_concept_is_a_bare_selection(translator):
+    # ?x = 'b' reads no concept, so the selection needs no Sta join
+    left = Diamond("COMP", Eq(CODE, X))
+    plain = translator.translate(left, VarContext((X,)))
+    for formula in (And(left, Eq(X, ObjectConst("b"))), And(Eq(X, ObjectConst("b")), left)):
+        got = translator.translate(formula, VarContext((X,)))
+        assert got == Selection(eq(Column(1), Constant("b")), plain)
+
+
+def _sparse_model(n, rng):
+    """n states with ids o1..on, four R-successors each, and a concept c."""
+    states = tuple(f"s{i}" for i in range(1, n + 1))
+    objects = [f"o{i}" for i in range(1, n + 1)]
+    edges = {(state, f"s{j}") for state in states for j in rng.sample(range(1, n + 1), 4)}
+    return KripkeModel(
+        states=states,
+        relations={"R": frozenset(edges)},
+        objects=frozenset(objects),
+        concepts={"id": dict(zip(states, objects)), "c": {s: rng.choice(objects) for s in states}},
+        object_constants=frozenset(objects),
+    )
+
+
+@pytest.mark.parametrize(
+    "text, target",
+    [
+        ("<R> @c = 'o1'", []),
+        ("[R] <R> @c = ?x", ["?x"]),
+        ("exists ?y . <R> @c = ?y & @id != ?y", []),
+        ("<lam ?y . <R> @c = ?y>(@c)", []),
+    ],
+    ids=["diamond", "box-diamond", "exists", "lambda"],
+)
+def test_sparse_shapes_agree_with_the_direct_engine(text, target):
+    model = _sparse_model(25, random.Random(5))
+    query = parse_query(text, target)
+    got = evaluate(translate_query(query, model), build_database(model))
+    assert got == answer_direct(model, query)
+
+
+@pytest.mark.parametrize(
+    "text, target, error",
+    [
+        ("exists %g . <COMP> @code = 'b' & @%g = 'b'", [], UntranslatableTerm),
+        ("exists %g . @%g = 'b' & <COMP> @code = 'b'", [], UntranslatableTerm),
+        ("<COMP> @code = ?x & @%g = ?x", ["?x", "%g"], UntranslatableTerm),
+        ("<COMP> @code = ?x & @nope = ?x", ["?x"], UnknownConstant),
+        ("@nope != ?x & <COMP> @code = ?x", ["?x"], UnknownConstant),
+        ("<COMP> @code = ?x & ?x != 'zz'", ["?x"], UnknownConstant),
+    ],
+)
+def test_bad_atom_on_the_filtered_side_is_rejected(example_model, text, target, error):
+    with pytest.raises(error):
+        translate_query(parse_query(text, target), example_model)
