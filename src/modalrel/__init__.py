@@ -18,15 +18,6 @@ from .errors import (
     UnknownRelation,
     UntranslatableTerm,
 )
-from .harness import (
-    CampaignSummary,
-    CorrespondenceReport,
-    GenParams,
-    check,
-    gen_model,
-    gen_query,
-    run_campaign,
-)
 from .kripke import (
     ID_CONCEPT,
     KripkeModel,
@@ -93,3 +84,27 @@ from .syntax import (
 from .translate import Translator, translate_query
 
 __version__ = "0.1.0"
+
+# The harness is loaded on first use of one of its names, so that a command
+# that answers one query does not import the fuzzer (PEP 562).
+_HARNESS_NAMES = frozenset({
+    "CampaignSummary",
+    "CorrespondenceReport",
+    "GenParams",
+    "check",
+    "gen_model",
+    "gen_query",
+    "run_campaign",
+})
+
+
+def __getattr__(name: str):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# So that ``from modalrel import *`` still binds the harness names.
+__all__ = [name for name in globals() if not name.startswith("_")] + sorted(_HARNESS_NAMES)

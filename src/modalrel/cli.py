@@ -18,10 +18,9 @@ import os
 import pathlib
 import sys
 from dataclasses import fields
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .errors import ModalRelError, ModelInvariantError, UntranslatableTerm
-from .harness import GenParams, run_campaign
 from .kripke import KripkeModel, answer_direct, load_model
 from .relalg import SCHEMA_NAMES, evaluate, render_algebra, to_tsv
 from .schema import build_database
@@ -88,6 +87,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_fuzz(args: argparse.Namespace) -> None:
     """Differential campaign: random models and queries through both engines."""
+    from .harness import GenParams, run_campaign
+
     if args.cases < 1:
         _exit(EXIT_USAGE, "Error: --cases must be at least 1")
     try:
@@ -107,14 +108,36 @@ def cmd_fuzz(args: argparse.Namespace) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
+    def __init__(self, add_options: Callable[[_Parser], None] | None = None, **kwargs):
         super().__init__(add_help=False, allow_abbrev=False, **kwargs)
         self.add_argument("--help", action="help", help="Show this message and exit.")
+        self._add_options = add_options
+
+    def parse_known_args(self, args=None, namespace=None):
+        # A command's options may be added only when that command parses, so
+        # that a command imports only the modules it runs.  argparse calls
+        # this on the chosen subparser.
+        if self._add_options is not None:
+            add, self._add_options = self._add_options, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> NoReturn:
         # Exit code 2, argparse's own, is the query errors' here.
         self.print_usage(sys.stderr)
         _exit(EXIT_USAGE, f"Error: {message}")
+
+
+def _fuzz_options(sub: _Parser) -> None:
+    """One option per ``GenParams`` field, then the campaign's own two."""
+    from .harness import GenParams
+
+    for f in fields(GenParams):
+        kind = {"action": "store_true"} if isinstance(f.default, bool) else {"type": int}
+        sub.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                         help="(default: %(default)s)", **kind)
+    sub.add_argument("--cases", type=int, default=100, help="(default: %(default)s)")
+    sub.add_argument("--report", help="Write a JSON report here.")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,8 +146,8 @@ def main(argv: list[str] | None = None) -> int:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, *positionals: str) -> _Parser:
-        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__)
+    def command(name: str, run, *positionals: str, **kwargs) -> _Parser:
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, **kwargs)
         sub.set_defaults(run=run)
         for positional in positionals:
             sub.add_argument(positional.lower(), metavar=positional)
@@ -142,13 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_argument("--engine", choices=["direct", "algebra", "both"], default="both",
                      help="Engine to use; 'both' also cross-checks them (default: %(default)s).")
     sub.add_argument("--header", action="store_true", help="Prepend 1-based column indices.")
-    sub = command("fuzz", cmd_fuzz)
-    for f in fields(GenParams):
-        kind = {"action": "store_true"} if isinstance(f.default, bool) else {"type": int}
-        sub.add_argument("--" + f.name.replace("_", "-"), default=f.default,
-                         help="(default: %(default)s)", **kind)
-    sub.add_argument("--cases", type=int, default=100, help="(default: %(default)s)")
-    sub.add_argument("--report", help="Write a JSON report here.")
+    command("fuzz", cmd_fuzz, add_options=_fuzz_options)
 
     args = parser.parse_args(argv)
     try:

@@ -29,7 +29,6 @@ computed on demand.  The query's formula itself is not kept, since no
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import reprlib
 from collections import defaultdict
@@ -498,4 +497,6 @@ def dump_model(model: KripkeModel) -> str:
 
 def model_fingerprint(model: KripkeModel) -> str:
     """Short stable digest of a model's canonical text form."""
+    import hashlib  # only here, so that loading the package does not load OpenSSL
+
     return hashlib.sha256(dump_model(model).encode("utf-8")).hexdigest()[:12]

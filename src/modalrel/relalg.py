@@ -14,7 +14,8 @@ of ``Selection`` nodes over a ``Product`` runs as a hash equi-join (the
 build/probe join of Graefe, "Query Evaluation Techniques for Large
 Databases", ACM CSUR 1993) and never builds the product.  A ``Projection``
 directly above such a chain, or above a bare ``Product``, is applied to each
-row as the join yields it, so the join's wide rows are never collected.  The
+row as the join yields it, so the join's wide rows are never collected, and
+a ``Projection`` of a ``Projection`` picks from the inner one's input.  The
 tree itself is not rewritten, so the plan ``translate`` prints is still the
 logical plan that runs.
 """
@@ -409,6 +410,10 @@ def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[Row]:
                 return _join(predicates, source, db)
             return frozenset(row for row in _eval(source, db) if _holds_all(predicates, row))
         case Projection(indices, inner):
+            # A projection of a projection picks straight from the inner input.
+            while isinstance(inner, Projection):
+                indices = tuple(inner.indices[index - 1] for index in indices)
+                inner = inner.input
             pick = _picker(indices)
             predicates, source = _selection_chain(inner)
             if isinstance(source, Product):

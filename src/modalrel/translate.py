@@ -12,8 +12,9 @@ it does not use:
 - ``!f`` takes its universe over the domains of ``f``'s variables;
 - ``f & g``, where one side is an ``=`` or ``!=`` atom whose column
   variables the other side's plan has, is a selection on that plan (joined
-  with ``Sta`` on the state first if the atom reads a concept), so the atom
-  crosses in no domain of its own;
+  with ``Sta`` on the state first if the atom reads a concept other than
+  ``id``, which is the plan's state column), so the atom crosses in no
+  domain of its own;
 - any other ``f & g`` is an intersection when both sides have the same
   variables, and otherwise a join on the state and the shared variables (a
   chain of selections over a product, which ``relalg`` runs as a hash join);
@@ -295,10 +296,17 @@ class Translator:
     def _filter(self, plan: Plan, atom: Eq | Neq, context: VarContext) -> Plan:
         """``plan`` restricted to the rows that satisfy ``atom``, whose column
         variables are all columns of ``plan``: a selection, on ``plan``
-        joined with Sta on the state when the atom reads a concept."""
+        joined with Sta on the state when the atom reads a concept other
+        than ``id``."""
         k = len(plan.columns)
-        if not any(isinstance(term, Relativized) for term in (atom.left, atom.right)):
-            predicate = self._predicate(atom, context, plan.columns, 0)
+        read = {
+            self._concept_column(term.inner, context)
+            for term in (atom.left, atom.right)
+            if isinstance(term, Relativized)
+        }
+        if read <= {1}:
+            # Sta's column 1 is the id, which the plan's state column k+1 holds.
+            predicate = self._predicate(atom, context, plan.columns, k)
             return Plan(Selection(predicate, plan.expr), plan.columns)
         # Columns of plan × Sta: 1..k variables, k+1 the state, then Sta.
         joined = Selection(_equal(k + 1, k + 2), Product(plan.expr, BaseRelation(STA)))

@@ -11,6 +11,7 @@ from dataclasses import fields
 import pytest
 
 import modalrel
+import modalrel.harness
 from modalrel import (
     DegreeError,
     FreeVarMismatch,
@@ -201,6 +202,27 @@ def test_deeply_nested_model_file_exit_code(tmp_path, capsys, text):
     assert err == "error: model file is nested too deeply\n"
 
 
+# 40,000 levels: deep enough that libyaml's loader (PyYAML's CSafeLoader)
+# dies with SIGSEGV, in a child process so that a crash fails the test.
+FORTY_THOUSAND_DEEP = {
+    "flow": "objects: " + "[" * 40000 + "a" + "]" * 40000 + MODEL_TAIL,
+    "block": "objects:\n  " + "- " * 40000 + "a" + MODEL_TAIL,
+}
+
+
+@pytest.mark.parametrize("text", FORTY_THOUSAND_DEEP.values(), ids=FORTY_THOUSAND_DEEP.keys())
+def test_forty_thousand_levels_exit_3_in_a_fresh_process(tmp_path, text):
+    model_file = tmp_path / "deep.yaml"
+    model_file.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "modalrel.cli", "eval", str(model_file), "@id = @id"],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (
+        EXIT_MODEL_ERROR, "error: model file is nested too deeply\n", ""
+    )
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -377,15 +399,13 @@ def test_fuzz_small_campaign(capsys):
 
 
 def test_fuzz_options_are_the_gen_params_fields(monkeypatch):
-    import modalrel.cli as cli_module
-
     reached = []
 
     def record(params, cases):
         reached.append(params)
         return run_campaign(params, 1)
 
-    monkeypatch.setattr(cli_module, "run_campaign", record)
+    monkeypatch.setattr(modalrel.harness, "run_campaign", record)
     changed = {f.name: not f.default if isinstance(f.default, bool) else f.default + 1
                for f in fields(GenParams)}
     argv = ["fuzz", "--cases", "1"]
@@ -410,26 +430,22 @@ def test_fuzz_rejects_zero_cases():
 
 
 def test_fuzz_interrupted_exits_without_traceback(monkeypatch, capsys):
-    import modalrel.cli as cli_module
-
     def interrupt(params, cases):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli_module, "run_campaign", interrupt)
+    monkeypatch.setattr(modalrel.harness, "run_campaign", interrupt)
     assert run_main(["fuzz", "--cases", "1"]) == EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
 
 
 def test_fuzz_mismatch_prints_first_failure_and_exits_5(monkeypatch, capsys, tmp_path):
-    import modalrel.cli as cli_module
-
     summaries = []
 
     def broken(params, cases):
         summaries.append(run_campaign(params, cases, translator_factory=BoxAsDiamond))
         return summaries[-1]
 
-    monkeypatch.setattr(cli_module, "run_campaign", broken)
+    monkeypatch.setattr(modalrel.harness, "run_campaign", broken)
     report = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exc_info:
         main(["fuzz", "--cases", "1000", "--report", str(report)])
@@ -483,6 +499,74 @@ def test_cli_imports_no_third_party_module_but_yaml():
     dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
     names = [re.match(r"[\w.-]+", spec).group() for spec in re.findall(r'"(.*?)"', dependencies)]
     assert names == ["PyYAML"]
+
+
+# ---------------------------------------------------------------------------
+# Start-up: a command imports only the modules it runs
+
+
+NOT_FOR_ONE_QUERY = {"modalrel.harness", "hashlib", "_hashlib", "json"}
+
+
+def _modules_loaded(*args: str) -> set[str]:
+    """Every module a fresh interpreter imports for ``args``, read from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=child_env(), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "tests/data/example_model.yaml", "<COMP> @code = ?x", "-t", "?x"],
+    ["translate", "tests/data/example_model.yaml", "<COMP> @code = ?x", "-t", "?x", "--eval"],
+    ["map", "tests/data/example_model.yaml", "--out-dir", "{out}"],
+], ids=["eval", "translate", "map"])
+def test_one_query_commands_load_no_fuzzer_hash_or_json(argv, tmp_path):
+    loaded = _modules_loaded("-m", "modalrel.cli", *(a.format(out=tmp_path) for a in argv))
+    assert "modalrel.translate" in loaded
+    # Whatever the bare interpreter loads (a site .pth file, say) is not the command's.
+    assert loaded & NOT_FOR_ONE_QUERY <= _modules_loaded("-c", "pass")
+
+
+def test_fuzz_loads_the_harness():
+    assert "modalrel.harness" in _modules_loaded("-m", "modalrel.cli", "fuzz", "--help")
+
+
+HARNESS_NAMES = ["CampaignSummary", "CorrespondenceReport", "GenParams", "check",
+                 "gen_model", "gen_query", "run_campaign"]
+
+
+def test_package_loads_the_harness_on_first_use_of_its_names():
+    probe = (
+        "import sys, modalrel; before = 'modalrel.harness' in sys.modules; "
+        "from modalrel import GenParams; print(before, 'modalrel.harness' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=child_env(), check=True)
+    assert proc.stdout == "False True\n"
+
+
+@pytest.mark.parametrize("name", HARNESS_NAMES)
+def test_harness_names_import_from_the_package(name):
+    namespace = {}
+    exec(f"from modalrel import {name}", namespace)
+    assert namespace[name] is getattr(modalrel.harness, name)
+    assert name in modalrel.__all__
+
+
+def test_star_import_binds_the_harness_names():
+    namespace = {}
+    exec("from modalrel import *", namespace)
+    assert {name: namespace[name] for name in HARNESS_NAMES} == {
+        name: getattr(modalrel.harness, name) for name in HARNESS_NAMES
+    }
+
+
+def test_package_has_no_other_lazy_names():
+    with pytest.raises(AttributeError, match="has no attribute 'case_params'"):
+        modalrel.case_params
+    assert not hasattr(modalrel, "nope")
 
 
 # ---------------------------------------------------------------------------

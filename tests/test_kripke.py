@@ -360,6 +360,11 @@ def test_model_file_round_trip(example_model):
     assert model_fingerprint(again) == model_fingerprint(example_model)
 
 
+def test_model_fingerprint_is_pinned(example_model):
+    # the first 12 hex digits of the SHA-256 of dump_model's text
+    assert model_fingerprint(example_model) == "b681be1a3af0"
+
+
 def test_model_values_normalized_to_strings(example_model):
     # the YAML file spells ids as numbers; the model sees strings
     assert example_model.objects >= {"1", "4", "a", "d"}

@@ -29,6 +29,7 @@ from modalrel import (
     SelectionPredicate,
     Union,
     UnknownRelation,
+    build_database,
     degree_of,
     evaluate,
     gen_model,
@@ -542,3 +543,66 @@ def test_projection_over_selection_chain_projects_the_filtered_product(db, chain
     for inner in (product, _select_all(predicates, product)):
         projection = Projection(indices, inner)
         assert evaluate(projection, db).tuples == _unfused(projection, db)
+
+
+# ---------------------------------------------------------------------------
+# A projection of a projection picks straight from the inner input
+
+
+_FILTERED = Selection(SelectionPredicate(Column(3), "!=", Column(1)), _SAME_CODE)
+_PROJECTED_PROJECTIONS = {
+    # "exists ?y . <COMP> @code = ?y & @id != ?y", with @id read from a Sta join
+    "bound-atom-plan": parse_algebra(
+        "(project (2) (project (1 2) (select (!= 3 1) (select (= 2 3) (product (project (1 3)"
+        " (select (= 5 'COMP') (select (= 2 4) (product (project (1 2) (select (= 3 1)"
+        " (product Obj Sta))) Rel)))) Sta)))))"
+    ),
+    "no-columns": Projection((), Projection((1, 2), _STA_REL_JOIN)),
+    "no-columns-of-no-columns": Projection((), Projection((), _STA_REL_JOIN)),
+    "repeat-no-columns": Projection((), Projection((), Projection((), _EMPTY))),
+    "one-column": Projection((1,), Projection((4,), _FILTERED)),
+    "repeated-columns": Projection((2, 1, 2), Projection((3, 3, 1), _FILTERED)),
+    "three-levels": Projection((2, 2), Projection((3, 1, 2), Projection((5, 1, 4), _STA_REL_JOIN))),
+    "over-a-base-relation": Projection((1, 1), Projection((2,), STA_REL)),
+    "over-a-union": Projection((2,), Projection((2, 1), Union(STA_REL, STA_REL))),
+}
+
+
+@pytest.mark.parametrize(
+    "expr", _PROJECTED_PROJECTIONS.values(), ids=_PROJECTED_PROJECTIONS.keys()
+)
+@pytest.mark.parametrize("db", ["example", "repeats"])
+def test_projection_of_a_projection_matches_the_two_step_result(expr, db, example_db):
+    db = example_db if db == "example" else _REPEATS
+    got = evaluate(expr, db)
+    assert got.degree == len(expr.indices)
+    assert got.tuples == _unfused(expr, db)
+
+
+def test_projected_projections_cover_empty_and_nonempty_answers(example_db):
+    answers = {name: evaluate(expr, _REPEATS).tuples
+               for name, expr in _PROJECTED_PROJECTIONS.items()}
+    assert answers["no-columns"] == answers["no-columns-of-no-columns"] == {()}
+    assert answers["repeat-no-columns"] == set()
+    assert answers["repeated-columns"] == {("2", "2", "2"), ("1", "1", "1")}
+    assert evaluate(_PROJECTED_PROJECTIONS["bound-atom-plan"], example_db).tuples == {("1",)}
+
+
+def test_campaign_projections_of_projections_match_the_two_step_result():
+    nested = 0
+    for i in range(200):
+        local = case_params(CAMPAIGN_PARAMS, i)
+        model = gen_model(local)
+        plan = translate_query(gen_query(local, model), model)
+        db = build_database(model)
+        pending = [plan]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Projection) and isinstance(node.input, Projection):
+                nested += 1
+                assert evaluate(node, db).tuples == _unfused(node, db)
+            pending.extend(
+                sub for sub in (getattr(node, child, None) for child in ("input", "left", "right"))
+                if sub is not None
+            )
+    assert nested >= 10

@@ -486,11 +486,8 @@ def test_atomic_equivalence_for_every_assignment_and_state():
 # An atom whose variables the other conjunct binds is a selection on it
 
 
-def test_bound_atom_is_a_selection_not_a_domain_product(example_model, example_db):
-    query = parse_query("exists ?y . <COMP> @code = ?y & @id != ?y")
-    expr = translate_query(query, example_model)
-    # one Obj x Sta, for the atom under the diamond; the != filters its plan
-    assert render_algebra(expr).count("(product Obj Sta)") == 1
+def _not_equal_source(expr):
+    """The one ``!=`` selection of ``expr``, and the node below its selection chain."""
     not_equal = [
         node for node in _nodes(expr)
         if isinstance(node, Selection) and node.predicate.op == "!="
@@ -499,6 +496,30 @@ def test_bound_atom_is_a_selection_not_a_domain_product(example_model, example_d
     source = not_equal[0].input
     while isinstance(source, Selection):
         source = source.input
+    return not_equal[0], source
+
+
+def test_bound_atom_reads_id_from_the_state_column(example_model, example_db):
+    for text in (
+        "exists ?y . <COMP> @code = ?y & @id != ?y",
+        "<lam %g . exists ?y . <COMP> @code = ?y & @%g != ?y>(id)",
+    ):
+        query = parse_query(text)
+        expr = translate_query(query, example_model)
+        # one Obj x Sta, for the atom under the diamond; the != compares ?y,
+        # column 1, with the plan's state column, which holds @id: no Sta is joined
+        assert render_algebra(expr).count("Sta") == 1
+        assert render_algebra(expr).count("(product Obj Sta)") == 1
+        not_equal, source = _not_equal_source(expr)
+        assert not_equal.predicate == SelectionPredicate(Column(2), "!=", Column(1))
+        assert not isinstance(source, Product)
+        assert evaluate(expr, example_db) == answer_direct(example_model, query)
+
+
+def test_bound_atom_on_another_concept_joins_sta(example_model, example_db):
+    query = parse_query("exists ?y . <COMP> @code = ?y & @code != ?y")
+    expr = translate_query(query, example_model)
+    _, source = _not_equal_source(expr)
     assert isinstance(source, Product) and source.right == STA_REL
     assert evaluate(expr, example_db) == answer_direct(example_model, query)
 
@@ -549,6 +570,8 @@ def test_sparse_shapes_agree_with_the_direct_engine(text, target):
         ("exists %g . <COMP> @code = 'b' & @%g = 'b'", [], UntranslatableTerm),
         ("exists %g . @%g = 'b' & <COMP> @code = 'b'", [], UntranslatableTerm),
         ("<COMP> @code = ?x & @%g = ?x", ["?x", "%g"], UntranslatableTerm),
+        ("<COMP> @code = ?x & @%g = @id", ["?x", "%g"], UntranslatableTerm),
+        ("<COMP> @code = ?x & @id = @%g", ["?x", "%g"], UntranslatableTerm),
         ("<COMP> @code = ?x & @nope = ?x", ["?x"], UnknownConstant),
         ("@nope != ?x & <COMP> @code = ?x", ["?x"], UnknownConstant),
         ("<COMP> @code = ?x & ?x != 'zz'", ["?x"], UnknownConstant),
