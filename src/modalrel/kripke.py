@@ -361,14 +361,23 @@ def answer_direct(model: KripkeModel, query: ModalQuery) -> RelationInstance:
 # Model files
 
 
+def _unreadable(exc: ValueError) -> ModelInvariantError:
+    return ModelInvariantError(f"model file holds a value that cannot be read: {exc}")
+
+
 def _scalar(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool) or value is None or isinstance(value, (list, dict)):
-        raise ModelInvariantError(
-            f"model values must be strings or numbers, got {reprlib.repr(value)}"
-        )
-    return str(value)
+    rejected = isinstance(value, bool) or value is None or isinstance(value, (list, dict))
+    try:
+        text = reprlib.repr(value) if rejected else str(value)
+    except ValueError as exc:
+        # str() and repr() of an int stop at the interpreter's limit on decimal
+        # digits (4,300 by default); a hexadecimal YAML int reads past it.
+        raise _unreadable(exc) from None
+    if rejected:
+        raise ModelInvariantError(f"model values must be strings or numbers, got {text}")
+    return text
 
 
 def parse_model(text: str) -> KripkeModel:
@@ -380,6 +389,10 @@ def parse_model(text: str) -> KripkeModel:
     except RecursionError:
         # PyYAML composes nested collections by recursion: a few hundred levels fill the stack.
         raise ModelInvariantError("model file is nested too deeply") from None
+    except ValueError as exc:
+        # PyYAML's int() of a decimal past the interpreter's digit limit, or a date
+        # that does not exist, such as 2020-13-01.
+        raise _unreadable(exc) from None
     return model_from_data(data)
 
 

@@ -9,15 +9,11 @@ Degrees are checked once, statically, by ``degree_of`` before an expression
 runs; evaluation then passes intermediate results as plain row sets, and only
 the answer becomes a ``RelationInstance``.
 
-Evaluation follows the tree node by node, with one physical shortcut: a chain
-of ``Selection`` nodes over a ``Product`` runs as a hash equi-join (the
-build/probe join of Graefe, "Query Evaluation Techniques for Large
-Databases", ACM CSUR 1993) and never builds the product.  A ``Projection``
-directly above such a chain, or above a bare ``Product``, is applied to each
-row as the join yields it, so the join's wide rows are never collected, and
-a ``Projection`` of a ``Projection`` picks from the inner one's input.  The
-tree itself is not rewritten, so the plan ``translate`` prints is still the
-logical plan that runs.
+Evaluation follows the tree node by node, except that every maximal chain of
+``Selection`` and ``Projection`` nodes runs as one pass over the node below
+it: a scan of its rows, or, if it is a ``Product``, a build/probe hash join
+that never builds it (Graefe, "Query Evaluation Techniques for Large
+Databases", ACM CSUR 1993).  The plan ``translate`` prints is the one that runs.
 """
 
 from __future__ import annotations
@@ -332,31 +328,43 @@ def _picker(indices: tuple[int, ...]) -> Callable[[Row], Row]:
     return itemgetter(*(index - 1 for index in indices))
 
 
-def _selection_chain(expr: AlgebraExpr) -> tuple[list[SelectionPredicate], AlgebraExpr]:
-    """The predicates of the ``Selection`` nodes atop ``expr``, and the node below them."""
-    predicates = []
-    while isinstance(expr, Selection):
-        predicates.append(expr.predicate)
+def _through(operand: Column | Constant, indices: tuple[int, ...]) -> Column | Constant:
+    """``operand`` above a projection onto ``indices``, read in the projection's input."""
+    return Column(indices[operand.index - 1]) if isinstance(operand, Column) else operand
+
+
+def _pipeline(expr: AlgebraExpr) -> tuple[list[SelectionPredicate], Callable | None, AlgebraExpr]:
+    """The predicates and picker (``None``: every column) of the selections and projections
+    atop ``expr``, read in the columns of the node below them, and that node."""
+    predicates, indices = [], None
+    while isinstance(expr, (Selection, Projection)):
+        if isinstance(expr, Selection):
+            predicates.append(expr.predicate)
+        else:
+            inner = expr.indices
+            predicates = [
+                SelectionPredicate(_through(p.left, inner), p.op, _through(p.right, inner))
+                for p in predicates
+            ]
+            indices = inner if indices is None else tuple(inner[i - 1] for i in indices)
         expr = expr.input
-    return predicates, expr
+    return predicates, None if indices is None else _picker(indices), expr
 
 
 def _join(
     predicates: list[SelectionPredicate],
     product: Product,
     db: DatabaseInstance,
-    pick: Callable[[Row], Row] | None = None,
+    pick: Callable[[Row], Row] | None,
 ) -> frozenset[Row]:
     """The rows of ``product`` that satisfy every predicate (all rows if none),
-    each projected by ``pick`` when one is given.
+    each picked by ``pick`` (if any) as the join yields it.
 
     The product is built whole only when it is the answer.  Each predicate
     reading one side only filters that side first; every ``=`` between a left
     and a right column joins into one (maybe composite) key, on which the
     right side is hashed and probed with the left; the other predicates
-    filter the joined rows.  A projection above the join is ``pick``: each
-    joined row is projected as the join yields it, so the wide rows are never
-    collected into a set.
+    filter the joined rows, which are never collected before they are picked.
     """
     left_rows = _eval(product.left, db)
     if not left_rows:
@@ -404,23 +412,14 @@ def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[Row]:
     match expr:
         case BaseRelation(name):
             return db.relations[name].tuples
-        case Selection():
-            predicates, source = _selection_chain(expr)
-            if isinstance(source, Product):
-                return _join(predicates, source, db)
-            return frozenset(row for row in _eval(source, db) if _holds_all(predicates, row))
-        case Projection(indices, inner):
-            # A projection of a projection picks straight from the inner input.
-            while isinstance(inner, Projection):
-                indices = tuple(inner.indices[index - 1] for index in indices)
-                inner = inner.input
-            pick = _picker(indices)
-            predicates, source = _selection_chain(inner)
+        case Selection() | Projection() | Product():
+            predicates, pick, source = _pipeline(expr)
             if isinstance(source, Product):
                 return _join(predicates, source, db, pick)
-            return frozenset(map(pick, _eval(inner, db)))
-        case Product():
-            return _join([], expr, db)
+            rows = _eval(source, db)
+            if predicates:
+                rows = (row for row in rows if _holds_all(predicates, row))
+            return frozenset(rows if pick is None else map(pick, rows))
         case Union(left, right):
             return _eval(left, db) | _eval(right, db)
         case Difference(left, right):
@@ -496,7 +495,8 @@ def parse_algebra(text: str) -> AlgebraExpr:
             raise QuerySyntaxError(f"expected {want!r} in algebra text, got {token!r}")
 
     def index(token: str) -> int:
-        if token.isdecimal() and int(token) >= 1:
+        # ASCII digits, few enough for int(): no plan is 10**18 columns wide.
+        if token.isascii() and token.isdecimal() and len(token) <= 18 and int(token) >= 1:
             return int(token)
         raise QuerySyntaxError(f"bad column index {token!r}")
 

@@ -193,6 +193,27 @@ def test_large_rejected_value_prints_a_short_line(tmp_path, capsys, text):
     assert "must be strings or numbers" in err
 
 
+# Values YAML reads that Python cannot turn into text, or that PyYAML cannot
+# construct: more decimal digits than int() and str() convert (4,300 by
+# default), in decimal, in hexadecimal (which int() reads past the limit) and
+# inside a rejected list, and a date that does not exist.
+UNREADABLE_VALUES = {
+    "decimal-5000-digits": "objects: [" + "9" * 5000 + "]" + MODEL_TAIL,
+    "hex-5000-digits": "objects: [0x" + "f" * 5000 + "]" + MODEL_TAIL,
+    "hex-in-a-list": "objects: [a, [0x" + "f" * 5000 + "]]" + MODEL_TAIL,
+    "month-13": "objects: [2020-13-01]" + MODEL_TAIL,
+}
+
+
+@pytest.mark.parametrize("text", UNREADABLE_VALUES.values(), ids=UNREADABLE_VALUES.keys())
+def test_unreadable_value_exit_code(tmp_path, capsys, text):
+    model_file = tmp_path / "unreadable.yaml"
+    model_file.write_text(text)
+    assert run_main(["eval", str(model_file), "@id = @id"]) == EXIT_MODEL_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", DEEP_MODELS.values(), ids=DEEP_MODELS.keys())
 def test_deeply_nested_model_file_exit_code(tmp_path, capsys, text):
     model_file = tmp_path / "deep.yaml"

@@ -6,7 +6,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modalrel import (
@@ -40,6 +40,7 @@ from modalrel import (
     to_tsv,
     translate_query,
 )
+from modalrel import relalg
 from modalrel.harness import case_params
 from modalrel.relalg import BINARY_OPERATORS, MAX_PLAN_DEPTH
 from test_acceptance import CAMPAIGN_PARAMS
@@ -207,6 +208,8 @@ MALFORMED_ALGEBRA = [
     "(project (a) Sta)",
     "(project (1 (2)) Sta)",
     "(project (\u00b2) Sta)",
+    "(project (\u0661) Sta)",  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    "(project (" + "9" * 5000 + ") Sta)",  # more digits than int() converts
     "(const a)",
     "(const 'a')",
     "((a) Sta Sta)",
@@ -483,11 +486,13 @@ def test_eval_degree_matches_static_degree(example_db):
 # A projection over a join projects each joined row as the join yields it
 
 
-def _unfused(projection, db):
-    """The rows of ``projection`` spelled out: its input evaluated whole, then
-    each row projected."""
-    rows = evaluate(projection.input, db).tuples
-    return {tuple(row[i - 1] for i in projection.indices) for row in rows}
+def _unfused(node, db):
+    """The rows of a projection or a selection spelled out: its input evaluated
+    whole, then each row projected or filtered."""
+    rows = evaluate(node.input, db).tuples
+    if isinstance(node, Selection):
+        return {row for row in rows if _satisfies(row, node.predicate)}
+    return {tuple(row[i - 1] for i in node.indices) for row in rows}
 
 
 _STA_REL_JOIN = Selection(eq(Column(4), Column(1)), Product(STA_REL, REL_REL))
@@ -589,7 +594,8 @@ def test_projected_projections_cover_empty_and_nonempty_answers(example_db):
 
 
 def test_campaign_projections_of_projections_match_the_two_step_result():
-    nested = 0
+    # every selection or projection whose input is a selection or projection
+    nested = {}
     for i in range(200):
         local = case_params(CAMPAIGN_PARAMS, i)
         model = gen_model(local)
@@ -598,11 +604,109 @@ def test_campaign_projections_of_projections_match_the_two_step_result():
         pending = [plan]
         while pending:
             node = pending.pop()
-            if isinstance(node, Projection) and isinstance(node.input, Projection):
-                nested += 1
+            if isinstance(node, (Selection, Projection)) and isinstance(
+                node.input, (Selection, Projection)
+            ):
+                shape = (type(node).__name__, type(node.input).__name__)
+                nested[shape] = nested.get(shape, 0) + 1
                 assert evaluate(node, db).tuples == _unfused(node, db)
             pending.extend(
                 sub for sub in (getattr(node, child, None) for child in ("input", "left", "right"))
                 if sub is not None
             )
-    assert nested >= 10
+    assert nested[("Projection", "Projection")] >= 10
+    assert nested[("Selection", "Projection")] >= 10
+    assert nested[("Projection", "Selection")] >= 100
+    assert nested[("Selection", "Selection")] >= 100
+
+
+# ---------------------------------------------------------------------------
+# Every chain of selections and projections runs as one pass
+
+
+def _reference(expr, db):
+    """The rows of ``expr`` node by node, with no fused chain and no join."""
+    match expr:
+        case BaseRelation(name):
+            return set(db.relations[name].tuples)
+        case Selection(predicate, inner):
+            return {row for row in _reference(inner, db) if _satisfies(row, predicate)}
+        case Projection(indices, inner):
+            return {tuple(row[i - 1] for i in indices) for row in _reference(inner, db)}
+        case Product(left, right):
+            return {t + u for t in _reference(left, db) for u in _reference(right, db)}
+        case Union(left, right):
+            return _reference(left, db) | _reference(right, db)
+        case Difference(left, right):
+            return _reference(left, db) - _reference(right, db)
+        case Intersection(left, right):
+            return _reference(left, db) & _reference(right, db)
+    raise TypeError(expr)
+
+
+_NOT_PRODUCTS = [
+    STA_REL,
+    REL_REL,
+    Union(OBJ_REL, CON_REL),
+    Difference(STA_REL, Product(OBJ_REL, OBJ_REL)),
+    Intersection(Projection((2, 1), STA_REL), STA_REL),
+]
+
+
+@st.composite
+def _mixed_chains(draw):
+    """A chain of one to five selections and projections, over a product of two
+    ``_SIDES`` or over a source that is not a product."""
+    products = st.builds(Product, st.sampled_from(_SIDES), st.sampled_from(_SIDES))
+    expr = draw(st.one_of(products, st.sampled_from(_NOT_PRODUCTS)))
+    for _ in range(draw(st.integers(1, 5))):
+        degree = degree_of(expr, _SCHEMA)
+        if draw(st.booleans()):
+            operands = _operands(degree)
+            expr = Selection(
+                SelectionPredicate(draw(operands), draw(st.sampled_from(["=", "!="])),
+                                   draw(operands)),
+                expr,
+            )
+        else:
+            columns = st.lists(st.integers(1, degree), max_size=4) if degree else st.just([])
+            expr = Projection(tuple(draw(columns)), expr)
+    return expr
+
+
+@given(_databases, _mixed_chains())
+@example(_REPEATS, parse_algebra(
+    "(select (!= 2 1) (project (1 3) (select (= 4 1) (product Sta Rel))))"
+))
+@example(_REPEATS, parse_algebra("(select (= 'a' 'a') (project () (product Obj Con)))"))
+@example(_REPEATS, parse_algebra("(project (1) (select (= 'a' 'b') (project (2 1) Sta)))"))
+@example(_REPEATS, parse_algebra("(select (= 1 3) (project (2 2 1) (select (!= 1 'z') Sta)))"))
+@example(_REPEATS, parse_algebra(
+    "(project (2) (select (= 1 2) (project (3 3 1) (product Sta Obj))))"
+))
+@settings(max_examples=300)
+def test_chain_of_selections_and_projections_matches_the_reference(db, expr):
+    got = evaluate(expr, db)
+    assert got.degree == degree_of(expr, _SCHEMA)
+    assert got.tuples == _reference(expr, db)
+
+
+def test_selection_over_a_projection_builds_no_set_of_its_own(
+    example_model, example_db, monkeypatch
+):
+    plan = translate_query(
+        parse_query("exists ?y . <COMP> @code = ?y & @id != ?y"), example_model
+    )
+    assert "(select (!= 2 1) (project (1 3) (select " in render_algebra(plan)
+    entered = []
+    inner_eval = relalg._eval
+
+    def spy(expr, db):
+        entered.append(render_algebra(expr))
+        return inner_eval(expr, db)
+
+    monkeypatch.setattr(relalg, "_eval", spy)
+    assert evaluate(plan, example_db).tuples == {("1",)}
+    # the whole plan, then the inner join's projection and its three base relations
+    assert len(entered) == 5
+    assert not [text for text in entered if text.startswith(("(project (1 3) ", "(select (!= 2 1) "))]
