@@ -3,7 +3,9 @@
 Relations are finite sets of equal-length string tuples; attributes are the
 1-based positions 1..degree.  Expressions are immutable trees over the four
 base relations of a mapped database, closed under selection, projection,
-cross product, union, difference and intersection.
+cross product, union, difference and intersection.  The four binary nodes
+share one dataclass base; each stays its own type for ``==``, hashing and
+``match``.
 
 Degrees are checked once, statically, by ``degree_of`` before an expression
 runs; evaluation then passes intermediate results as plain row sets, and only
@@ -19,6 +21,7 @@ Databases", ACM CSUR 1993).  The plan ``translate`` prints is the one that runs.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
@@ -202,27 +205,25 @@ class Projection(_Node):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Product(_Node):
+class _Binary(_Node):
     left: AlgebraExpr
     right: AlgebraExpr
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Union(_Node):
-    left: AlgebraExpr
-    right: AlgebraExpr
+class Product(_Binary):
+    pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Difference(_Node):
-    left: AlgebraExpr
-    right: AlgebraExpr
+class Union(_Binary):
+    pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Intersection(_Node):
-    left: AlgebraExpr
-    right: AlgebraExpr
+class Difference(_Binary):
+    pass
+
+
+class Intersection(_Binary):
+    pass
 
 
 AlgebraExpr = (
@@ -453,7 +454,7 @@ def render_algebra(expr: AlgebraExpr) -> str:
         case Projection(indices, inner):
             cols = " ".join(str(i) for i in indices)
             return f"(project ({cols}) {render_algebra(inner)})"
-        case Product() | Union() | Difference() | Intersection():
+        case _Binary():
             keyword = next(k for k, node in BINARY_OPERATORS.items() if isinstance(expr, node))
             return f"({keyword} {render_algebra(expr.left)} {render_algebra(expr.right)})"
     raise TypeError(f"not an algebra expression: {expr!r}")
@@ -492,13 +493,13 @@ def parse_algebra(text: str) -> AlgebraExpr:
     def expect(want: str) -> None:
         token = take()
         if token != want:
-            raise QuerySyntaxError(f"expected {want!r} in algebra text, got {token!r}")
+            raise QuerySyntaxError(f"expected {want!r} in algebra text, got {reprlib.repr(token)}")
 
     def index(token: str) -> int:
         # ASCII digits, few enough for int(): no plan is 10**18 columns wide.
         if token.isascii() and token.isdecimal() and len(token) <= 18 and int(token) >= 1:
             return int(token)
-        raise QuerySyntaxError(f"bad column index {token!r}")
+        raise QuerySyntaxError(f"bad column index {reprlib.repr(token)}")
 
     def operand() -> Column | Constant:
         token = take()
@@ -510,14 +511,14 @@ def parse_algebra(text: str) -> AlgebraExpr:
         token = take()
         if token != "(":
             if token == ")" or token.startswith("'"):
-                raise QuerySyntaxError(f"expected a relation name, got {token!r}")
+                raise QuerySyntaxError(f"expected a relation name, got {reprlib.repr(token)}")
             return BaseRelation(token)
         head = take()
         if head == "select":
             expect("(")
             op = take()
             if op not in ("=", "!="):
-                raise QuerySyntaxError(f"bad selection operator {op!r}")
+                raise QuerySyntaxError(f"bad selection operator {reprlib.repr(op)}")
             left = operand()
             right = operand()
             expect(")")
@@ -531,7 +532,7 @@ def parse_algebra(text: str) -> AlgebraExpr:
         elif head in BINARY_OPERATORS:
             node = BINARY_OPERATORS[head](expression(), expression())
         else:
-            raise QuerySyntaxError(f"unknown algebra operator {head!r}")
+            raise QuerySyntaxError(f"unknown algebra operator {reprlib.repr(head)}")
         expect(")")
         return node
 

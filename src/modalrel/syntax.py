@@ -6,11 +6,16 @@ bare-name constants (``code``) and ``%a`` variables.  ``@t`` denotes the
 object a concept ``t`` takes in the state under evaluation and is the only
 bridge between the kinds: it turns a concept term into an object term.
 Equality and inequality compare object terms only.
+
+Constructors of one shape share one frozen dataclass base that states their
+fields and checks once; each stays its own type for ``==``, hashing and
+``match``, so an ``Eq`` never equals or matches a ``Neq``.
 """
 
 from __future__ import annotations
 
 import re
+import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -28,33 +33,31 @@ MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
-class ObjectConst:
+class _Const:
     symbol: str
 
+
+class ObjectConst(_Const):
     def __str__(self) -> str:
         return f"'{self.symbol}'"
 
 
-@dataclass(frozen=True)
-class ConceptConst:
-    symbol: str
-
+class ConceptConst(_Const):
     def __str__(self) -> str:
         return self.symbol
 
 
 @dataclass(frozen=True)
-class ObjectVar:
+class _Var:
     name: str
 
+
+class ObjectVar(_Var):
     def __str__(self) -> str:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class ConceptVar:
-    name: str
-
+class ConceptVar(_Var):
     def __str__(self) -> str:
         return f"%{self.name}"
 
@@ -86,7 +89,7 @@ def is_concept_term(term: Term) -> bool:
 
 
 def is_variable(term: Term) -> bool:
-    return isinstance(term, (ObjectVar, ConceptVar))
+    return isinstance(term, _Var)
 
 
 def same_kind(var: Var, term: Term) -> bool:
@@ -101,25 +104,22 @@ def same_kind(var: Var, term: Term) -> bool:
 
 
 @dataclass(frozen=True)
-class Eq:
+class _Comparison:
     left: Term
     right: Term
 
     def __post_init__(self):
         for side in (self.left, self.right):
             if not is_object_term(side):
-                raise KindError(f"equality compares object terms, got {side}")
+                raise KindError(f"{self._compares} compares object terms, got {side}")
 
 
-@dataclass(frozen=True)
-class Neq:
-    left: Term
-    right: Term
+class Eq(_Comparison):
+    _compares = "equality"
 
-    def __post_init__(self):
-        for side in (self.left, self.right):
-            if not is_object_term(side):
-                raise KindError(f"inequality compares object terms, got {side}")
+
+class Neq(_Comparison):
+    _compares = "inequality"
 
 
 @dataclass(frozen=True)
@@ -128,37 +128,39 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class _Connective:
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or:
-    left: Formula
-    right: Formula
+class And(_Connective):
+    pass
+
+
+class Or(_Connective):
+    pass
+
+
+class Implies(_Connective):
+    pass
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Diamond:
+class _Modal:
     relation: str
     body: Formula
 
 
-@dataclass(frozen=True)
-class Box:
-    relation: str
-    body: Formula
+class Diamond(_Modal):
+    pass
+
+
+class Box(_Modal):
+    pass
 
 
 @dataclass(frozen=True)
-class Exists:
+class _Quantifier:
     var: Var
     body: Formula
 
@@ -167,14 +169,12 @@ class Exists:
             raise KindError(f"quantifier binds a variable, got {self.var}")
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: Var
-    body: Formula
+class Exists(_Quantifier):
+    pass
 
-    def __post_init__(self):
-        if not is_variable(self.var):
-            raise KindError(f"quantifier binds a variable, got {self.var}")
+
+class Forall(_Quantifier):
+    pass
 
 
 @dataclass(frozen=True)
@@ -222,17 +222,15 @@ def free_vars(formula: Formula) -> list[Var]:
 
     def walk(f: Formula, bound: frozenset[Var]) -> None:
         match f:
-            case Eq(left, right) | Neq(left, right):
+            case _Comparison(left, right):
                 collect(term_free_vars(left), bound)
                 collect(term_free_vars(right), bound)
-            case Not(body):
+            case Not(body) | _Modal(_, body):
                 walk(body, bound)
-            case And(left, right) | Or(left, right) | Implies(left, right):
+            case _Connective(left, right):
                 walk(left, bound)
                 walk(right, bound)
-            case Diamond(_, body) | Box(_, body):
-                walk(body, bound)
-            case Exists(var, body) | Forall(var, body):
+            case _Quantifier(var, body):
                 walk(body, bound | {var})
             case Abstraction(var, body, argument):
                 walk(body, bound | {var})
@@ -245,11 +243,9 @@ def free_vars(formula: Formula) -> list[Var]:
 def subformulas(formula: Formula) -> tuple[Formula, ...]:
     """The immediate subformulas, left to right; ``()`` for an atom."""
     match formula:
-        case Not(body) | Diamond(_, body) | Box(_, body):
+        case Not(body) | _Modal(_, body) | _Quantifier(_, body) | Abstraction(_, body, _):
             return (body,)
-        case Exists(_, body) | Forall(_, body) | Abstraction(_, body, _):
-            return (body,)
-        case And(left, right) | Or(left, right) | Implies(left, right):
+        case _Connective(left, right):
             return (left, right)
     return ()
 
@@ -366,8 +362,8 @@ class _Parser:
 
     def _error(self, message: str, token: _Token | None = None) -> QuerySyntaxError:
         token = token or self._peek()
-        shown = token.value or "end of input"
-        return QuerySyntaxError(f"{message}, found {shown!r}", token.line, token.column)
+        shown = reprlib.repr(token.value or "end of input")
+        return QuerySyntaxError(f"{message}, found {shown}", token.line, token.column)
 
     def _expect(self, value: str, what: str) -> _Token:
         token = self._peek()
@@ -543,7 +539,8 @@ _VAR_NAME_RE = re.compile(r"[?%][A-Za-z_][A-Za-z0-9_]*")
 def parse_variable(name: str) -> Var:
     """Parse a sigiled variable name such as ``?x`` or ``%a``."""
     if not _VAR_NAME_RE.fullmatch(name):
-        raise QuerySyntaxError(f"not a variable name: {name!r} (use '?name' or '%name')")
+        shown = reprlib.repr(name)
+        raise QuerySyntaxError(f"not a variable name: {shown} (use '?name' or '%name')")
     return ObjectVar(name[1:]) if name[0] == "?" else ConceptVar(name[1:])
 
 

@@ -377,6 +377,13 @@ def test_parse_model_rejects_duplicate_ids(example_model):
         parse_model(broken)
 
 
+def test_model_names_the_value_two_states_share_as_id(example_model):
+    # built directly, past model_from_data's own check: the ids are 1, 1, 2, 3
+    ids = dict(zip(example_model.states, ["1", "1", "2", "3"]))
+    with pytest.raises(ModelInvariantError, match="duplicate id value '1'"):
+        replace(example_model, concepts={**example_model.concepts, "id": ids})
+
+
 def test_parse_model_rejects_unknown_relation_endpoint(example_model):
     broken = dump_model(example_model).replace("- ['1', '2']", "- ['1', '9']")
     with pytest.raises(ModelInvariantError, match="unknown state id"):

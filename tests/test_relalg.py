@@ -42,7 +42,7 @@ from modalrel import (
 )
 from modalrel import relalg
 from modalrel.harness import case_params
-from modalrel.relalg import BINARY_OPERATORS, MAX_PLAN_DEPTH
+from modalrel.relalg import BINARY_OPERATORS
 from test_acceptance import CAMPAIGN_PARAMS
 
 STA_REL = BaseRelation(STA)
@@ -192,6 +192,8 @@ RENDER_TABLE = [
      "(select (!= 1 3) Rel)"),
     (Intersection(Union(CON_REL, CON_REL), Product(CON_REL, Projection((), STA_REL))),
      "(intersect (union Con Con) (product Con (project () Sta)))"),
+    # README: a column index is 1 to 18 digits
+    (Projection((int("1" * 18),), STA_REL), "(project (" + "1" * 18 + ") Sta)"),
 ]
 
 
@@ -210,6 +212,7 @@ MALFORMED_ALGEBRA = [
     "(project (\u00b2) Sta)",
     "(project (\u0661) Sta)",  # ARABIC-INDIC DIGIT ONE, which int() reads as 1
     "(project (" + "9" * 5000 + ") Sta)",  # more digits than int() converts
+    "(project (" + "1" * 19 + ") Sta)",  # more than 18 digits
     "(const a)",
     "(const 'a')",
     "((a) Sta Sta)",
@@ -237,9 +240,10 @@ def test_malformed_algebra_is_a_syntax_error(text):
 
 
 def test_plan_depth_limit():
-    text = "(project (1) " * (MAX_PLAN_DEPTH - 1) + "Sta" + ")" * (MAX_PLAN_DEPTH - 1)
-    assert degree_of(parse_algebra(text), {STA: 2}) == 1  # the index list is the last level
-    with pytest.raises(QuerySyntaxError, match=str(MAX_PLAN_DEPTH)):
+    # README's 512 levels: 511 projections, whose innermost index list is the last level
+    text = "(project (1) " * 511 + "Sta" + ")" * 511
+    assert degree_of(parse_algebra(text), {STA: 2}) == 1
+    with pytest.raises(QuerySyntaxError, match="more than 512 levels"):
         parse_algebra("(project (1) " + text + ")")
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import pickle
 import typing
 
 import pytest
@@ -33,7 +35,16 @@ from modalrel import (
     parse_query,
     render_formula,
 )
-from modalrel.syntax import MAX_NESTING, Formula, formula_depth, subformulas
+from modalrel.relalg import (
+    BaseRelation,
+    Difference,
+    Intersection,
+    Product,
+    Union,
+    parse_algebra,
+    render_algebra,
+)
+from modalrel.syntax import MAX_NESTING, Formula, formula_depth, parse_variable, subformulas
 
 # ---------------------------------------------------------------------------
 # Parsing against a hand-built AST table
@@ -150,6 +161,24 @@ def test_kind_error_reports_position():
     assert (err.line, err.column) == (1, 6)
 
 
+LONG = 5000
+LONG_TOKENS = {
+    "column-index": (parse_algebra, "(project (" + "9" * LONG + ") Sta)", "bad column index '999"),
+    "operator": (parse_algebra, "(" + "x" * LONG + " Sta)", "unknown algebra operator 'xxx"),
+    "relation": (parse_algebra, "'" + "a" * LONG + "'", "expected a relation name, got \"'aaa"),
+    "trailing": (parse_formula, "@code = 'b' " + "a" * LONG, "1:13: expected end of query"),
+    "variable": (parse_variable, "x" * LONG, "not a variable name: 'xxx"),
+}
+
+
+@pytest.mark.parametrize("parse, text, start", LONG_TOKENS.values(), ids=LONG_TOKENS)
+def test_syntax_error_shortens_a_long_token(parse, text, start):
+    # the message is one stderr line on the command line; it names the token, shortened
+    message = str(pytest.raises(QuerySyntaxError, parse, text).value)
+    assert message.startswith(start)
+    assert "..." in message and len(message) < 100
+
+
 # ---------------------------------------------------------------------------
 # Nesting limit
 
@@ -225,6 +254,49 @@ def test_subformulas_lists_every_formula_field():
         ))
         held = tuple(getattr(instance, f.name) for f in fields if hints[f.name] == Formula)
         assert subformulas(instance) == held, constructor.__name__
+
+
+# Constructors that share one dataclass base: (classes, field values, the
+# fields' repr text, or None for a plan node, whose repr is its algebra text)
+XB = "Eq(left=ObjectVar(name='x'), right=ObjectConst(symbol='b'))"
+ONE_SHAPE = [
+    ((ObjectConst, ConceptConst), ("b",), "symbol='b'"),
+    ((ObjectVar, ConceptVar), ("x",), "name='x'"),
+    ((Eq, Neq), (X, B), "left=ObjectVar(name='x'), right=ObjectConst(symbol='b')"),
+    ((And, Or, Implies), (Eq(X, B), Eq(X, B)), f"left={XB}, right={XB}"),
+    ((Diamond, Box), ("R", Eq(X, B)), f"relation='R', body={XB}"),
+    ((Exists, Forall), (X, Eq(X, B)), f"var=ObjectVar(name='x'), body={XB}"),
+    ((Product, Union, Difference, Intersection), (BaseRelation("Sta"), BaseRelation("Obj")), None),
+]
+SAME_SHAPE_PAIRS = [
+    (first, second, values, text)
+    for classes, values, text in ONE_SHAPE
+    for first, second in itertools.combinations(classes, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "first, second, values, text",
+    SAME_SHAPE_PAIRS,
+    ids=[f"{first.__name__}-{second.__name__}" for first, second, _, _ in SAME_SHAPE_PAIRS],
+)
+def test_constructors_of_one_shape_stay_distinct_values(first, second, values, text):
+    one, other = first(*values), second(*values)
+    assert one != other and not one == other
+    assert one == first(*values) and hash(one) == hash(first(*values))
+    match other:
+        case first():
+            pytest.fail(f"a {first.__name__} pattern matched a {second.__name__}")
+    for value in (one, other):
+        if text is None:
+            assert repr(value) == f"parse_algebra({render_algebra(value)!r})"
+        else:
+            assert repr(value) == f"{type(value).__name__}({text})"
+        field = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, values[0])
+        for again in (pickle.loads(pickle.dumps(value)), dataclasses.replace(value)):
+            assert type(again) is type(value) and again == value
 
 
 # ---------------------------------------------------------------------------
