@@ -17,7 +17,6 @@ import argparse
 import os
 import pathlib
 import sys
-from dataclasses import fields
 from typing import Callable, NoReturn
 
 from .errors import ModalRelError, ModelInvariantError, UntranslatableTerm
@@ -87,6 +86,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
 
 def cmd_fuzz(args: argparse.Namespace) -> None:
     """Differential campaign: random models and queries through both engines."""
+    from dataclasses import fields
+
     from .harness import GenParams, run_campaign
 
     if args.cases < 1:
@@ -130,6 +131,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _fuzz_options(sub: _Parser) -> None:
     """One option per ``GenParams`` field, then the campaign's own two."""
+    from dataclasses import fields
+
     from .harness import GenParams
 
     for f in fields(GenParams):

@@ -446,8 +446,7 @@ def run_campaign(
 
 
 def _drop_state(model: KripkeModel, state: str) -> KripkeModel:
-    return replace(
-        model,
+    return model.replace(
         states=tuple(s for s in model.states if s != state),
         relations={
             name: frozenset(p for p in pairs if state not in p)
@@ -461,7 +460,7 @@ def _drop_state(model: KripkeModel, state: str) -> KripkeModel:
 
 
 def _drop_edge(model: KripkeModel, name: str, pair: tuple[str, str]) -> KripkeModel:
-    return replace(model, relations={**model.relations, name: model.relations[name] - {pair}})
+    return model.replace(relations={**model.relations, name: model.relations[name] - {pair}})
 
 
 def _requery(formula: Formula) -> ModalQuery:

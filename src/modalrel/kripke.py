@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import reprlib
 from collections import defaultdict
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -61,6 +60,8 @@ from .syntax import (
     Relativized,
     Term,
     Var,
+    _set,
+    _Value,
     free_vars,
     subformulas,
 )
@@ -75,28 +76,30 @@ def concept_order(names: Iterable[str]) -> list[str]:
     return sorted(names, key=lambda name: (name != ID_CONCEPT, name))
 
 
-@dataclass(frozen=True)
-class KripkeModel:
+class KripkeModel(_Value):
     """Finite model; states are internal handles.
 
     Construction stores read-only copies of ``relations``, ``concepts`` and
     each concept's map, then checks the invariants (``validate_model``), so a
     model is valid from the moment it exists and stays valid.  It then builds
     the successor index and the sorted object tuple; they are not fields, so
-    equality, ``repr``, ``dataclasses.replace`` and ``dump_model`` see only
-    the fields.
+    equality, ``repr``, ``replace`` and ``dump_model`` see only the fields.
     """
 
-    states: tuple[str, ...]
-    relations: Mapping[str, frozenset[tuple[str, str]]]
-    objects: frozenset[str]
-    concepts: Mapping[str, Mapping[str, str]]
-    object_constants: frozenset[str]
-
-    def __post_init__(self):
-        concepts = {name: MappingProxyType(dict(values)) for name, values in self.concepts.items()}
-        object.__setattr__(self, "concepts", MappingProxyType(concepts))
-        object.__setattr__(self, "relations", MappingProxyType(dict(self.relations)))
+    def __init__(
+        self,
+        states: tuple[str, ...],
+        relations: Mapping[str, frozenset[tuple[str, str]]],
+        objects: frozenset[str],
+        concepts: Mapping[str, Mapping[str, str]],
+        object_constants: frozenset[str],
+    ):
+        concepts = {name: MappingProxyType(dict(values)) for name, values in concepts.items()}
+        _set(self, "states", states)
+        _set(self, "relations", MappingProxyType(dict(relations)))
+        _set(self, "objects", objects)
+        _set(self, "concepts", MappingProxyType(concepts))
+        _set(self, "object_constants", object_constants)
         validate_model(self)
         index = {}
         for name, pairs in self.relations.items():
@@ -104,8 +107,14 @@ class KripkeModel:
             for src, dst in pairs:
                 by_state[src].append(dst)
             index[name] = {src: tuple(sorted(dsts)) for src, dsts in by_state.items()}
-        object.__setattr__(self, "_successors", index)
-        object.__setattr__(self, "_sorted_objects", tuple(sorted(self.objects)))
+        _set(self, "_successors", index)
+        _set(self, "_sorted_objects", tuple(sorted(self.objects)))
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle; the dicts it wraps do.
+        concepts = {name: dict(values) for name, values in self.concepts.items()}
+        fields = (self.states, dict(self.relations), self.objects, concepts, self.object_constants)
+        return KripkeModel, fields
 
     def successors(self, relation: str, state: str) -> tuple[str, ...]:
         """The states a declared ``relation`` leads to from ``state``, sorted."""

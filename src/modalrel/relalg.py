@@ -4,7 +4,7 @@ Relations are finite sets of equal-length string tuples; attributes are the
 1-based positions 1..degree.  Expressions are immutable trees over the four
 base relations of a mapped database, closed under selection, projection,
 cross product, union, difference and intersection.  The four binary nodes
-share one dataclass base; each stays its own type for ``==``, hashing and
+share one base class; each stays its own type for ``==``, hashing and
 ``match``.
 
 Degrees are checked once, statically, by ``degree_of`` before an expression
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import re
 import reprlib
-from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .errors import DegreeError, QuerySyntaxError, UnknownRelation
-from .syntax import MAX_NESTING
+from .syntax import MAX_NESTING, _set, _Value
 
 STA = "Sta"
 REL = "Rel"
@@ -42,23 +41,21 @@ SCHEMA_NAMES = (STA, REL, CON, OBJ)
 MAX_PLAN_DEPTH = 8 * MAX_NESTING
 
 
-@dataclass(frozen=True)
-class RelationInstance:
+class RelationInstance(_Value):
     """A finite set of `degree`-length tuples of domain strings."""
 
-    degree: int
-    tuples: frozenset[tuple[str, ...]]
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise DegreeError(f"degree must be non-negative, got {self.degree}")
-        for row in self.tuples:
-            if len(row) != self.degree:
+    def __init__(self, degree: int, tuples: frozenset[tuple[str, ...]]):
+        if degree < 0:
+            raise DegreeError(f"degree must be non-negative, got {degree}")
+        for row in tuples:
+            if len(row) != degree:
                 raise DegreeError(
                     f"tuple {row!r} does not match degree",
-                    expected=self.degree,
+                    expected=degree,
                     found=len(row),
                 )
+        _set(self, "degree", degree)
+        _set(self, "tuples", tuples)
 
     @classmethod
     def of(cls, degree: int, rows: Iterable[Iterable[str]]) -> RelationInstance:
@@ -77,29 +74,27 @@ def to_tsv(instance: RelationInstance, header: bool = False) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class DatabaseInstance:
+class DatabaseInstance(_Value):
     """The four-relation image of a model: Sta, Rel, Con, Obj.
 
     `relation_names` records the accessibility-relation names that may appear
     in Rel's third column; they are part of the database domain.
     """
 
-    relations: dict[str, RelationInstance]
-    relation_names: frozenset[str]
-
-    def __post_init__(self):
-        if set(self.relations) != set(SCHEMA_NAMES):
+    def __init__(self, relations: dict[str, RelationInstance], relation_names: frozenset[str]):
+        if set(relations) != set(SCHEMA_NAMES):
             raise DegreeError(f"database needs exactly the relations {SCHEMA_NAMES}")
         for name, want in ((REL, 3), (CON, 1), (OBJ, 1)):
-            if self.relations[name].degree != want:
+            if relations[name].degree != want:
                 raise DegreeError(
                     f"{name} has the wrong degree",
                     expected=want,
-                    found=self.relations[name].degree,
+                    found=relations[name].degree,
                 )
-        if self.relations[STA].degree < 1:
+        if relations[STA].degree < 1:
             raise DegreeError(f"{STA} must have at least one column (the id)")
+        _set(self, "relations", relations)
+        _set(self, "relation_names", relation_names)
 
     @property
     def schema(self) -> dict[str, int]:
@@ -110,40 +105,36 @@ class DatabaseInstance:
 # Expressions
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(_Value):
     """A 1-based attribute position."""
 
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise DegreeError(f"column indices are 1-based, got {self.index}")
-
-
-@dataclass(frozen=True)
-class Constant:
-    value: str
+    def __init__(self, index: int):
+        if index < 1:
+            raise DegreeError(f"column indices are 1-based, got {index}")
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class SelectionPredicate:
-    """Comparison of two operands, each a column or a constant."""
-
-    left: Column | Constant
-    op: str  # "=" or "!="
-    right: Column | Constant
-
-    def __post_init__(self):
-        if self.op not in ("=", "!="):
-            raise DegreeError(f"selection operator must be '=' or '!=', got {self.op!r}")
+class Constant(_Value):
+    def __init__(self, value: str):
+        _set(self, "value", value)
 
 
-class _Node:
+class SelectionPredicate(_Value):
+    """Comparison of two operands, each a column or a constant; ``op`` is "=" or "!="."""
+
+    def __init__(self, left: Column | Constant, op: str, right: Column | Constant):
+        if op not in ("=", "!="):
+            raise DegreeError(f"selection operator must be '=' or '!=', got {op!r}")
+        _set(self, "left", left)
+        _set(self, "op", op)
+        _set(self, "right", right)
+
+
+class _Node(_Value):
     """Equality and hashing by structure for expression nodes, without recursion.
 
-    A dataclass's generated ``__eq__`` and ``__repr__``, ``copy.deepcopy`` and
-    ``pickle`` recurse several interpreter levels per node, more than a
+    ``_Value``'s field-by-field ``__eq__`` and ``__repr__``, ``copy.deepcopy``
+    and ``pickle`` recurse several interpreter levels per node, more than a
     translated plan a few hundred levels deep leaves room for.  Equality and
     hashing here read a flat listing instead: in pre-order, each node's type
     and then its fields that are not subtrees.  Every node type has a fixed
@@ -157,8 +148,8 @@ class _Node:
         while pending:
             node = pending.pop()
             listing.append(type(node))
-            for field in fields(node):
-                value = getattr(node, field.name)
+            for name in node.__match_args__:
+                value = getattr(node, name)
                 if isinstance(value, _Node):
                     pending.append(value)
                 else:
@@ -187,27 +178,27 @@ class _Node:
         return parse_algebra, (render_algebra(self),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BaseRelation(_Node):
-    name: str
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Selection(_Node):
-    predicate: SelectionPredicate
-    input: AlgebraExpr
+    def __init__(self, predicate: SelectionPredicate, input: AlgebraExpr):
+        _set(self, "predicate", predicate)
+        _set(self, "input", input)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Projection(_Node):
-    indices: tuple[int, ...]  # may be empty, may repeat
-    input: AlgebraExpr
+    def __init__(self, indices: tuple[int, ...], input: AlgebraExpr):  # may be empty, may repeat
+        _set(self, "indices", indices)
+        _set(self, "input", input)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(_Node):
-    left: AlgebraExpr
-    right: AlgebraExpr
+    def __init__(self, left: AlgebraExpr, right: AlgebraExpr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class Product(_Binary):

@@ -7,9 +7,11 @@ object a concept ``t`` takes in the state under evaluation and is the only
 bridge between the kinds: it turns a concept term into an object term.
 Equality and inequality compare object terms only.
 
-Constructors of one shape share one frozen dataclass base that states their
+Constructors of one shape share one base whose ``__init__`` states their
 fields and checks once; each stays its own type for ``==``, hashing and
-``match``, so an ``Eq`` never equals or matches a ``Neq``.
+``match``, so an ``Eq`` never equals or matches a ``Neq``.  The bases are plain
+classes over ``_Value``, not dataclasses: a one-shot ``modalrel eval`` would
+otherwise spend a fifth of its time generating their methods.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 import reprlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from .errors import FreeVarMismatch, KindError, QuerySyntaxError
@@ -28,13 +30,66 @@ from .errors import FreeVarMismatch, KindError, QuerySyntaxError
 # level, so deeper text is refused before either engine sees it.
 MAX_NESTING = 64
 
+_set = object.__setattr__
+
+
+class _Value:
+    """An immutable value whose fields are the parameters of its ``__init__``.
+
+    Each class that defines ``__init__`` names its fields there, once, and
+    sets them with ``object.__setattr__`` after its checks.  Values are equal
+    when their classes are the same and their fields are equal; hashing reads
+    the fields; ``repr`` is ``Name(field=value, ...)``; ``replace`` builds a
+    changed copy through ``__init__``, as does unpickling, so both check it.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__init__" not in vars(cls):
+            return
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        fields = attrgetter(*cls.__match_args__)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return fields(self) == fields(other)
+
+        # A closure over ``fields`` reads it faster than ``self`` would; a
+        # class whose base defines its own equality (a plan node) keeps that.
+        if cls.__eq__ is object.__eq__:
+            cls.__eq__ = __eq__
+            cls.__hash__ = lambda self: hash(fields(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to its fields, checked as a new value is."""
+        fields = {name: getattr(self, name) for name in self.__match_args__}
+        return type(self)(**{**fields, **changes})
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class _Const:
-    symbol: str
+class _Const(_Value):
+    def __init__(self, symbol: str):
+        _set(self, "symbol", symbol)
 
 
 class ObjectConst(_Const):
@@ -47,9 +102,9 @@ class ConceptConst(_Const):
         return self.symbol
 
 
-@dataclass(frozen=True)
-class _Var:
-    name: str
+class _Var(_Value):
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
 class ObjectVar(_Var):
@@ -62,15 +117,13 @@ class ConceptVar(_Var):
         return f"%{self.name}"
 
 
-@dataclass(frozen=True)
-class Relativized:
+class Relativized(_Value):
     """The object a concept takes in the current state (an object term)."""
 
-    inner: Term
-
-    def __post_init__(self):
-        if not is_concept_term(self.inner):
-            raise KindError(f"'@' applies only to concept terms, got {self.inner}")
+    def __init__(self, inner: Term):
+        if not is_concept_term(inner):
+            raise KindError(f"'@' applies only to concept terms, got {inner}")
+        _set(self, "inner", inner)
 
     def __str__(self) -> str:
         return f"@{self.inner}"
@@ -103,15 +156,13 @@ def same_kind(var: Var, term: Term) -> bool:
 # Formulas
 
 
-@dataclass(frozen=True)
-class _Comparison:
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        for side in (self.left, self.right):
+class _Comparison(_Value):
+    def __init__(self, left: Term, right: Term):
+        for side in (left, right):
             if not is_object_term(side):
                 raise KindError(f"{self._compares} compares object terms, got {side}")
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class Eq(_Comparison):
@@ -122,15 +173,15 @@ class Neq(_Comparison):
     _compares = "inequality"
 
 
-@dataclass(frozen=True)
-class Not:
-    body: Formula
+class Not(_Value):
+    def __init__(self, body: Formula):
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class _Connective:
-    left: Formula
-    right: Formula
+class _Connective(_Value):
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class And(_Connective):
@@ -145,10 +196,10 @@ class Implies(_Connective):
     pass
 
 
-@dataclass(frozen=True)
-class _Modal:
-    relation: str
-    body: Formula
+class _Modal(_Value):
+    def __init__(self, relation: str, body: Formula):
+        _set(self, "relation", relation)
+        _set(self, "body", body)
 
 
 class Diamond(_Modal):
@@ -159,14 +210,12 @@ class Box(_Modal):
     pass
 
 
-@dataclass(frozen=True)
-class _Quantifier:
-    var: Var
-    body: Formula
-
-    def __post_init__(self):
-        if not is_variable(self.var):
-            raise KindError(f"quantifier binds a variable, got {self.var}")
+class _Quantifier(_Value):
+    def __init__(self, var: Var, body: Formula):
+        if not is_variable(var):
+            raise KindError(f"quantifier binds a variable, got {var}")
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
 class Exists(_Quantifier):
@@ -177,21 +226,17 @@ class Forall(_Quantifier):
     pass
 
 
-@dataclass(frozen=True)
-class Abstraction:
+class Abstraction(_Value):
     """``<lam v . body>(argument)``: bind v to the argument's current value."""
 
-    var: Var
-    body: Formula
-    argument: Term
-
-    def __post_init__(self):
-        if not is_variable(self.var):
-            raise KindError(f"abstraction binds a variable, got {self.var}")
-        if not same_kind(self.var, self.argument):
-            raise KindError(
-                f"abstraction binder {self.var} and argument {self.argument} differ in kind"
-            )
+    def __init__(self, var: Var, body: Formula, argument: Term):
+        if not is_variable(var):
+            raise KindError(f"abstraction binds a variable, got {var}")
+        if not same_kind(var, argument):
+            raise KindError(f"abstraction binder {var} and argument {argument} differ in kind")
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "argument", argument)
 
 
 Formula = Eq | Neq | Not | And | Or | Implies | Diamond | Box | Exists | Forall | Abstraction
@@ -264,21 +309,19 @@ def formula_depth(formula: Formula) -> int:
     return deepest
 
 
-@dataclass(frozen=True)
-class ModalQuery:
+class ModalQuery(_Value):
     """A formula plus the ordered list of its free variables (the target)."""
 
-    formula: Formula
-    target: tuple[Var, ...]
-
-    def __post_init__(self):
-        if len(set(self.target)) != len(self.target):
+    def __init__(self, formula: Formula, target: tuple[Var, ...]):
+        if len(set(target)) != len(target):
             raise FreeVarMismatch("target variables must be distinct")
-        free = free_vars(self.formula)
-        if set(free) != set(self.target):
-            wanted = ", ".join(str(v) for v in self.target) or "(none)"
+        free = free_vars(formula)
+        if set(free) != set(target):
+            wanted = ", ".join(str(v) for v in target) or "(none)"
             got = ", ".join(str(v) for v in free) or "(none)"
             raise FreeVarMismatch(f"target list [{wanted}] != free variables [{got}]")
+        _set(self, "formula", formula)
+        _set(self, "target", target)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +344,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
+class _Token(_Value):
+    def __init__(self, kind: str, value: str, line: int, column: int):
+        _set(self, "kind", kind)
+        _set(self, "value", value)
+        _set(self, "line", line)
+        _set(self, "column", column)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -464,8 +507,9 @@ class _Parser:
         argument = self._term()
         self._expect(")", "')' after the abstraction argument")
         if not same_kind(var, argument):
+            binder, shown = reprlib.repr(str(var)), reprlib.repr(str(argument))
             raise KindError(
-                f"abstraction binder {var} and argument {argument} differ in kind",
+                f"abstraction binder {binder} and argument {shown} differ in kind",
                 arg_token.line,
                 arg_token.column,
             )
@@ -489,7 +533,8 @@ class _Parser:
         for term, token in ((left, left_token), (right, right_token)):
             if not is_object_term(term):
                 raise KindError(
-                    f"equality compares object terms, but {term} is a concept term",
+                    f"equality compares object terms, but {reprlib.repr(str(term))}"
+                    " is a concept term",
                     token.line,
                     token.column,
                 )

@@ -312,6 +312,21 @@ def test_eval_target_that_is_not_a_variable_name_exit_code(example_model_path, c
     assert "not a variable name" in capsys.readouterr().err
 
 
+LONG_CONCEPT = "c" * 5000
+CONCEPT_IN_OBJECT_PLACE = {
+    "equality-side": f"{LONG_CONCEPT} = 'b'",
+    "lambda-argument": f"<lam ?y . ?y = 'b'>({LONG_CONCEPT})",
+}
+
+
+@pytest.mark.parametrize("text", CONCEPT_IN_OBJECT_PLACE.values(),
+                         ids=CONCEPT_IN_OBJECT_PLACE.keys())
+def test_eval_kind_error_echoes_a_long_term_shortened(example_model_path, capsys, text):
+    assert run_main(["eval", str(example_model_path), text]) == EXIT_QUERY_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
 def test_eval_usage_error_exit_code(example_model_path):
     assert run_main(["eval", str(example_model_path), "?x = ?x", "--engine", "bogus"]) == EXIT_USAGE
     assert run_main(["eval"]) == EXIT_USAGE
@@ -526,7 +541,8 @@ def test_cli_imports_no_third_party_module_but_yaml():
 # Start-up: a command imports only the modules it runs
 
 
-NOT_FOR_ONE_QUERY = {"modalrel.harness", "hashlib", "_hashlib", "json"}
+# dataclasses (with inspect, ast and dis) is for GenParams, which only fuzz builds
+NOT_FOR_ONE_QUERY = {"modalrel.harness", "hashlib", "_hashlib", "json", "dataclasses", "inspect"}
 
 
 def _modules_loaded(*args: str) -> set[str]:

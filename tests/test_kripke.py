@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import ast
+import copy
 import itertools
-from dataclasses import replace
+import pickle
 from pathlib import Path
 
 import pytest
@@ -381,7 +382,17 @@ def test_model_names_the_value_two_states_share_as_id(example_model):
     # built directly, past model_from_data's own check: the ids are 1, 1, 2, 3
     ids = dict(zip(example_model.states, ["1", "1", "2", "3"]))
     with pytest.raises(ModelInvariantError, match="duplicate id value '1'"):
-        replace(example_model, concepts={**example_model.concepts, "id": ids})
+        example_model.replace(concepts={**example_model.concepts, "id": ids})
+
+
+def test_model_copies_are_equal_models_that_answer_alike(example_model):
+    query = parse_query("<COMP> @code = ?x", ["?x"])
+    for again in (pickle.loads(pickle.dumps(example_model)), copy.deepcopy(example_model),
+                  example_model.replace()):
+        assert type(again) is KripkeModel and again == example_model
+        assert answer_direct(again, query) == answer_direct(example_model, query)
+    with pytest.raises(AttributeError, match="'states'"):
+        example_model.states = ()
 
 
 def test_parse_model_rejects_unknown_relation_endpoint(example_model):
@@ -432,7 +443,7 @@ def test_model_construction_names_the_broken_invariant(change, message):
     base = parse_model("objects: [a, b]\nconcepts: [id]\nstates: [{id: a}, {id: b}]\n"
                        "relations: {R: [[a, b]]}\n")
     with pytest.raises(ModelInvariantError, match=message):
-        replace(base, **change)
+        base.replace(**change)
 
 
 def model_text(**fields: str) -> str:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -317,7 +316,7 @@ def _plant_in_last_atom(formula, plant):
     if not children:
         return plant(formula)
     field = "right" if len(children) == 2 else "body"
-    return replace(formula, **{field: _plant_in_last_atom(getattr(formula, field), plant)})
+    return formula.replace(**{field: _plant_in_last_atom(getattr(formula, field), plant)})
 
 
 def _error_of(call, *args):
