@@ -25,6 +25,10 @@ keyed on the subformula, the state and the values of that subformula's free
 variables: the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986),
 computed on demand.  The query's formula itself is not kept, since no
 (state, target values) pair asks for it twice.
+
+A term is evaluated by its exact class.  A variable is one object per kind
+and name (``syntax``), hashed on its identity, so the assignment and memo
+lookups of a variable run no Python-level ``__hash__`` or ``__eq__``.
 """
 
 from __future__ import annotations
@@ -217,14 +221,15 @@ def check_query(model: KripkeModel, formula: Formula) -> None:
 def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str) -> str:
     """Value of a term at a state: an object value, or a concept name for
     concept terms.  ``term`` belongs to a formula that has passed
-    ``check_query``, and ``assignment`` binds its variables."""
-    match term:
-        case ObjectConst(symbol) | ConceptConst(symbol):
-            return symbol
-        case ObjectVar() | ConceptVar():
-            return assignment[term]
-        case Relativized(inner):
-            return model.concepts[term_eval(model, assignment, inner, state)][state]
+    ``check_query``, and ``assignment`` binds its variables.  Terms are told
+    apart by exact class; reading a variable is one dict probe on its identity."""
+    kind = type(term)
+    if kind is ObjectVar or kind is ConceptVar:
+        return assignment[term]
+    if kind is Relativized:
+        return model.concepts[term_eval(model, assignment, term.inner, state)][state]
+    if kind is ObjectConst or kind is ConceptConst:
+        return term.symbol
     raise TypeError(f"not a term: {term!r}")
 
 

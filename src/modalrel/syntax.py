@@ -7,6 +7,10 @@ object a concept ``t`` takes in the state under evaluation and is the only
 bridge between the kinds: it turns a concept term into an object term.
 Equality and inequality compare object terms only.
 
+A variable is one object per kind and name: ``ObjectVar("x") is
+ObjectVar("x")``, so ``==`` on variables is ``is`` and they hash on their
+identity, and pickling, ``copy`` and ``replace`` give back that same object.
+
 Constructors of one shape share one base whose ``__init__`` states their
 fields and checks once; each stays its own type for ``==``, hashing and
 ``match``, so an ``Eq`` never equals or matches a ``Neq``.  The bases are plain
@@ -41,6 +45,8 @@ class _Value:
     when their classes are the same and their fields are equal; hashing reads
     the fields; ``repr`` is ``Name(field=value, ...)``; ``replace`` builds a
     changed copy through ``__init__``, as does unpickling, so both check it.
+    A variable defines no ``__init__`` and so keeps ``object``'s equality and
+    hashing: its constructor returns one object per name (``_Var``).
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -102,9 +108,26 @@ class ConceptConst(_Const):
         return self.symbol
 
 
+# Every variable ever built, keyed on (class, name).  ``setdefault`` keeps one
+# object when two threads build the same variable at once.
+_VARIABLES: dict = {}
+
+
 class _Var(_Value):
-    def __init__(self, name: str):
-        _set(self, "name", name)
+    """A variable: the constructor returns one object per class and name, made
+    on first use (hash-consing: Filliâtre & Conchon, ML Workshop 2006), so
+    ``object``'s equality and hashing, which run in C on identity, are right.
+    """
+
+    __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        var = _VARIABLES.get((cls, name))
+        if var is None:
+            var = object.__new__(cls)
+            _set(var, "name", name)
+            var = _VARIABLES.setdefault((cls, name), var)
+        return var
 
 
 class ObjectVar(_Var):

@@ -4,6 +4,7 @@ import ast
 import copy
 import itertools
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,7 @@ from modalrel import (
     run_campaign,
     validate_model,
 )
-from modalrel import kripke, relalg, translate
+from modalrel import kripke, relalg, syntax, translate
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
 from modalrel.kripke import Memo, satisfies, term_eval
 from test_acceptance import CAMPAIGN_PARAMS
@@ -69,6 +70,34 @@ def test_term_eval_concept_variable(example_model):
     state = state_with_id(example_model, "1")
     assert term_eval(example_model, {g: "code"}, g, state) == "code"
     assert term_eval(example_model, {g: "code"}, Relativized(g), state) == "d"
+
+
+@pytest.mark.parametrize("term", ["?x", parse_formula("?x = ?x")], ids=["string", "formula"])
+def test_term_eval_rejects_what_is_not_a_term(example_model, term):
+    with pytest.raises(TypeError, match="not a term"):
+        term_eval(example_model, {}, term, example_model.states[0])
+
+
+def test_direct_engine_runs_no_python_hash_or_eq(example_model):
+    # Variables hash on their identity in C; a Python __hash__ or __eq__ of a
+    # syntax class run per lookup would show up here as call events.
+    codes = {
+        method.__code__
+        for value in vars(syntax).values()
+        if isinstance(value, type)
+        for method in (value.__hash__, value.__eq__)
+        if hasattr(method, "__code__")
+    }
+    assert codes, "the formula classes define __eq__ and __hash__ in Python"
+    query = parse_query("[COMP] <COMP> @code = ?x", ["?x"])
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code))
+    try:
+        answer_direct(example_model, query)
+    finally:
+        sys.setprofile(None)
+    assert satisfies.__code__ in calls
+    assert [code.co_name for code in calls if code in codes] == []
 
 
 def test_term_eval_unknown_constant(example_model):

@@ -35,6 +35,7 @@ from modalrel import (
     parse_query,
     render_formula,
 )
+from modalrel.harness import GenParams, case_params, gen_model, gen_query
 from modalrel.relalg import (
     BaseRelation,
     Difference,
@@ -300,6 +301,56 @@ def test_constructors_of_one_shape_stay_distinct_values(first, second, values, t
         copies = (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), value.replace())
         for again in copies:
             assert type(again) is type(value) and again == value
+
+
+# ---------------------------------------------------------------------------
+# Variables: one object per kind and name
+
+
+def test_a_variable_is_one_object_per_kind_and_name():
+    assert ObjectVar("x") is ObjectVar("x") is X
+    assert ConceptVar("g") is ConceptVar(name="g") is G
+    assert ObjectVar("x") is not ConceptVar("x")
+    assert ObjectVar("x") != ConceptVar("x") and not ObjectVar("x") == ConceptVar("x")
+    assert hash(X) == object.__hash__(X)
+    assert type(X).__eq__ is object.__eq__ and type(X).__hash__ is object.__hash__
+
+
+@pytest.mark.parametrize("var", [X, G], ids=["object", "concept"])
+def test_copies_of_a_variable_are_the_variable(var):
+    assert pickle.loads(pickle.dumps(var)) is var
+    assert copy.copy(var) is var
+    assert copy.deepcopy(var) is var
+    assert var.replace() is var
+    assert var.replace(name="other") is type(var)("other")
+
+
+def test_parser_reuses_the_target_variable():
+    query = parse_query("?x = ?x", ["?x"])
+    (target,) = query.target
+    assert target is X
+    assert query.formula.left is target and query.formula.right is target
+    assert parse_formula("exists %g . @%g = ?x").var is G
+
+
+def test_harness_binder_is_the_parsed_variable():
+    for index in itertools.count():
+        local = case_params(GenParams(seed=42), index)
+        formula = gen_query(local, gen_model(local)).formula
+        binders = [f.var for f in _walk(formula) if getattr(f, "var", None) == ObjectVar("q1")]
+        if binders:
+            break
+    assert parse_variable("?q1") is binders[0]
+    reparsed = parse_formula(render_formula(formula))
+    assert any(getattr(f, "var", None) is binders[0] for f in _walk(reparsed))
+
+
+def _walk(formula):
+    pending = [formula]
+    while pending:
+        node = pending.pop()
+        yield node
+        pending += subformulas(node)
 
 
 # ---------------------------------------------------------------------------
