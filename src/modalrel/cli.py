@@ -20,7 +20,7 @@ import sys
 from typing import Callable, NoReturn
 
 from .errors import ModalRelError, ModelInvariantError, UntranslatableTerm
-from .kripke import KripkeModel, answer_direct, load_model
+from .kripke import answer_direct, load_model
 from .relalg import SCHEMA_NAMES, evaluate, render_algebra, to_tsv
 from .schema import build_database
 from .syntax import parse_query
@@ -39,16 +39,9 @@ def _exit(code: int, line: str) -> NoReturn:
     raise SystemExit(code)
 
 
-def _read_model(path: str) -> KripkeModel:
-    try:
-        return load_model(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelInvariantError(f"cannot read model file {path}: {exc}") from exc
-
-
 def cmd_map(args: argparse.Namespace) -> None:
     """Write the four database tables derived from MODEL_PATH."""
-    db = build_database(_read_model(args.model_path))
+    db = build_database(load_model(args.model_path))
     target = pathlib.Path(args.out_dir)
     try:
         target.mkdir(parents=True, exist_ok=True)
@@ -60,7 +53,7 @@ def cmd_map(args: argparse.Namespace) -> None:
 
 def cmd_translate(args: argparse.Namespace) -> None:
     """Print the algebra translation of QUERY against MODEL_PATH."""
-    model = _read_model(args.model_path)
+    model = load_model(args.model_path)
     expr = translate_query(parse_query(args.query, args.target), model)
     sys.stdout.write(render_algebra(expr) + "\n")
     if args.eval:
@@ -69,7 +62,7 @@ def cmd_translate(args: argparse.Namespace) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> None:
     """Evaluate QUERY against MODEL_PATH and print the answer as TSV."""
-    model = _read_model(args.model_path)
+    model = load_model(args.model_path)
     parsed = parse_query(args.query, args.target)
     answers = {}
     if args.engine in ("direct", "both"):

@@ -2,8 +2,8 @@
 
 Generates small models and well-formed queries from a seed, answers each
 query both by direct evaluation and through the algebra translation, and
-reports any disagreement.  Failing cases are greedily shrunk before being
-reported.
+reports any disagreement in an immutable ``CorrespondenceReport``.  Failing
+cases are greedily shrunk before being reported.
 """
 
 from __future__ import annotations
@@ -265,24 +265,44 @@ def constructor_histogram(formula: Formula) -> Counter:
 TranslatorFactory = Callable[[KripkeModel], Translator]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrespondenceReport:
     """Outcome of answering one query through both engines.
 
     The model, the query and any error are kept as given, the error without
     its traceback; ``CampaignSummary.failure_record`` prints them, and only
-    for a failed case.
+    for a failed case.  A report is immutable: whether the engines agree, and
+    the witness row when they do not, are read off its two answers.
     """
 
     model: KripkeModel
     query: ModalQuery
     direct: RelationInstance | None
     algebra: RelationInstance | None
-    equal: bool
-    witness: tuple[str, ...] | None = None
-    witness_side: str | None = None
     error: ModalRelError | None = None
     seconds: float = 0.0
+
+    @property
+    def equal(self) -> bool:
+        return self.error is None and self.direct == self.algebra
+
+    @property
+    def witness(self) -> tuple[str, ...] | None:
+        return self._witness()[0]
+
+    @property
+    def witness_side(self) -> str | None:
+        return self._witness()[1]
+
+    def _witness(self) -> tuple[tuple[str, ...] | None, str | None]:
+        """The least direct-only row, otherwise the least algebra-only row, and its side."""
+        if self.direct is None or self.algebra is None:
+            return None, None
+        for rows, side in ((self.direct.tuples - self.algebra.tuples, "direct only"),
+                           (self.algebra.tuples - self.direct.tuples, "algebra only")):
+            if rows:
+                return min(rows), side
+        return None, None
 
 
 def check(
@@ -290,30 +310,16 @@ def check(
     query: ModalQuery,
     translator: Translator | None = None,
 ) -> CorrespondenceReport:
-    """Answer a query via both engines and compare the results exactly."""
+    """Answer a query via both engines; the report compares the results exactly."""
     translator = translator or Translator(model)
-    report = CorrespondenceReport(model, query, direct=None, algebra=None, equal=False)
+    direct = algebra = error = None
     start = time.perf_counter()
     try:
-        report.direct = answer_direct(model, query)
-        db = build_database(model)
-        expr = translator.translate_query(query)
-        report.algebra = evaluate(expr, db)
+        direct = answer_direct(model, query)
+        algebra = evaluate(translator.translate_query(query), build_database(model))
     except ModalRelError as exc:
-        report.error = exc.with_traceback(None)
-        report.seconds = time.perf_counter() - start
-        return report
-    report.equal = report.direct == report.algebra
-    if not report.equal:
-        direct_only = report.direct.tuples - report.algebra.tuples
-        if direct_only:
-            report.witness = min(direct_only)
-            report.witness_side = "direct only"
-        else:
-            report.witness = min(report.algebra.tuples - report.direct.tuples)
-            report.witness_side = "algebra only"
-    report.seconds = time.perf_counter() - start
-    return report
+        error = exc.with_traceback(None)
+    return CorrespondenceReport(model, query, direct, algebra, error, time.perf_counter() - start)
 
 
 @dataclass
@@ -433,9 +439,8 @@ def run_campaign(
             summary.untranslatable += 1
             continue
         summary.failed += 1
-        small_model, small_query = shrink_case(model, query, factory)
         summary.first_failure_case = index
-        summary.first_failure = check(small_model, small_query, factory(small_model))
+        summary.first_failure = shrink_case(report, factory)
         break
     summary.seconds = time.perf_counter() - start
     return summary
@@ -487,24 +492,21 @@ def _subformula_picks(model: KripkeModel, query: ModalQuery) -> Iterator[Case]:
         yield model, _requery(child)
 
 
-def shrink_case(
-    model: KripkeModel,
-    query: ModalQuery,
-    factory: TranslatorFactory,
-) -> Case:
+def shrink_case(report: CorrespondenceReport, factory: TranslatorFactory) -> CorrespondenceReport:
     """Greedily shrink a failing case: states, then edges, then the formula.
 
     Each phase takes the first candidate that still fails and restarts,
     until no candidate of that phase does.  Only genuine mismatches are
     preserved (a shrink step that turns the mismatch into an error is
-    rejected).
+    rejected).  Returns the report of the smallest failing case checked, or
+    ``report`` itself if no candidate fails.
     """
 
-    def still_fails(m: KripkeModel, q: ModalQuery) -> bool:
-        report = check(m, q, factory(m))
-        return not report.equal and report.error is None
+    def first_failing(cases: Iterator[Case]) -> CorrespondenceReport | None:
+        reports = (check(model, query, factory(model)) for model, query in cases)
+        return next((r for r in reports if not r.equal and r.error is None), None)
 
     for candidates in (_state_drops, _edge_drops, _subformula_picks):
-        while smaller := next((c for c in candidates(model, query) if still_fails(*c)), None):
-            model, query = smaller
-    return model, query
+        while smaller := first_failing(candidates(report.model, report.query)):
+            report = smaller
+    return report

@@ -498,8 +498,13 @@ def model_from_data(data) -> KripkeModel:
 
 
 def load_model(path) -> KripkeModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+    """Read and parse a model file; a file that cannot be read is a ``ModelInvariantError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelInvariantError(f"cannot read model file {path}: {exc}") from exc
+    return parse_model(text)
 
 
 def dump_model(model: KripkeModel) -> str:

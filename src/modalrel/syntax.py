@@ -601,15 +601,14 @@ def parse_formula(text: str) -> Formula:
     return _Parser(_tokenize(text)).parse()
 
 
-_VAR_NAME_RE = re.compile(r"[?%][A-Za-z_][A-Za-z0-9_]*")
-
-
 def parse_variable(name: str) -> Var:
-    """Parse a sigiled variable name such as ``?x`` or ``%a``."""
-    if not _VAR_NAME_RE.fullmatch(name):
+    """Parse a sigiled variable name such as ``?x`` or ``%a``: one ``OVAR`` or ``CVAR`` token."""
+    token = _TOKEN_RE.fullmatch(name)
+    kind = token.lastgroup if token else None
+    if kind not in ("OVAR", "CVAR"):
         shown = reprlib.repr(name)
         raise QuerySyntaxError(f"not a variable name: {shown} (use '?name' or '%name')")
-    return ObjectVar(name[1:]) if name[0] == "?" else ConceptVar(name[1:])
+    return ObjectVar(name[1:]) if kind == "OVAR" else ConceptVar(name[1:])
 
 
 def parse_query(text: str, target: list[str] | tuple[str, ...] = ()) -> ModalQuery:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -144,6 +145,13 @@ def test_check_reports_untranslatable_as_error(example_model):
     assert report.direct is not None  # the direct engine already answered
 
 
+def test_report_is_immutable(example_model):
+    report = check(example_model, parse_query("@code = 'b'"))
+    for name in ("direct", "algebra", "error", "seconds"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, name, None)
+
+
 class LambdaDropsEquation(Translator):
     """Deliberately broken: binds a relativized argument's variable to any object."""
 
@@ -276,7 +284,12 @@ def test_shrinking_produces_small_failing_case():
 def test_shrink_preserves_mismatch(example_model):
     query = parse_query("[COMP] @code = 'b' & (@id = '1' | @id != '1')")
     factory = BoxAsDiamond
-    model, small = shrink_case(example_model, query, factory)
+    shrunk = shrink_case(check(example_model, query, factory(example_model)), factory)
+    model, small = shrunk.model, shrunk.query
     report = check(model, small, factory(model))
     assert not report.equal and report.error is None
     assert len(model.states) <= len(example_model.states)
+    # the shrinker hands back the report of the case it kept, not a stale one
+    assert (shrunk.direct, shrunk.algebra, shrunk.error) == (report.direct, report.algebra, None)
+    assert (shrunk.witness, shrunk.witness_side) == (report.witness, report.witness_side)
+    assert render_formula(small.formula) != render_formula(query.formula)

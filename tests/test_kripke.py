@@ -30,10 +30,12 @@ from modalrel import (
     RelationInstance,
     UnknownConstant,
     UnknownRelation,
+    UntranslatableTerm,
     answer_direct,
     check_query,
     dump_model,
     free_vars,
+    load_model,
     model_fingerprint,
     parse_formula,
     parse_model,
@@ -234,9 +236,21 @@ def test_memo_records_nothing_that_raised(example_model):
         answer_direct(example_model, ModalQuery(formula, ()))
 
 
+def _direct_only_cases(seed):
+    """The cases of a 1000-case concept-variable campaign that have no algebra plan."""
+    for model, query in _cases(GenParams(seed=seed, allow_concept_vars=True), 1000):
+        try:
+            translate.translate_query(query, model)
+        except UntranslatableTerm:
+            yield model, query
+
+
 def test_generated_answers_match_unmemoised():
-    # concept-variable queries have no algebra plan, so only this checks them
-    for model, query in _sample_cases(200, allow_concept_vars=True):
+    # concept-variable queries have no algebra plan, so only this checks them;
+    # the campaigns' direct-only cases catch a memo key that drops concept values
+    direct_only = [*_direct_only_cases(42), *_direct_only_cases(2026)]
+    assert len(direct_only) == 81 + 74  # the fuzz summaries' untranslatable counts
+    for model, query in [*_sample_cases(200, allow_concept_vars=True), *direct_only]:
         assert answer_direct(model, query) == answer_unmemoised(model, query)
 
 
@@ -320,14 +334,18 @@ def test_algebra_side_imports_only_the_model_and_the_check_from_the_oracle():
 # Semantic laws on generated models
 
 
-def _sample_cases(n, **overrides):
-    params = GenParams(seed=99, max_states=4, max_objects=5, max_concepts=2, max_depth=3,
-                       max_free_vars=1, **overrides)
+def _cases(params, n):
     for i in range(n):
         local = case_params(params, i)
         model = gen_model(local)
         query = gen_query(local, model)
         yield model, query
+
+
+def _sample_cases(n, **overrides):
+    params = GenParams(seed=99, max_states=4, max_objects=5, max_concepts=2, max_depth=3,
+                       max_free_vars=1, **overrides)
+    return _cases(params, n)
 
 
 def test_box_diamond_duality():
@@ -473,6 +491,16 @@ def test_model_construction_names_the_broken_invariant(change, message):
                        "relations: {R: [[a, b]]}\n")
     with pytest.raises(ModelInvariantError, match=message):
         base.replace(**change)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_load_model_turns_an_unreadable_file_into_a_model_error(tmp_path, kind):
+    path = {"missing": tmp_path / "missing.yaml", "directory": tmp_path,
+            "not-utf8": tmp_path / "latin1.yaml"}[kind]
+    (tmp_path / "latin1.yaml").write_bytes(b"objects: [\xff]\n")
+    with pytest.raises(ModelInvariantError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"cannot read model file {path}: ")
 
 
 def model_text(**fields: str) -> str:

@@ -368,13 +368,20 @@ def test_parse_query_checks_target():
         parse_query("?x = ?y", ["?x", "?y", "?x"])
 
 
-NOT_VARIABLE_NAMES = ["x", "?1x", "?x y", "%", "", "?x\n"]
+NOT_VARIABLE_NAMES = ["x", "?1x", "?x y", "%", "", "?x\n", "?", "??x", "?x ", "?x-y", "?é"]
 
 
 @pytest.mark.parametrize("name", NOT_VARIABLE_NAMES)
 def test_parse_query_rejects_target_that_is_not_a_variable_name(name):
     with pytest.raises(QuerySyntaxError, match="not a variable name"):
         parse_query("?x = ?x", [name])
+
+
+@pytest.mark.parametrize("name, variable", [
+    ("?x", ObjectVar("x")), ("%a_1", ConceptVar("a_1")), ("?_", ObjectVar("_")),
+])
+def test_parse_variable_accepts_one_variable_token(name, variable):
+    assert parse_variable(name) is variable
 
 
 def test_free_vars_order_and_binding():
