@@ -416,10 +416,11 @@ def run_campaign(
 ) -> CampaignSummary:
     """Run `cases` independent differential checks.
 
-    Deterministic in the seed.  Untranslatable queries (possible only with
-    ``allow_concept_vars``) are answered by the direct engine alone and
-    counted separately.  The campaign stops at the first genuine mismatch,
-    which is shrunk greedily.
+    Deterministic in the seed.  With ``allow_concept_vars``, an
+    untranslatable query is answered by the direct engine alone and counted
+    separately.  Without it the generator makes only translatable queries,
+    so an ``UntranslatableTerm`` is a failure, like a mismatch.  The campaign
+    stops at the first failure, which is shrunk greedily.
     """
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
@@ -435,7 +436,7 @@ def run_campaign(
         if report.equal:
             summary.passed += 1
             continue
-        if isinstance(report.error, UntranslatableTerm):
+        if params.allow_concept_vars and isinstance(report.error, UntranslatableTerm):
             summary.untranslatable += 1
             continue
         summary.failed += 1
@@ -496,15 +497,23 @@ def shrink_case(report: CorrespondenceReport, factory: TranslatorFactory) -> Cor
     """Greedily shrink a failing case: states, then edges, then the formula.
 
     Each phase takes the first candidate that still fails and restarts,
-    until no candidate of that phase does.  Only genuine mismatches are
-    preserved (a shrink step that turns the mismatch into an error is
-    rejected).  Returns the report of the smallest failing case checked, or
-    ``report`` itself if no candidate fails.
+    until no candidate of that phase does.  An untranslatable case stays
+    failing while its candidate raises ``UntranslatableTerm``; any other
+    case only while its candidate is a genuine mismatch (a shrink step that
+    turns the mismatch into an error is rejected).  Returns the report of
+    the smallest failing case checked, or ``report`` itself if no candidate
+    fails.
     """
+    untranslatable = isinstance(report.error, UntranslatableTerm)
+
+    def fails(r: CorrespondenceReport) -> bool:
+        if untranslatable:
+            return isinstance(r.error, UntranslatableTerm)
+        return not r.equal and r.error is None
 
     def first_failing(cases: Iterator[Case]) -> CorrespondenceReport | None:
         reports = (check(model, query, factory(model)) for model, query in cases)
-        return next((r for r in reports if not r.equal and r.error is None), None)
+        return next(filter(fails, reports), None)
 
     for candidates in (_state_drops, _edge_drops, _subformula_picks):
         while smaller := first_failing(candidates(report.model, report.query)):

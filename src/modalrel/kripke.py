@@ -26,9 +26,12 @@ variables: the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986),
 computed on demand.  The query's formula itself is not kept, since no
 (state, target values) pair asks for it twice.
 
-A term is evaluated by its exact class.  A variable is one object per kind
-and name (``syntax``), hashed on its identity, so the assignment and memo
-lookups of a variable run no Python-level ``__hash__`` or ``__eq__``.
+Formulas and terms are both read by their exact class, one ``type(x) is``
+test per constructor, atoms and connectives first; a subclass of a
+constructor is neither, and raises ``TypeError``.  A variable is one object
+per kind and name (``syntax``), hashed on its identity, so the assignment
+and memo lookups of a variable run no Python-level ``__hash__`` or
+``__eq__``.
 """
 
 from __future__ import annotations
@@ -280,72 +283,75 @@ def satisfies(
     Abstraction binds its variable to the argument's value at the current
     state before evaluating the body.
 
+    A formula is told apart by its exact class, as ``term_eval`` tells terms
+    apart: anything else, a subclass of a constructor included, raises
+    ``TypeError``.
+
     With a ``memo``, the truth of each modal and quantified subformula other
     than the memo's root is looked up before it is evaluated and recorded
     after.  Evaluation order and short-circuiting are the same either way,
     and a subformula that raises records nothing.
     """
-    key = None
-    if (
-        memo is not None
-        and isinstance(formula, (Diamond, Box, Exists, Forall))
-        and formula is not memo.root
-    ):
-        key = _memo_key(memo, formula, state, assignment)
-        truth = memo.truth.get(key)
-        if truth is not None:
-            return truth
-    match formula:
-        case Eq(left, right):
-            return term_eval(model, assignment, left, state) == term_eval(
-                model, assignment, right, state
-            )
-        case Neq(left, right):
-            return term_eval(model, assignment, left, state) != term_eval(
-                model, assignment, right, state
-            )
-        case Not(body):
-            return not satisfies(model, state, assignment, body, memo)
-        case And(left, right):
-            return satisfies(model, state, assignment, left, memo) and satisfies(
-                model, state, assignment, right, memo
-            )
-        case Or(left, right):
-            return satisfies(model, state, assignment, left, memo) or satisfies(
-                model, state, assignment, right, memo
-            )
-        case Implies(left, right):
-            return (not satisfies(model, state, assignment, left, memo)) or satisfies(
-                model, state, assignment, right, memo
-            )
-        case Diamond(relation, body):
+    kind = type(formula)
+    if kind is Eq:
+        return term_eval(model, assignment, formula.left, state) == term_eval(
+            model, assignment, formula.right, state
+        )
+    if kind is Neq:
+        return term_eval(model, assignment, formula.left, state) != term_eval(
+            model, assignment, formula.right, state
+        )
+    if kind is Not:
+        return not satisfies(model, state, assignment, formula.body, memo)
+    if kind is And:
+        return satisfies(model, state, assignment, formula.left, memo) and satisfies(
+            model, state, assignment, formula.right, memo
+        )
+    if kind is Or:
+        return satisfies(model, state, assignment, formula.left, memo) or satisfies(
+            model, state, assignment, formula.right, memo
+        )
+    if kind is Implies:
+        return (not satisfies(model, state, assignment, formula.left, memo)) or satisfies(
+            model, state, assignment, formula.right, memo
+        )
+    if kind is Diamond or kind is Box or kind is Exists or kind is Forall:
+        key = None
+        if memo is not None and formula is not memo.root:
+            key = _memo_key(memo, formula, state, assignment)
+            truth = memo.truth.get(key)
+            if truth is not None:
+                return truth
+        body = formula.body
+        if kind is Diamond:
             truth = any(
                 satisfies(model, nxt, assignment, body, memo)
-                for nxt in model.successors(relation, state)
+                for nxt in model.successors(formula.relation, state)
             )
-        case Box(relation, body):
+        elif kind is Box:
             truth = all(
                 satisfies(model, nxt, assignment, body, memo)
-                for nxt in model.successors(relation, state)
+                for nxt in model.successors(formula.relation, state)
             )
-        case Exists(var, body):
+        elif kind is Exists:
+            var = formula.var
             truth = any(
                 satisfies(model, state, {**assignment, var: value}, body, memo)
                 for value in _domain(model, var)
             )
-        case Forall(var, body):
+        else:
+            var = formula.var
             truth = all(
                 satisfies(model, state, {**assignment, var: value}, body, memo)
                 for value in _domain(model, var)
             )
-        case Abstraction(var, body, argument):
-            value = term_eval(model, assignment, argument, state)
-            return satisfies(model, state, {**assignment, var: value}, body, memo)
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
-    if key is not None:
-        memo.truth[key] = truth
-    return truth
+        if key is not None:
+            memo.truth[key] = truth
+        return truth
+    if kind is Abstraction:
+        value = term_eval(model, assignment, formula.argument, state)
+        return satisfies(model, state, {**assignment, formula.var: value}, formula.body, memo)
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 def answer_direct(model: KripkeModel, query: ModalQuery) -> RelationInstance:

@@ -6,6 +6,8 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from modalrel import (
+    ConceptConst,
+    ConceptVar,
     GenParams,
     Projection,
     RelationInstance,
@@ -24,11 +26,21 @@ from modalrel import (
     run_campaign,
     validate_model,
 )
+from modalrel import harness
+from modalrel.cli import EXIT_MISMATCH
 from modalrel.harness import case_params, constructor_histogram, shrink_case
 from modalrel.schema import model_from_database
-from modalrel.syntax import MAX_NESTING, Abstraction, Box, Relativized, formula_depth
+from modalrel.syntax import (
+    MAX_NESTING,
+    Abstraction,
+    Box,
+    Relativized,
+    formula_depth,
+    subformulas,
+)
 from modalrel.translate import Plan
 from test_acceptance import CAMPAIGN_PARAMS, BoxAsDiamond, LambdaIgnoresArgument
+from test_cli import run_main
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +241,55 @@ def test_engine_error_is_reported_with_its_type():
     assert summary.failed == 1
     assert summary.render().endswith(f"\n  error: {error}\n")
     assert json.loads(summary.to_json())["first_failure"]["error"] == error
+
+
+class AlwaysUntranslatable(Translator):
+    """Deliberately broken: has no plan for any query."""
+
+    def translate_query(self, query):
+        raise UntranslatableTerm("no plan for any query")
+
+
+class ConceptConstUntranslatable(Translator):
+    """Deliberately broken: ``_concept_column`` with its ``not`` dropped, so a
+    relativized concept constant has no plan."""
+
+    def _concept_column(self, concept, context):
+        bound = context.lookup(concept) if isinstance(concept, ConceptVar) else concept
+        if isinstance(bound, ConceptConst):
+            raise UntranslatableTerm(f"@{concept} has no algebra translation")
+        return self._concepts[bound.symbol]
+
+
+@pytest.mark.parametrize("factory", [AlwaysUntranslatable, ConceptConstUntranslatable])
+def test_untranslatable_query_fails_a_campaign_without_concept_vars(factory):
+    # without concept variables the generator makes only translatable queries
+    summary = run_campaign(CAMPAIGN_PARAMS, 1000, translator_factory=factory)
+    assert (summary.failed, summary.untranslatable, summary.ok) == (1, 0, False)
+    failure = summary.first_failure
+    assert isinstance(failure.error, UntranslatableTerm)
+    assert f"\n  error: UntranslatableTerm: {failure.error}\n" in summary.render()
+    # the shrunk case is one that still has no plan
+    recheck = check(failure.model, failure.query, factory(failure.model))
+    assert isinstance(recheck.error, UntranslatableTerm)
+    assert len(failure.model.states) == 1
+
+
+def test_fuzz_exits_on_an_untranslatable_query_without_concept_vars(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "Translator", AlwaysUntranslatable)
+    assert run_main(["fuzz", "--seed", "42", "--cases", "5"]) == EXIT_MISMATCH
+    out = capsys.readouterr().out
+    assert "failed: 1\nuntranslatable (direct engine only): 0\nstatus: MISMATCH\n" in out
+    assert "first failure: case 0\n" in out
+
+
+def test_shrink_keeps_an_untranslatable_case_untranslatable(example_model):
+    query = parse_query("<COMP> @code = 'b' & (@id = '1' | @id != '1')")
+    shrunk = shrink_case(check(example_model, query, AlwaysUntranslatable(example_model)),
+                         AlwaysUntranslatable)
+    assert isinstance(shrunk.error, UntranslatableTerm)
+    assert len(shrunk.model.states) == 1
+    assert not subformulas(shrunk.query.formula)
 
 
 # ---------------------------------------------------------------------------

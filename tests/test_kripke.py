@@ -4,7 +4,9 @@ import ast
 import copy
 import itertools
 import pickle
+import random
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from modalrel import (
     UnknownRelation,
     UntranslatableTerm,
     answer_direct,
+    build_database,
     check_query,
     dump_model,
     free_vars,
@@ -47,6 +50,7 @@ from modalrel import kripke, relalg, syntax, translate
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
 from modalrel.kripke import Memo, satisfies, term_eval
 from test_acceptance import CAMPAIGN_PARAMS
+from test_bench_contract import load_perfbench
 
 
 def state_with_id(model, id_value):
@@ -130,6 +134,57 @@ def test_satisfies_lambda_over_successor_codes(example_model):
     formula = parse_formula("<lam ?y . <COMP> @code = ?y>(@code)")
     state1 = state_with_id(example_model, "1")
     assert not satisfies(example_model, state1, {}, formula)
+
+
+# one formula of each constructor, with one object variable free
+ONE_OF_EACH_FORMULA = [
+    "@code = ?x",
+    "@code != ?x",
+    "!(@code = ?x)",
+    "@code = ?x & @id = '1'",
+    "@code = ?x | @id = '1'",
+    "@code = ?x -> @id = '1'",
+    "<COMP> @code = ?x",
+    "[COMP] @code = ?x",
+    "exists ?y . @code = ?y & ?y != ?x",
+    "forall ?y . @code = ?y -> ?y = ?x",
+    "<lam ?y . <COMP> @code = ?y>(@code)",
+]
+
+
+def test_satisfies_reads_every_formula_constructor(example_model):
+    # a constructor added to syntax.Formula without a branch in satisfies fails here
+    formulas = [parse_formula(text) for text in ONE_OF_EACH_FORMULA]
+    assert [type(f) for f in formulas] == list(typing.get_args(syntax.Formula))
+    x = ObjectVar("x")
+    for formula in formulas:
+        for state in example_model.states:
+            for value in sorted(example_model.objects):
+                truth = satisfies(example_model, state, {x: value}, formula)
+                assert truth is satisfies(example_model, state, {x: value}, formula, Memo())
+
+
+class Equals(Eq):
+    """A subclass of a constructor, which is not a formula."""
+
+
+class Possibly(Diamond):
+    """A subclass of a memoised constructor, which is not a formula."""
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [Equals(ObjectConst("a"), ObjectConst("a")),
+     Possibly("COMP", parse_formula("@code = 'b'")),
+     ObjectConst("a"),
+     "@code = 'b'"],
+    ids=["Eq-subclass", "Diamond-subclass", "term", "string"],
+)
+def test_satisfies_rejects_what_is_not_a_formula(example_model, formula):
+    state = state_with_id(example_model, "1")
+    for memo in (None, Memo()):
+        with pytest.raises(TypeError, match="not a formula"):
+            satisfies(example_model, state, {}, formula, memo)
 
 
 def test_satisfies_unknown_relation(example_model):
@@ -252,6 +307,18 @@ def test_generated_answers_match_unmemoised():
     assert len(direct_only) == 81 + 74  # the fuzz summaries' untranslatable counts
     for model, query in [*_sample_cases(200, allow_concept_vars=True), *direct_only]:
         assert answer_direct(model, query) == answer_unmemoised(model, query)
+
+
+def test_benchmark_sparse_shapes_answer_alike():
+    # the shapes and the smallest model of the benchmark's sparse_scaling workload
+    workloads = load_perfbench("workloads")
+    model = workloads.sparse_model(25, random.Random(42))
+    for _, text, target in workloads.SCALING_SHAPES:
+        query = parse_query(text, list(target))
+        direct = answer_direct(model, query)
+        assert direct == relalg.evaluate(translate.translate_query(query, model),
+                                         build_database(model))
+        assert direct == answer_unmemoised(model, query)
 
 
 def test_answer_direct_does_not_memoise_the_root(example_model, monkeypatch):
