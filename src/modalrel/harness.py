@@ -338,6 +338,14 @@ class CampaignSummary:
     def ok(self) -> bool:
         return self.failed == 0
 
+    @property
+    def status(self) -> str:
+        """OK; ERROR when the first failure is an engine's error, so no two
+        answers were compared; otherwise MISMATCH."""
+        if self.ok:
+            return "OK"
+        return "MISMATCH" if self.first_failure.error is None else "ERROR"
+
     def failure_record(self) -> dict | None:
         """The first failure's fields in report order, or None if every case passed.
 
@@ -371,7 +379,7 @@ class CampaignSummary:
             f"passed: {self.passed}",
             f"failed: {self.failed}",
             f"untranslatable (direct engine only): {self.untranslatable}",
-            f"status: {'OK' if self.ok else 'MISMATCH'}",
+            f"status: {self.status}",
         ]
         failure = self.failure_record()
         if failure is not None:
@@ -397,7 +405,7 @@ class CampaignSummary:
             "passed": self.passed,
             "failed": self.failed,
             "untranslatable": self.untranslatable,
-            "status": "OK" if self.ok else "MISMATCH",
+            "status": self.status,
             "seconds": self.seconds,
             "first_failure": self.failure_record(),
         }

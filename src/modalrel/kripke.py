@@ -12,26 +12,27 @@ afterwards, so every model that exists is valid.  Construction also indexes
 each relation's successors by state and sorts the objects once, so a modal
 step or a quantifier reads a prepared tuple instead of scanning the model.
 
-``check_query`` is the one check that the model declares every symbol a query
+``check_query`` is the one check that a query is made of the constructors
+alone, each by its exact class, and that the model declares every symbol it
 names.  ``answer_direct`` and the translator both make it before they start,
 so both engines raise the same error on the same query.  Scope is checked
 once too, by ``ModalQuery``: its target lists exactly the formula's free
 variables, so an assignment that binds the target binds every variable read.
 
 ``answer_direct`` is the oracle the algebra side is checked against, and
-shares no evaluation code with it.  It evaluates top-down, and keeps, for one
-query, the truth of every modal and quantified subformula it has decided,
-keyed on the subformula, the state and the values of that subformula's free
-variables: the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986),
-computed on demand.  The query's formula itself is not kept, since no
-(state, target values) pair asks for it twice.
-
-Formulas and terms are both read by their exact class, one ``type(x) is``
-test per constructor, atoms and connectives first; a subclass of a
-constructor is neither, and raises ``TypeError``.  A variable is one object
-per kind and name (``syntax``), hashed on its identity, so the assignment
-and memo lookups of a variable run no Python-level ``__hash__`` or
-``__eq__``.
+shares no evaluation code with it.  It compiles the query's formula, once,
+into nested closures ``(state, env) -> bool`` (Feeley & Lapalme, "Using
+closures for code generation", 1987), and asks the root closure once per
+state and values of the target.  ``env`` is a tuple with one slot per
+variable in scope: the target's variables take the first slots, and each
+binder appends one, so a reused name gets a fresh slot.  A variable reads
+its slot, ``@c`` reads the map of concept ``c`` fixed at compile time, and
+a modal closure reads the model's successor index.  Each modal and
+quantified closure below the root owns a memo of its truth, keyed on the
+state and the values in the slots its subformula reads, which are fixed at
+compile time: the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS
+1986), computed on demand.  The memos live as long as the closures, one
+query.  ``satisfies`` and ``term_eval`` compile and ask once.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from __future__ import annotations
 import itertools
 import reprlib
 from collections import defaultdict
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, get_args
 
 import yaml
 
@@ -69,7 +71,6 @@ from .syntax import (
     Var,
     _set,
     _Value,
-    free_vars,
     subformulas,
 )
 
@@ -188,192 +189,235 @@ def validate_model(model: KripkeModel) -> None:
 # The query's symbols
 
 
-def check_query(model: KripkeModel, formula: Formula) -> None:
-    """Raise on the first symbol of ``formula`` that ``model`` does not declare.
+_FORMULAS = frozenset(get_args(Formula))
+_TERMS = frozenset(get_args(Term))
 
-    An object or concept constant, bare, under ``@`` or as a λ argument,
-    raises ``UnknownConstant``; a relation name raises ``UnknownRelation``.
-    Every branch is read, evaluated or not.  The walk keeps its own stack,
-    so any tree is safe.
+
+def check_query(model: KripkeModel, formula: Formula) -> None:
+    """Raise on the first node of ``formula`` that is not exactly a
+    constructor, or symbol that ``model`` does not declare.
+
+    A node whose class is not one of the formula or term constructors, a
+    subclass of one included, raises ``TypeError`` ("not a formula", "not a
+    term").  An object or concept constant, bare, under ``@`` or as a λ
+    argument, raises ``UnknownConstant``; a relation name raises
+    ``UnknownRelation``.  Every branch is read, evaluated or not.  The walk
+    keeps its own stack, so any tree is safe.
     """
     pending = [formula]
     while pending:
         node = pending.pop()
+        kind = type(node)
+        if kind not in _FORMULAS:
+            raise TypeError(f"not a formula: {node!r}")
+        if (kind is Diamond or kind is Box) and node.relation not in model.relations:
+            raise UnknownRelation(f"unknown accessibility relation {node.relation!r}")
         terms = ()
-        match node:
-            case Diamond(relation, _) | Box(relation, _) if relation not in model.relations:
-                raise UnknownRelation(f"unknown accessibility relation {relation!r}")
-            case Eq(left, right) | Neq(left, right):
-                terms = (left, right)
-            case Abstraction(_, _, argument):
-                terms = (argument,)
+        if kind is Eq or kind is Neq:
+            terms = (node.left, node.right)
+        elif kind is Exists or kind is Forall:
+            terms = (node.var,)
+        elif kind is Abstraction:
+            terms = (node.var, node.argument)
         for term in terms:
-            if isinstance(term, Relativized):
+            if type(term) is Relativized:
                 term = term.inner
-            if isinstance(term, ObjectConst) and term.symbol not in model.object_constants:
+            if type(term) not in _TERMS:
+                raise TypeError(f"not a term: {term!r}")
+            if type(term) is ObjectConst and term.symbol not in model.object_constants:
                 raise UnknownConstant(f"unknown object constant '{term.symbol}'")
-            if isinstance(term, ConceptConst) and term.symbol not in model.concepts:
+            if type(term) is ConceptConst and term.symbol not in model.concepts:
                 raise UnknownConstant(f"unknown concept constant {term.symbol!r}")
         pending += reversed(subformulas(node))
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation and truth
+# The compiler
+
+# A compiled term or formula: (state, env) -> value or truth, where ``env``
+# holds the values of the variables in scope, one slot each.
+Compiled = Callable[[str, tuple], object]
 
 
-def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str) -> str:
-    """Value of a term at a state: an object value, or a concept name for
-    concept terms.  ``term`` belongs to a formula that has passed
-    ``check_query``, and ``assignment`` binds its variables.  Terms are told
-    apart by exact class; reading a variable is one dict probe on its identity."""
+def _domain(model: KripkeModel, var: Var) -> tuple[str, ...]:
+    if type(var) is ObjectVar:
+        return model._sorted_objects
+    return tuple(model.concepts)
+
+
+def _term(model: KripkeModel, term: Term, scope: dict) -> tuple[Compiled, frozenset[int]]:
+    """A term's closure, and the slots it reads."""
     kind = type(term)
     if kind is ObjectVar or kind is ConceptVar:
-        return assignment[term]
-    if kind is Relativized:
-        return model.concepts[term_eval(model, assignment, term.inner, state)][state]
+        slot = scope[term]
+        return (lambda state, env: env[slot]), frozenset((slot,))
     if kind is ObjectConst or kind is ConceptConst:
-        return term.symbol
+        symbol = term.symbol
+        return (lambda state, env: symbol), frozenset()
+    if kind is Relativized:
+        inner = term.inner
+        if type(inner) is ConceptConst:
+            values = model.concepts[inner.symbol]
+            return (lambda state, env: values[state]), frozenset()
+        if type(inner) is ConceptVar:
+            concepts, slot = model.concepts, scope[inner]
+            return (lambda state, env: concepts[env[slot]][state]), frozenset((slot,))
     raise TypeError(f"not a term: {term!r}")
 
 
-def _domain(model: KripkeModel, var: Var) -> Iterable[str]:
-    if isinstance(var, ObjectVar):
-        return model._sorted_objects
-    return model.concepts
+def _comparison(model, formula, scope, depth):
+    left, left_reads = _term(model, formula.left, scope)
+    right, right_reads = _term(model, formula.right, scope)
+    equal, reads = type(formula) is Eq, left_reads | right_reads
+    return (lambda state, env: (left(state, env) == right(state, env)) is equal), reads
 
 
-class Memo:
-    """One query's record of decided modal and quantified subformulas.
-
-    ``truth`` maps (subformula identity, state, values of the subformula's
-    free variables) to its truth; ``free`` maps a subformula's identity to its
-    free variables.  Identity is a sound key only while the subformulas stay
-    alive, so a memo serves one query, whose formula outlives it.  ``root``,
-    when given, is that query's formula: it is asked once per state and
-    values of the target, so it is never recorded.
-    """
-
-    def __init__(self, root: Formula | None = None):
-        self.truth: dict[tuple, bool] = {}
-        self.free: dict[int, tuple[Var, ...]] = {}
-        self.root = root
+def _not(model, formula, scope, depth):
+    body, reads = _compile(model, formula.body, scope, depth)
+    return (lambda state, env: not body(state, env)), reads
 
 
-def _memo_key(memo: Memo, formula: Formula, state: str, assignment: Assignment) -> tuple:
-    """The memo key of ``formula`` at ``state`` under ``assignment``."""
-    free = memo.free.get(id(formula))
-    if free is None:
-        free = memo.free[id(formula)] = tuple(free_vars(formula))
-    return (id(formula), state, tuple([assignment[var] for var in free]))
+# The left side's truth that stops a connective short, and the truth it returns then.
+_SHORT_CIRCUIT = {And: (False, False), Or: (True, True), Implies: (False, True)}
 
 
-def satisfies(
-    model: KripkeModel,
-    state: str,
-    assignment: Assignment,
-    formula: Formula,
-    memo: Memo | None = None,
-) -> bool:
-    """Truth of a formula that has passed ``check_query``, at a state under an
-    assignment that binds its free variables.
+def _connective(model, formula, scope, depth):
+    left, left_reads = _compile(model, formula.left, scope, depth)
+    right, right_reads = _compile(model, formula.right, scope, depth)
+    stop, result = _SHORT_CIRCUIT[type(formula)]
+    reads = left_reads | right_reads
+    return (lambda state, env: result if left(state, env) is stop else right(state, env)), reads
 
-    Quantifiers range over the model's objects (object variables) or concept
-    names (concept variables) — the same domain at every state.  A diamond
-    asks for some successor satisfying the body, a box for all successors.
-    Abstraction binds its variable to the argument's value at the current
-    state before evaluating the body.
 
-    A formula is told apart by its exact class, as ``term_eval`` tells terms
-    apart: anything else, a subclass of a constructor included, raises
-    ``TypeError``.
+def _modal(model, formula, scope, depth):
+    """``<R>``: some successor where the body holds; ``[R]``: none where it fails."""
+    body, reads = _compile(model, formula.body, scope, depth)
+    successors = model._successors[formula.relation]
+    found = type(formula) is Diamond  # the body's truth that decides the step
 
-    With a ``memo``, the truth of each modal and quantified subformula other
-    than the memo's root is looked up before it is evaluated and recorded
-    after.  Evaluation order and short-circuiting are the same either way,
-    and a subformula that raises records nothing.
-    """
-    kind = type(formula)
-    if kind is Eq:
-        return term_eval(model, assignment, formula.left, state) == term_eval(
-            model, assignment, formula.right, state
-        )
-    if kind is Neq:
-        return term_eval(model, assignment, formula.left, state) != term_eval(
-            model, assignment, formula.right, state
-        )
-    if kind is Not:
-        return not satisfies(model, state, assignment, formula.body, memo)
-    if kind is And:
-        return satisfies(model, state, assignment, formula.left, memo) and satisfies(
-            model, state, assignment, formula.right, memo
-        )
-    if kind is Or:
-        return satisfies(model, state, assignment, formula.left, memo) or satisfies(
-            model, state, assignment, formula.right, memo
-        )
-    if kind is Implies:
-        return (not satisfies(model, state, assignment, formula.left, memo)) or satisfies(
-            model, state, assignment, formula.right, memo
-        )
-    if kind is Diamond or kind is Box or kind is Exists or kind is Forall:
-        key = None
-        if memo is not None and formula is not memo.root:
-            key = _memo_key(memo, formula, state, assignment)
-            truth = memo.truth.get(key)
-            if truth is not None:
-                return truth
-        body = formula.body
-        if kind is Diamond:
-            truth = any(
-                satisfies(model, nxt, assignment, body, memo)
-                for nxt in model.successors(formula.relation, state)
-            )
-        elif kind is Box:
-            truth = all(
-                satisfies(model, nxt, assignment, body, memo)
-                for nxt in model.successors(formula.relation, state)
-            )
-        elif kind is Exists:
-            var = formula.var
-            truth = any(
-                satisfies(model, state, {**assignment, var: value}, body, memo)
-                for value in _domain(model, var)
-            )
-        else:
-            var = formula.var
-            truth = all(
-                satisfies(model, state, {**assignment, var: value}, body, memo)
-                for value in _domain(model, var)
-            )
-        if key is not None:
-            memo.truth[key] = truth
+    def modal(state, env):
+        for nxt in successors.get(state, ()):
+            if body(nxt, env) is found:
+                return found
+        return not found
+
+    return modal, reads
+
+
+def _quantifier(model, formula, scope, depth):
+    """``exists``: some value where the body holds; ``forall``: none where it fails.
+    The bound variable takes a new slot."""
+    body, reads = _compile(model, formula.body, {**scope, formula.var: depth}, depth + 1)
+    domain = _domain(model, formula.var)
+    found = type(formula) is Exists
+
+    def quantifier(state, env):
+        for value in domain:
+            if body(state, (*env, value)) is found:
+                return found
+        return not found
+
+    return quantifier, reads - {depth}
+
+
+def _abstraction(model, formula, scope, depth):
+    argument, argument_reads = _term(model, formula.argument, scope)
+    body, reads = _compile(model, formula.body, {**scope, formula.var: depth}, depth + 1)
+    reads = (reads - {depth}) | argument_reads
+    return (lambda state, env: body(state, (*env, argument(state, env)))), reads
+
+
+def _memoised(decide: Compiled, slots: tuple[int, ...]) -> Compiled:
+    """``decide`` with a memo of its own, keyed on the state and the values
+    in ``slots``, the slots its formula reads.  A call that raises records
+    nothing."""
+    memo: dict = {}
+    lookup = memo.get
+    if not slots:
+
+        def memoised(state, env):
+            truth = lookup(state)
+            if truth is None:
+                truth = memo[state] = decide(state, env)
+            return truth
+
+        return memoised
+    values = itemgetter(*slots)
+
+    def memoised(state, env):
+        key = (state, values(env))
+        truth = lookup(key)
+        if truth is None:
+            truth = memo[key] = decide(state, env)
         return truth
-    if kind is Abstraction:
-        value = term_eval(model, assignment, formula.argument, state)
-        return satisfies(model, state, {**assignment, formula.var: value}, formula.body, memo)
-    raise TypeError(f"not a formula: {formula!r}")
+
+    return memoised
+
+
+# One rule per formula constructor, looked up by exact class.
+_RULES = {
+    Eq: _comparison, Neq: _comparison, Not: _not,
+    And: _connective, Or: _connective, Implies: _connective,
+    Diamond: _modal, Box: _modal, Exists: _quantifier, Forall: _quantifier,
+    Abstraction: _abstraction,
+}
+_MEMOISED = frozenset((Diamond, Box, Exists, Forall))
+
+
+def _compile(model, formula, scope, depth, memoise=True) -> tuple[Compiled, frozenset[int]]:
+    """A formula's closure, memoised if it is modal or quantified, and the
+    slots it reads.  ``scope`` maps each variable in scope to its slot;
+    ``depth`` is the number of slots."""
+    rule = _RULES.get(type(formula))
+    if rule is None:
+        raise TypeError(f"not a formula: {formula!r}")
+    decide, reads = rule(model, formula, scope, depth)
+    if memoise and type(formula) in _MEMOISED:
+        decide = _memoised(decide, tuple(sorted(reads)))
+    return decide, reads
+
+
+def compile_formula(model: KripkeModel, formula: Formula, variables: tuple[Var, ...]) -> Compiled:
+    """``formula`` as a closure ``(state, env) -> bool``, where ``env`` holds
+    the values of ``variables`` in order; they must include its free
+    variables.  The formula itself is not memoised: a query asks it once
+    per state and values of the target."""
+    scope = {var: slot for slot, var in enumerate(variables)}
+    return _compile(model, formula, scope, len(variables), memoise=False)[0]
+
+
+def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str) -> str:
+    """Value of a checked term at a state: an object value, or a concept
+    name for a concept term.  ``assignment`` binds the term's variables."""
+    scope = {var: slot for slot, var in enumerate(assignment)}
+    return _term(model, term, scope)[0](state, tuple(assignment.values()))
+
+
+def satisfies(model: KripkeModel, state: str, assignment: Assignment, formula: Formula) -> bool:
+    """Truth of a formula that has passed ``check_query``, at a state under
+    an assignment that binds its free variables: compiled, then asked once."""
+    decide = compile_formula(model, formula, tuple(assignment))
+    return decide(state, tuple(assignment.values()))
 
 
 def answer_direct(model: KripkeModel, query: ModalQuery) -> RelationInstance:
     """Answer a query by enumerating assignments and states.
 
     The result has degree len(target)+1: one column per target variable plus
-    the id of the satisfying state.  One ``Memo`` serves the whole query, so
-    a modal or quantified subformula is decided at most once per state and
+    the id of the satisfying state.  The formula is compiled once, so each
+    modal or quantified subformula is decided at most once per state and
     values of its free variables (Clarke, Emerson & Sistla, TOPLAS 1986),
-    however many target assignments and enclosing steps reach it.  The query's
-    own formula is not memoised: each (values, state) pair asks for it once.
-    An undeclared symbol anywhere in the query raises before any state is read.
+    however many target assignments and enclosing steps reach it.  An
+    undeclared symbol anywhere in the query raises before any state is read.
     """
     check_query(model, query.formula)
-    domains = [_domain(model, var) for var in query.target]
-    memo = Memo(query.formula)
+    decide = compile_formula(model, query.formula, query.target)
+    ids = model.concepts[ID_CONCEPT]
     rows = set()
-    for values in itertools.product(*domains):
-        assignment = dict(zip(query.target, values))
+    for values in itertools.product(*[_domain(model, var) for var in query.target]):
         for state in model.states:
-            if satisfies(model, state, assignment, query.formula, memo):
-                rows.add((*values, model.id_of(state)))
+            if decide(state, values):
+                rows.add((*values, ids[state]))
     return RelationInstance(len(query.target) + 1, frozenset(rows))
 
 

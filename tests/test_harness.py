@@ -269,6 +269,8 @@ def test_untranslatable_query_fails_a_campaign_without_concept_vars(factory):
     failure = summary.first_failure
     assert isinstance(failure.error, UntranslatableTerm)
     assert f"\n  error: UntranslatableTerm: {failure.error}\n" in summary.render()
+    # an engine raised, so no two answers were compared
+    assert summary.status == json.loads(summary.to_json())["status"] == "ERROR"
     # the shrunk case is one that still has no plan
     recheck = check(failure.model, failure.query, factory(failure.model))
     assert isinstance(recheck.error, UntranslatableTerm)
@@ -279,7 +281,7 @@ def test_fuzz_exits_on_an_untranslatable_query_without_concept_vars(monkeypatch,
     monkeypatch.setattr(harness, "Translator", AlwaysUntranslatable)
     assert run_main(["fuzz", "--seed", "42", "--cases", "5"]) == EXIT_MISMATCH
     out = capsys.readouterr().out
-    assert "failed: 1\nuntranslatable (direct engine only): 0\nstatus: MISMATCH\n" in out
+    assert "failed: 1\nuntranslatable (direct engine only): 0\nstatus: ERROR\n" in out
     assert "first failure: case 0\n" in out
 
 

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from modalrel import (
+    Abstraction,
     And,
     Box,
     ConceptConst,
@@ -21,9 +22,11 @@ from modalrel import (
     Eq,
     Exists,
     Forall,
+    Implies,
     KripkeModel,
     ModalQuery,
     ModelInvariantError,
+    Neq,
     Not,
     ObjectConst,
     ObjectVar,
@@ -48,7 +51,7 @@ from modalrel import (
 )
 from modalrel import kripke, relalg, syntax, translate
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
-from modalrel.kripke import Memo, satisfies, term_eval
+from modalrel.kripke import compile_formula, satisfies, term_eval
 from test_acceptance import CAMPAIGN_PARAMS
 from test_bench_contract import load_perfbench
 
@@ -102,7 +105,9 @@ def test_direct_engine_runs_no_python_hash_or_eq(example_model):
         answer_direct(example_model, query)
     finally:
         sys.setprofile(None)
-    assert satisfies.__code__ in calls
+    # the probe saw the compiled closures run: the modal steps, the inner one memoised
+    assert compile_formula(example_model, query.formula, query.target).__code__ in calls
+    assert kripke._memoised(None, (0,)).__code__ in calls
     assert [code.co_name for code in calls if code in codes] == []
 
 
@@ -153,7 +158,7 @@ ONE_OF_EACH_FORMULA = [
 
 
 def test_satisfies_reads_every_formula_constructor(example_model):
-    # a constructor added to syntax.Formula without a branch in satisfies fails here
+    # a constructor added to syntax.Formula without a compiler rule fails here
     formulas = [parse_formula(text) for text in ONE_OF_EACH_FORMULA]
     assert [type(f) for f in formulas] == list(typing.get_args(syntax.Formula))
     x = ObjectVar("x")
@@ -161,7 +166,7 @@ def test_satisfies_reads_every_formula_constructor(example_model):
         for state in example_model.states:
             for value in sorted(example_model.objects):
                 truth = satisfies(example_model, state, {x: value}, formula)
-                assert truth is satisfies(example_model, state, {x: value}, formula, Memo())
+                assert truth is reference_holds(example_model, state, {x: value}, formula)
 
 
 class Equals(Eq):
@@ -181,10 +186,33 @@ class Possibly(Diamond):
     ids=["Eq-subclass", "Diamond-subclass", "term", "string"],
 )
 def test_satisfies_rejects_what_is_not_a_formula(example_model, formula):
+    # the compiler rejects it, before any state is read
     state = state_with_id(example_model, "1")
-    for memo in (None, Memo()):
-        with pytest.raises(TypeError, match="not a formula"):
-            satisfies(example_model, state, {}, formula, memo)
+    with pytest.raises(TypeError, match="not a formula"):
+        satisfies(example_model, state, {}, formula)
+
+
+class Named(ObjectConst):
+    """A subclass of a term constructor, which is not a term."""
+
+
+@pytest.mark.parametrize(
+    "formula, message",
+    [(Equals(ObjectConst("a"), ObjectConst("a")), "not a formula"),
+     (Possibly("COMP", parse_formula("@code = 'b'")), "not a formula"),
+     (Not(Equals(Relativized(ConceptConst("code")), ObjectConst("b"))), "not a formula"),
+     (Eq(Relativized(ConceptConst("code")), Named("b")), "not a term")],
+    ids=["Eq-subclass", "Diamond-subclass", "nested-Eq-subclass", "term-subclass"],
+)
+def test_both_engines_refuse_a_subclass_of_a_constructor(example_model, formula, message):
+    # check_query makes the one exact-class check, before either engine reads a state
+    query = ModalQuery(formula, ())
+    with pytest.raises(TypeError, match=message):
+        check_query(example_model, formula)
+    with pytest.raises(TypeError, match=message):
+        answer_direct(example_model, query)
+    with pytest.raises(TypeError, match=message):
+        translate.translate_query(query, example_model)
 
 
 def test_satisfies_unknown_relation(example_model):
@@ -233,18 +261,66 @@ def test_empty_target_answers_are_id_values(example_model):
 
 
 # ---------------------------------------------------------------------------
-# The per-query memo
+# The compiled oracle's memos, against a memo-free reference
+
+
+def _domain(model, var):
+    return sorted(model.objects) if isinstance(var, ObjectVar) else list(model.concepts)
+
+
+def reference_value(model, assignment, term, state):
+    """The value of a term, read off the model by a plain recursive walk."""
+    match term:
+        case ObjectVar() | ConceptVar():
+            return assignment[term]
+        case Relativized(inner):
+            return model.concepts[reference_value(model, assignment, inner, state)][state]
+        case ObjectConst(symbol) | ConceptConst(symbol):
+            return symbol
+
+
+def reference_holds(model, state, assignment, formula):
+    """The truth of a formula by the textbook recursive definition, with no
+    memo and nothing from the package's evaluator."""
+    def holds(at, f, bound=assignment):
+        return reference_holds(model, at, bound, f)
+
+    def value(term):
+        return reference_value(model, assignment, term, state)
+
+    match formula:
+        case Eq(left, right):
+            return value(left) == value(right)
+        case Neq(left, right):
+            return value(left) != value(right)
+        case Not(body):
+            return not holds(state, body)
+        case And(left, right):
+            return holds(state, left) and holds(state, right)
+        case Or(left, right):
+            return holds(state, left) or holds(state, right)
+        case Implies(left, right):
+            return not holds(state, left) or holds(state, right)
+        case Diamond(relation, body):
+            return any(holds(nxt, body) for nxt in model.successors(relation, state))
+        case Box(relation, body):
+            return all(holds(nxt, body) for nxt in model.successors(relation, state))
+        case Exists(var, body):
+            return any(holds(state, body, {**assignment, var: v}) for v in _domain(model, var))
+        case Forall(var, body):
+            return all(holds(state, body, {**assignment, var: v}) for v in _domain(model, var))
+        case Abstraction(var, body, argument):
+            return holds(state, body, {**assignment, var: value(argument)})
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 def answer_unmemoised(model, query):
-    """``answer_direct`` spelt out with the four-argument ``satisfies``."""
-    domains = [sorted(model.objects) if isinstance(v, ObjectVar) else list(model.concepts)
-               for v in query.target]
+    """``answer_direct`` spelt out with the memo-free ``reference_holds``."""
     rows = set()
-    for values in itertools.product(*domains):
+    for values in itertools.product(*[_domain(model, var) for var in query.target]):
         assignment = dict(zip(query.target, values))
         for state in model.states:
-            if satisfies(model, state, assignment, query.formula):
+            if reference_holds(model, state, assignment, query.formula):
                 rows.add((*values, model.id_of(state)))
     return RelationInstance(len(query.target) + 1, frozenset(rows))
 
@@ -276,19 +352,26 @@ def test_memo_keeps_answers(example_model, query, expected):
 
 
 def test_memo_records_nothing_that_raised(example_model):
-    # A body that is not a formula passes the symbol check and raises only
-    # when evaluated: at state 1, which has successors; the diamond is
-    # vacuous elsewhere.
+    # A body that is not a formula raises when the formula compiles, so at
+    # every state, also those where the diamond is vacuous; check_query
+    # refuses it before answer_direct compiles.
     formula = Diamond("COMP", Not(None))
-    memo = Memo()
-    for state in example_model.states[1:]:
-        assert not satisfies(example_model, state, {}, formula, memo)
-    for _ in range(2):
-        with pytest.raises(TypeError):
-            satisfies(example_model, example_model.states[0], {}, formula, memo)
-    assert len(memo.truth) == 3
-    with pytest.raises(TypeError):
+    for state in example_model.states:
+        with pytest.raises(TypeError, match="not a formula: None"):
+            satisfies(example_model, state, {}, formula)
+    with pytest.raises(TypeError, match="not a formula: None"):
         answer_direct(example_model, ModalQuery(formula, ()))
+    # A concept variable bound to an undeclared concept raises when read: at
+    # state 1, which has successors; the memoised box is vacuous elsewhere.
+    # The raise records nothing, so asking again raises again.
+    g = ConceptVar("g")
+    decide = compile_formula(example_model, Not(parse_formula("[COMP] @%g = 'b'")), (g,))
+    for state in example_model.states[1:]:
+        assert not decide(state, ("nope",))
+    for _ in range(2):
+        with pytest.raises(KeyError):
+            decide(example_model.states[0], ("nope",))
+    assert decide(example_model.states[0], ("code",))
 
 
 def _direct_only_cases(seed):
@@ -323,29 +406,32 @@ def test_benchmark_sparse_shapes_answer_alike():
 
 def test_answer_direct_does_not_memoise_the_root(example_model, monkeypatch):
     # each (target value, state) pair asks for the root once, so a root entry
-    # would never be read; the inner diamond is met again and stays memoised
-    memos = []
+    # would never be read; the inner diamond is met again and stays memoised,
+    # keyed on the state and ?x's slot
+    memoised, decided = [], []
+    original = kripke._memoised
 
-    class RecordingMemo(Memo):
-        def __init__(self, *args):
-            super().__init__(*args)
-            memos.append(self)
+    def recording(decide, slots):
+        def counted(state, env):
+            decided.append((state, env))
+            return decide(state, env)
 
-    monkeypatch.setattr(kripke, "Memo", RecordingMemo)
+        memoised.append((decide.__code__.co_name, slots))
+        return original(counted, slots)
+
+    monkeypatch.setattr(kripke, "_memoised", recording)
     query = parse_query("[COMP] <COMP> @code = ?x", ["?x"])
     got = answer_direct(example_model, query)
     assert got == answer_unmemoised(example_model, query)
-    (memo,) = memos
-    assert memo.truth
-    assert {key[0] for key in memo.truth} == {id(query.formula.body)}
+    assert memoised == [("modal", (0,))]
+    assert decided and len(decided) == len(set(decided))
 
 
 def test_memo_key_without_variable_values_trips_the_campaign(monkeypatch):
-    # a broken oracle is caught by the same differential campaign
-    def key_without_values(memo, formula, state, assignment):
-        return id(formula), state
-
-    monkeypatch.setattr(kripke, "_memo_key", key_without_values)
+    # a broken oracle is caught by the same differential campaign: here every
+    # memo's key slots drop every value, so its key is the state alone
+    original = kripke._memoised
+    monkeypatch.setattr(kripke, "_memoised", lambda decide, slots: original(decide, ()))
     summary = run_campaign(CAMPAIGN_PARAMS, 1000)
     assert summary.failed >= 1
     assert summary.first_failure is not None
