@@ -505,19 +505,15 @@ def shrink_case(report: CorrespondenceReport, factory: TranslatorFactory) -> Cor
     """Greedily shrink a failing case: states, then edges, then the formula.
 
     Each phase takes the first candidate that still fails and restarts,
-    until no candidate of that phase does.  An untranslatable case stays
-    failing while its candidate raises ``UntranslatableTerm``; any other
-    case only while its candidate is a genuine mismatch (a shrink step that
-    turns the mismatch into an error is rejected).  Returns the report of
-    the smallest failing case checked, or ``report`` itself if no candidate
-    fails.
+    until no candidate of that phase does.  A candidate fails when it fails
+    the same way as ``report``: with an error of the same type, or, for a
+    mismatch, with none.  Returns the report of the smallest failing case
+    checked, or ``report`` itself if no candidate fails.
     """
-    untranslatable = isinstance(report.error, UntranslatableTerm)
+    error_type = type(report.error)
 
     def fails(r: CorrespondenceReport) -> bool:
-        if untranslatable:
-            return isinstance(r.error, UntranslatableTerm)
-        return not r.equal and r.error is None
+        return not r.equal and type(r.error) is error_type
 
     def first_failing(cases: Iterator[Case]) -> CorrespondenceReport | None:
         reports = (check(model, query, factory(model)) for model, query in cases)

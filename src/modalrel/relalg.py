@@ -5,7 +5,8 @@ Relations are finite sets of equal-length string tuples; attributes are the
 base relations of a mapped database, closed under selection, projection,
 cross product, union, difference and intersection.  The four binary nodes
 share one base class; each stays its own type for ``==``, hashing and
-``match``.
+``match``.  A plan compares and hashes by structure at any depth, as every
+value does, and prints and pickles as its text.
 
 Degrees are checked once, statically, by ``degree_of`` before an expression
 runs; evaluation then passes intermediate results as plain row sets, and only
@@ -131,48 +132,14 @@ class SelectionPredicate(_Value):
 
 
 class _Node(_Value):
-    """Equality and hashing by structure for expression nodes, without recursion.
+    """An expression node, whose ``repr`` and pickled form are its text.
 
-    ``_Value``'s field-by-field ``__eq__`` and ``__repr__``, ``copy.deepcopy``
-    and ``pickle`` recurse several interpreter levels per node, more than a
-    translated plan a few hundred levels deep leaves room for.  Equality and
-    hashing here read a flat listing instead: in pre-order, each node's type
-    and then its fields that are not subtrees.  Every node type has a fixed
-    list of fields, so the listing fixes the tree.  ``repr`` and the pickled
-    form are the rendered text, one frame per level.
+    Text takes one frame per level; ``_Value``'s ``repr`` and unpickling take
+    several, more than a plan a few hundred levels deep leaves room for.
     """
-
-    def _listing(self) -> list:
-        listing = []
-        pending = [self]
-        while pending:
-            node = pending.pop()
-            listing.append(type(node))
-            for name in node.__match_args__:
-                value = getattr(node, name)
-                if isinstance(value, _Node):
-                    pending.append(value)
-                else:
-                    listing.append(value)
-        return listing
-
-    def __eq__(self, other):
-        if not isinstance(other, _Node):
-            return NotImplemented
-        return self._listing() == other._listing()
-
-    def __hash__(self):
-        return hash(tuple(self._listing()))
 
     def __repr__(self):
         return f"parse_algebra({render_algebra(self)!r})"
-
-    # A plan is an immutable value, so every copy of it may be the plan itself.
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __reduce__(self):
         return parse_algebra, (render_algebra(self),)

@@ -7,7 +7,9 @@ object a concept ``t`` takes in the state under evaluation and is the only
 bridge between the kinds: it turns a concept term into an object term.
 Equality and inequality compare object terms only.
 
-A variable is one object per kind and name: ``ObjectVar("x") is
+Every term, formula and query is a ``_Value``: it compares and hashes by
+structure at any depth, and a copy of it is the value itself.  A variable is
+the exception: it is one object per kind and name, ``ObjectVar("x") is
 ObjectVar("x")``, so ``==`` on variables is ``is`` and they hash on their
 identity, and pickling, ``copy`` and ``replace`` give back that same object.
 
@@ -16,6 +18,9 @@ fields and checks once; each stays its own type for ``==``, hashing and
 ``match``, so an ``Eq`` never equals or matches a ``Neq``.  The bases are plain
 classes over ``_Value``, not dataclasses: a one-shot ``modalrel eval`` would
 otherwise spend a fifth of its time generating their methods.
+
+No formula deeper than ``MAX_NESTING`` becomes a query, whether it is parsed
+from text or built in Python.
 """
 
 from __future__ import annotations
@@ -23,18 +28,23 @@ from __future__ import annotations
 import re
 import reprlib
 from contextlib import contextmanager
-from operator import attrgetter
 from typing import Iterator
 
 from .errors import FreeVarMismatch, KindError, QuerySyntaxError
 
-# Deepest formula tree (operators on the longest path down to an atom) and
-# deepest parenthesis nesting that query text may hold.  Both engines recurse
-# on the formula tree, the algebra translator about 8 frames per ``[R]``
-# level, so deeper text is refused before either engine sees it.
+# Deepest formula tree (operators on the longest path down to an atom) that a
+# query may hold, and deepest parenthesis nesting that query text may hold.
+# Both engines recurse on the formula tree, the algebra translator about 8
+# frames per ``[R]`` level, so a deeper query is refused before either engine
+# sees it.
 MAX_NESTING = 64
 
 _set = object.__setattr__
+
+
+def _shown(term) -> str:
+    """A term's text for an error message, quoted and cut short if long."""
+    return reprlib.repr(str(term))
 
 
 class _Value:
@@ -42,33 +52,51 @@ class _Value:
 
     Each class that defines ``__init__`` names its fields there, once, and
     sets them with ``object.__setattr__`` after its checks.  Values are equal
-    when their classes are the same and their fields are equal; hashing reads
-    the fields; ``repr`` is ``Name(field=value, ...)``; ``replace`` builds a
+    when their classes are the same and their fields are equal; equality and
+    hashing read a flat listing (``_listing``) built without recursion, so a
+    tree of any depth compares and hashes.  A copy of a value is the value
+    itself; ``repr`` is ``Name(field=value, ...)``; ``replace`` builds a
     changed copy through ``__init__``, as does unpickling, so both check it.
-    A variable defines no ``__init__`` and so keeps ``object``'s equality and
-    hashing: its constructor returns one object per name (``_Var``).
+    A variable keeps ``object``'s equality and hashing (``_Var``).
     """
 
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        if "__init__" not in vars(cls):
-            return
-        code = cls.__init__.__code__
-        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
-        fields = attrgetter(*cls.__match_args__)
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
 
-        def __eq__(self, other):
-            if other.__class__ is not self.__class__:
-                return NotImplemented
-            return fields(self) == fields(other)
+    def _listing(self) -> list:
+        # In pre-order, each value's class, then its fields that are not values;
+        # every class has a fixed list of fields, so the listing fixes the tree.
+        listing = []
+        pending = [self]
+        while pending:
+            value = pending.pop()
+            listing.append(type(value))
+            for name in value.__match_args__:
+                field = getattr(value, name)
+                if isinstance(field, _Value):
+                    pending.append(field)
+                else:
+                    listing.append(field)
+        return listing
 
-        # A closure over ``fields`` reads it faster than ``self`` would; a
-        # class whose base defines its own equality (a plan node) keeps that.
-        if cls.__eq__ is object.__eq__:
-            cls.__eq__ = __eq__
-            cls.__hash__ = lambda self: hash(fields(self))
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._listing() == other._listing()
+
+    def __hash__(self):
+        return hash(tuple(self._listing()))
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -120,6 +148,8 @@ class _Var(_Value):
     """
 
     __match_args__ = ("name",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, name: str):
         var = _VARIABLES.get((cls, name))
@@ -145,7 +175,7 @@ class Relativized(_Value):
 
     def __init__(self, inner: Term):
         if not is_concept_term(inner):
-            raise KindError(f"'@' applies only to concept terms, got {inner}")
+            raise KindError(f"'@' applies only to concept terms, got {_shown(inner)}")
         _set(self, "inner", inner)
 
     def __str__(self) -> str:
@@ -183,7 +213,7 @@ class _Comparison(_Value):
     def __init__(self, left: Term, right: Term):
         for side in (left, right):
             if not is_object_term(side):
-                raise KindError(f"{self._compares} compares object terms, got {side}")
+                raise KindError(f"{self._compares} compares object terms, got {_shown(side)}")
         _set(self, "left", left)
         _set(self, "right", right)
 
@@ -236,7 +266,7 @@ class Box(_Modal):
 class _Quantifier(_Value):
     def __init__(self, var: Var, body: Formula):
         if not is_variable(var):
-            raise KindError(f"quantifier binds a variable, got {var}")
+            raise KindError(f"quantifier binds a variable, got {_shown(var)}")
         _set(self, "var", var)
         _set(self, "body", body)
 
@@ -254,9 +284,11 @@ class Abstraction(_Value):
 
     def __init__(self, var: Var, body: Formula, argument: Term):
         if not is_variable(var):
-            raise KindError(f"abstraction binds a variable, got {var}")
+            raise KindError(f"abstraction binds a variable, got {_shown(var)}")
         if not same_kind(var, argument):
-            raise KindError(f"abstraction binder {var} and argument {argument} differ in kind")
+            raise KindError(
+                f"abstraction binder {_shown(var)} and argument {_shown(argument)} differ in kind"
+            )
         _set(self, "var", var)
         _set(self, "body", body)
         _set(self, "argument", argument)
@@ -332,12 +364,20 @@ def formula_depth(formula: Formula) -> int:
     return deepest
 
 
+def _refuse_past_limit(depth: int, level: str = "operator", line=None, column=None) -> None:
+    """Raise the one error for a query nested deeper than ``MAX_NESTING``."""
+    if depth > MAX_NESTING:
+        message = f"query nests more than {MAX_NESTING} {level} levels deep"
+        raise QuerySyntaxError(message, line, column)
+
+
 class ModalQuery(_Value):
     """A formula plus the ordered list of its free variables (the target)."""
 
     def __init__(self, formula: Formula, target: tuple[Var, ...]):
         if len(set(target)) != len(target):
             raise FreeVarMismatch("target variables must be distinct")
+        _refuse_past_limit(formula_depth(formula))  # before free_vars recurses
         free = free_vars(formula)
         if set(free) != set(target):
             wanted = ", ".join(str(v) for v in target) or "(none)"
@@ -446,14 +486,9 @@ class _Parser:
     @contextmanager
     def _deeper(self, level: str) -> Iterator[None]:
         """One operator or parenthesis level deeper (a ``with`` adds no frame)."""
-        if self._levels[level] == MAX_NESTING:
-            token = self._peek()
-            raise QuerySyntaxError(
-                f"query nests more than {MAX_NESTING} {level} levels deep",
-                token.line,
-                token.column,
-            )
+        token = self._peek()
         self._levels[level] += 1
+        _refuse_past_limit(self._levels[level], level, token.line, token.column)
         yield
         self._levels[level] -= 1
 
@@ -461,8 +496,7 @@ class _Parser:
         formula = self.formula()
         if self._peek().kind != "EOF":
             raise self._error("expected end of query")
-        if formula_depth(formula) > MAX_NESTING:
-            raise QuerySyntaxError(f"query nests more than {MAX_NESTING} operator levels deep")
+        _refuse_past_limit(formula_depth(formula))
         return formula
 
     def formula(self) -> Formula:
@@ -530,9 +564,8 @@ class _Parser:
         argument = self._term()
         self._expect(")", "')' after the abstraction argument")
         if not same_kind(var, argument):
-            binder, shown = reprlib.repr(str(var)), reprlib.repr(str(argument))
             raise KindError(
-                f"abstraction binder {binder} and argument {shown} differ in kind",
+                f"abstraction binder {_shown(var)} and argument {_shown(argument)} differ in kind",
                 arg_token.line,
                 arg_token.column,
             )
@@ -556,7 +589,7 @@ class _Parser:
         for term, token in ((left, left_token), (right, right_token)):
             if not is_object_term(term):
                 raise KindError(
-                    f"equality compares object terms, but {reprlib.repr(str(term))}"
+                    f"equality compares object terms, but {_shown(term)}"
                     " is a concept term",
                     token.line,
                     token.column,

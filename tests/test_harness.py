@@ -8,6 +8,7 @@ import pytest
 from modalrel import (
     ConceptConst,
     ConceptVar,
+    DegreeError,
     GenParams,
     Projection,
     RelationInstance,
@@ -241,6 +242,13 @@ def test_engine_error_is_reported_with_its_type():
     assert summary.failed == 1
     assert summary.render().endswith(f"\n  error: {error}\n")
     assert json.loads(summary.to_json())["first_failure"]["error"] == error
+    # the error is shrunk as a mismatch is: to a case that raises it still
+    failure = summary.first_failure
+    assert "\n  query: forall ?q1 . !?x0 != '4'  [target: ?x0]\n" in summary.render()
+    assert len(failure.model.states) == 1
+    assert not any(failure.model.relations.values())
+    recheck = check(failure.model, failure.query, ExistsProjectsPastDegree(failure.model))
+    assert isinstance(recheck.error, DegreeError)
 
 
 class AlwaysUntranslatable(Translator):

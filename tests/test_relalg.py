@@ -91,6 +91,27 @@ def test_database_requires_schema_degrees(example_db):
         )
 
 
+VALUE_DEGREE_ERRORS = {
+    "negative-degree": (lambda db: RelationInstance(-1, frozenset()), "non-negative"),
+    "sta-without-id": (
+        lambda db: DatabaseInstance(
+            {**db.relations, STA: RelationInstance.of(0, [()])}, db.relation_names
+        ),
+        "at least one column",
+    ),
+    "selection-operator": (
+        lambda db: SelectionPredicate(Column(1), "<", Constant("a")),
+        "operator must be '=' or '!='",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, message", VALUE_DEGREE_ERRORS.values(), ids=VALUE_DEGREE_ERRORS)
+def test_algebra_values_check_themselves(example_db, build, message):
+    with pytest.raises(DegreeError, match=message):
+        build(example_db)
+
+
 # ---------------------------------------------------------------------------
 # Static degrees
 

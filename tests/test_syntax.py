@@ -180,6 +180,24 @@ def test_syntax_error_shortens_a_long_token(parse, text, start):
     assert "..." in message and len(message) < 100
 
 
+NAME = "n" * LONG
+LONG_TERMS = {
+    "relativized": (lambda: Relativized(ObjectConst(NAME)), "'@' applies only to concept terms"),
+    "comparison": (lambda: Neq(B, ConceptConst(NAME)), "inequality compares object terms"),
+    "quantifier": (lambda: Forall(ObjectConst(NAME), Eq(B, B)), "quantifier binds a variable"),
+    "binder": (lambda: Abstraction(ObjectConst(NAME), Eq(B, B), B), "abstraction binds a variable"),
+    "argument": (lambda: Abstraction(X, Eq(X, B), ConceptConst(NAME)), "abstraction binder '?x'"),
+}
+
+
+@pytest.mark.parametrize("build, start", LONG_TERMS.values(), ids=LONG_TERMS)
+def test_kind_error_shortens_a_long_term(build, start):
+    # each constructor's kind rule names the term it refuses, shortened
+    message = str(pytest.raises(KindError, build).value)
+    assert message.startswith(start)
+    assert "..." in message and len(message) < 100
+
+
 # ---------------------------------------------------------------------------
 # Nesting limit
 
@@ -241,6 +259,33 @@ def test_formula_at_the_limit_round_trips():
     assert parse_formula(render_formula(formula)) == formula
     with pytest.raises(QuerySyntaxError):
         parse_formula(render_formula(Not(formula)))
+
+
+@pytest.mark.parametrize(
+    "wrap, levels",
+    [(Not, 3000), (lambda f: Box("COMP", f), 150)],
+    ids=["not-3000", "box-150"],
+)
+def test_query_built_in_python_obeys_the_nesting_limit(wrap, levels):
+    formula = Eq(X, B)
+    for _ in range(levels):
+        formula = wrap(formula)
+    with pytest.raises(QuerySyntaxError, match=f"^query nests more than {MAX_NESTING} operator"):
+        ModalQuery(formula, (X,))
+
+
+def test_every_value_compares_hashes_and_copies_at_any_depth():
+    def chain(atom):
+        formula = atom
+        for level in range(3000):
+            formula = (Not, lambda f: And(f, atom), lambda f: Exists(X, f))[level % 3](formula)
+        return formula
+
+    deep = chain(Eq(X, B))
+    assert deep == chain(Eq(X, B)) and hash(deep) == hash(chain(Eq(X, B)))
+    assert deep != chain(Eq(X, ObjectConst("c")))
+    assert deep != chain(Neq(X, B))
+    assert copy.copy(deep) is deep and copy.deepcopy(deep) is deep
 
 
 def test_subformulas_lists_every_formula_field():
