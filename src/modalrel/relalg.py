@@ -1,22 +1,30 @@
 """Positional (unnamed) relational algebra over in-memory tuple sets.
 
 Relations are finite sets of equal-length string tuples; attributes are the
-1-based positions 1..degree.  Expressions are immutable trees over the four
+1-based positions 1..degree.  Expressions are immutable DAGs over the four
 base relations of a mapped database, closed under selection, projection,
-cross product, union, difference and intersection.  The four binary nodes
-share one base class; each stays its own type for ``==``, hashing and
-``match``.  A plan compares and hashes by structure at any depth, as every
-value does, and prints and pickles as its text.
+cross product, union, difference and intersection: an operator node may be
+the input of more than one parent, and is then a shared subplan (a base
+relation is a leaf, and counts as a copy wherever it occurs).  The four
+binary nodes share one base class; each stays its own type for ``==``,
+hashing and ``match``.  Two plans are equal when they have the same tree and
+share the same subplans, as their texts are; comparing and hashing take time
+linear in a plan's distinct nodes at any depth.  A plan prints and pickles as
+its text, in which a shared node is written out once, labelled ``#n=``, and
+then referred to as ``#n#`` (the labels of the Common Lisp reader).
 
 Degrees are checked once, statically, by ``degree_of`` before an expression
 runs; evaluation then passes intermediate results as plain row sets, and only
-the answer becomes a ``RelationInstance``.
+the answer becomes a ``RelationInstance``.  Both visit each distinct node
+once: ``degree_of`` finds the nodes with more than one parent, and
+``evaluate`` keeps the rows of those alone for the length of one call.
 
-Evaluation follows the tree node by node, except that every maximal chain of
+Evaluation follows the plan node by node, except that every maximal chain of
 ``Selection`` and ``Projection`` nodes runs as one pass over the node below
 it: a scan of its rows, or, if it is a ``Product``, a build/probe hash join
 that never builds it (Graefe, "Query Evaluation Techniques for Large
-Databases", ACM CSUR 1993).  The plan ``translate`` prints is the one that runs.
+Databases", ACM CSUR 1993).  A chain ends above a shared node, whose rows are
+computed once.  The plan ``translate`` prints is the one that runs.
 """
 
 from __future__ import annotations
@@ -36,9 +44,12 @@ OBJ = "Obj"
 SCHEMA_NAMES = (STA, REL, CON, OBJ)
 
 # Deepest parenthesis nesting that ``parse_algebra`` reads; its reader
-# recurses once per level.  The deepest plan the translator emits for
-# query text within ``MAX_NESTING`` is 64 ``[R]`` at 387 levels (each ``[R]``
-# adds 6), so 8 levels per query level keep every emitted plan readable.
+# recurses once per level.  Within ``MAX_NESTING``, 64 nested dual ``[R]``
+# nest their text 387 levels deep (each adds 6).  A guarded ``[R]`` adds 10,
+# but one nested in another needs an ``&`` between them, and its text writes
+# each shared subplan once: 32 of them nest 291 levels deep.  So 8 levels per
+# query level keep these plans readable; a conjunction that joins on many
+# variables at every level can still nest deeper.
 MAX_PLAN_DEPTH = 8 * MAX_NESTING
 
 
@@ -138,6 +149,32 @@ class _Node(_Value):
     several, more than a plan a few hundred levels deep leaves room for.
     """
 
+    def _listing(self) -> list:
+        # ``_Value``'s listing, in which an operator node met again is its
+        # number in order of first visit: an int, where the listing of a
+        # fresh node starts with its class.  So the listing fixes the tree
+        # and which operators it shares, and its length is linear in the
+        # distinct nodes.  A base relation is a leaf, listed where it occurs.
+        listing = []
+        numbers: dict[int, int] = {}
+        pending = [self]
+        while pending:
+            value = pending.pop()
+            if isinstance(value, _Operator):
+                number = numbers.get(id(value))
+                if number is not None:
+                    listing.append(number)
+                    continue
+                numbers[id(value)] = len(numbers)
+            listing.append(type(value))
+            for name in value.__match_args__:
+                field = getattr(value, name)
+                if isinstance(field, _Value):
+                    pending.append(field)
+                else:
+                    listing.append(field)
+        return listing
+
     def __repr__(self):
         return f"parse_algebra({render_algebra(self)!r})"
 
@@ -150,19 +187,23 @@ class BaseRelation(_Node):
         _set(self, "name", name)
 
 
-class Selection(_Node):
+class _Operator(_Node):
+    """A node with inputs, which a plan may share between parents."""
+
+
+class Selection(_Operator):
     def __init__(self, predicate: SelectionPredicate, input: AlgebraExpr):
         _set(self, "predicate", predicate)
         _set(self, "input", input)
 
 
-class Projection(_Node):
+class Projection(_Operator):
     def __init__(self, indices: tuple[int, ...], input: AlgebraExpr):  # may be empty, may repeat
         _set(self, "indices", indices)
         _set(self, "input", input)
 
 
-class _Binary(_Node):
+class _Binary(_Operator):
     def __init__(self, left: AlgebraExpr, right: AlgebraExpr):
         _set(self, "left", left)
         _set(self, "right", right)
@@ -204,46 +245,65 @@ BINARY_OPERATORS = {
 }
 
 
-def degree_of(expr: AlgebraExpr, schema: Mapping[str, int]) -> int:
-    """Static degree of an expression; raises on any arity violation."""
-    match expr:
-        case BaseRelation(name):
-            if name not in schema:
-                raise UnknownRelation(f"unknown relation {name!r}")
-            return schema[name]
-        case Selection(predicate, inner):
-            degree = degree_of(inner, schema)
-            for operand in (predicate.left, predicate.right):
-                if isinstance(operand, Column) and operand.index > degree:
-                    raise DegreeError(
-                        f"selection column {operand.index} out of range",
-                        expected=degree,
-                        found=operand.index,
-                    )
+def degree_of(
+    expr: AlgebraExpr, schema: Mapping[str, int], shared: set[int] | None = None
+) -> int:
+    """Static degree of an expression; raises on any arity violation.
+
+    Each distinct node is checked once.  If ``shared`` is given, the ``id`` of
+    every operator node that more than one parent reads (or one parent twice)
+    is added to it.
+    """
+    degrees: dict[int, int] = {}
+
+    def visit(node: AlgebraExpr) -> int:
+        if isinstance(node, BaseRelation):  # a leaf, never counted as shared
+            if node.name not in schema:
+                raise UnknownRelation(f"unknown relation {node.name!r}")
+            return schema[node.name]
+        key = id(node)
+        degree = degrees.get(key)
+        if degree is not None:
+            if shared is not None:
+                shared.add(key)
             return degree
-        case Projection(indices, inner):
-            degree = degree_of(inner, schema)
-            for index in indices:
-                if index < 1 or index > degree:
+        match node:
+            case Selection(predicate, inner):
+                degree = visit(inner)
+                for operand in (predicate.left, predicate.right):
+                    if isinstance(operand, Column) and operand.index > degree:
+                        raise DegreeError(
+                            f"selection column {operand.index} out of range",
+                            expected=degree,
+                            found=operand.index,
+                        )
+            case Projection(indices, inner):
+                below = visit(inner)
+                for index in indices:
+                    if index < 1 or index > below:
+                        raise DegreeError(
+                            f"projection index {index} out of range",
+                            expected=below,
+                            found=index,
+                        )
+                degree = len(indices)
+            case Product(left, right):
+                degree = visit(left) + visit(right)
+            case Union(left, right) | Difference(left, right) | Intersection(left, right):
+                degree = visit(left)
+                dr = visit(right)
+                if degree != dr:
                     raise DegreeError(
-                        f"projection index {index} out of range",
+                        f"{type(node).__name__.lower()} needs union-compatible inputs",
                         expected=degree,
-                        found=index,
+                        found=dr,
                     )
-            return len(indices)
-        case Product(left, right):
-            return degree_of(left, schema) + degree_of(right, schema)
-        case Union(left, right) | Difference(left, right) | Intersection(left, right):
-            dl = degree_of(left, schema)
-            dr = degree_of(right, schema)
-            if dl != dr:
-                raise DegreeError(
-                    f"{type(expr).__name__.lower()} needs union-compatible inputs",
-                    expected=dl,
-                    found=dr,
-                )
-            return dl
-    raise TypeError(f"not an algebra expression: {expr!r}")
+            case _:
+                raise TypeError(f"not an algebra expression: {node!r}")
+        degrees[key] = degree
+        return degree
+
+    return visit(expr)
 
 
 def evaluate(expr: AlgebraExpr, db: DatabaseInstance) -> RelationInstance:
@@ -251,10 +311,12 @@ def evaluate(expr: AlgebraExpr, db: DatabaseInstance) -> RelationInstance:
 
     The whole expression is degree-checked once, statically, before it runs;
     intermediate results are plain row sets, and only the answer is wrapped
-    (and validated) as a ``RelationInstance``.
+    (and validated) as a ``RelationInstance``.  The rows of each shared node
+    are computed once and kept until the call returns.
     """
-    degree = degree_of(expr, db.schema)
-    return RelationInstance(degree, _eval(expr, db))
+    shared: set[int] = set()
+    degree = degree_of(expr, db.schema, shared)
+    return RelationInstance(degree, _eval(expr, db, dict.fromkeys(shared)))
 
 
 Row = tuple[str, ...]
@@ -292,9 +354,16 @@ def _through(operand: Column | Constant, indices: tuple[int, ...]) -> Column | C
     return Column(indices[operand.index - 1]) if isinstance(operand, Column) else operand
 
 
-def _pipeline(expr: AlgebraExpr) -> tuple[list[SelectionPredicate], Callable | None, AlgebraExpr]:
+# The rows of each shared node of a plan, by ``id``; ``None`` until computed.
+Memo = dict[int, "frozenset[Row] | None"]
+
+
+def _pipeline(
+    expr: AlgebraExpr, memo: Memo
+) -> tuple[list[SelectionPredicate], Callable | None, AlgebraExpr]:
     """The predicates and picker (``None``: every column) of the selections and projections
-    atop ``expr``, read in the columns of the node below them, and that node."""
+    atop ``expr``, read in the columns of the node below them, and that node.  The chain
+    stops above a shared node, whose rows are kept whole."""
     predicates, indices = [], None
     while isinstance(expr, (Selection, Projection)):
         if isinstance(expr, Selection):
@@ -307,6 +376,8 @@ def _pipeline(expr: AlgebraExpr) -> tuple[list[SelectionPredicate], Callable | N
             ]
             indices = inner if indices is None else tuple(inner[i - 1] for i in indices)
         expr = expr.input
+        if memo and id(expr) in memo:
+            break
     return predicates, None if indices is None else _picker(indices), expr
 
 
@@ -315,6 +386,7 @@ def _join(
     product: Product,
     db: DatabaseInstance,
     pick: Callable[[Row], Row] | None,
+    memo: Memo,
 ) -> frozenset[Row]:
     """The rows of ``product`` that satisfy every predicate (all rows if none),
     each picked by ``pick`` (if any) as the join yields it.
@@ -325,10 +397,10 @@ def _join(
     right side is hashed and probed with the left; the other predicates
     filter the joined rows, which are never collected before they are picked.
     """
-    left_rows = _eval(product.left, db)
+    left_rows = _eval(product.left, db, memo)
     if not left_rows:
         return frozenset()
-    right_rows = _eval(product.right, db)
+    right_rows = _eval(product.right, db, memo)
     if not right_rows:
         return frozenset()
     split = len(next(iter(left_rows)))  # the left side's degree
@@ -367,25 +439,33 @@ def _join(
     return frozenset(joined if pick is None else map(pick, joined))
 
 
-def _eval(expr: AlgebraExpr, db: DatabaseInstance) -> frozenset[Row]:
+def _eval(expr: AlgebraExpr, db: DatabaseInstance, memo: Memo) -> frozenset[Row]:
+    # A plan that shares nothing has an empty memo, and pays one test per node.
+    if memo and (rows := memo.get(id(expr))) is not None:
+        return rows
     match expr:
         case BaseRelation(name):
-            return db.relations[name].tuples
+            rows = db.relations[name].tuples
         case Selection() | Projection() | Product():
-            predicates, pick, source = _pipeline(expr)
-            if isinstance(source, Product):
-                return _join(predicates, source, db, pick)
-            rows = _eval(source, db)
-            if predicates:
-                rows = (row for row in rows if _holds_all(predicates, row))
-            return frozenset(rows if pick is None else map(pick, rows))
+            predicates, pick, source = _pipeline(expr, memo)
+            if isinstance(source, Product) and (source is expr or id(source) not in memo):
+                rows = _join(predicates, source, db, pick, memo)
+            else:
+                rows = _eval(source, db, memo)
+                if predicates:
+                    rows = (row for row in rows if _holds_all(predicates, row))
+                rows = frozenset(rows if pick is None else map(pick, rows))
         case Union(left, right):
-            return _eval(left, db) | _eval(right, db)
+            rows = _eval(left, db, memo) | _eval(right, db, memo)
         case Difference(left, right):
-            return _eval(left, db) - _eval(right, db)
+            rows = _eval(left, db, memo) - _eval(right, db, memo)
         case Intersection(left, right):
-            return _eval(left, db) & _eval(right, db)
-    raise TypeError(f"not an algebra expression: {expr!r}")
+            rows = _eval(left, db, memo) & _eval(right, db, memo)
+        case _:
+            raise TypeError(f"not an algebra expression: {expr!r}")
+    if memo and id(expr) in memo:
+        memo[id(expr)] = rows
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -398,38 +478,89 @@ def _render_operand(operand: Column | Constant) -> str:
     return f"'{operand.value}'"
 
 
+def _children(node: AlgebraExpr) -> tuple[AlgebraExpr, ...]:
+    if isinstance(node, _Binary):
+        return (node.left, node.right)
+    return (node.input,) if isinstance(node, _Operator) else ()
+
+
+def _shared_nodes(expr: AlgebraExpr) -> set[int]:
+    """The ``id`` of every operator node of ``expr`` that more than one edge reaches."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        if not isinstance(node, _Operator):
+            continue
+        if id(node) in seen:
+            shared.add(id(node))
+        else:
+            seen.add(id(node))
+            pending.extend(_children(node))
+    return shared
+
+
 def render_algebra(expr: AlgebraExpr) -> str:
-    """Canonical prefix text; ``parse_algebra`` round-trips it."""
-    match expr:
-        case BaseRelation(name):
-            return name
-        case Selection(predicate, inner):
-            pred = (
-                f"({predicate.op} {_render_operand(predicate.left)}"
-                f" {_render_operand(predicate.right)})"
-            )
-            return f"(select {pred} {render_algebra(inner)})"
-        case Projection(indices, inner):
-            cols = " ".join(str(i) for i in indices)
-            return f"(project ({cols}) {render_algebra(inner)})"
-        case _Binary():
-            keyword = next(k for k, node in BINARY_OPERATORS.items() if isinstance(expr, node))
-            return f"({keyword} {render_algebra(expr.left)} {render_algebra(expr.right)})"
-    raise TypeError(f"not an algebra expression: {expr!r}")
+    """Canonical prefix text; ``parse_algebra`` round-trips it.
+
+    A shared node is written out where it is first met, as ``#n=`` before
+    its text, and as ``#n#`` everywhere after; n counts the shared nodes in
+    the order they are first met, from 1.
+    """
+    shared = _shared_nodes(expr)
+    labels: dict[int, int] = {}
+    parts: list[str] = []
+
+    def write(node: AlgebraExpr) -> None:
+        if id(node) in shared:
+            if id(node) in labels:
+                parts.append(f"#{labels[id(node)]}#")
+                return
+            labels[id(node)] = len(labels) + 1
+            parts.append(f"#{len(labels)}=")
+        match node:
+            case BaseRelation(name):
+                parts.append(name)
+                return
+            case Selection(predicate, _):
+                left, right = map(_render_operand, (predicate.left, predicate.right))
+                parts.append(f"(select ({predicate.op} {left} {right}) ")
+            case Projection(indices, _):
+                parts.append(f"(project ({' '.join(map(str, indices))}) ")
+            case _Binary():
+                keyword = next(k for k, cls in BINARY_OPERATORS.items() if isinstance(node, cls))
+                parts.append(f"({keyword} ")
+            case _:
+                raise TypeError(f"not an algebra expression: {node!r}")
+        children = _children(node)
+        for i, child in enumerate(children):
+            if i:
+                parts.append(" ")
+            write(child)
+        parts.append(")")
+
+    write(expr)
+    return "".join(parts)
 
 
 # A quote with no closing quote after it is a token of its own, and an error.
-_TOKEN = re.compile(r"'[^']*'|[()]|[^\s()']+|'")
+_TOKEN = re.compile(r"'[^']*'|[()]|#[0-9]+[=#]|[^\s()']+|'")
+# A label token: ``#n=`` before a shared node's text, ``#n#`` for the node.
+_LABEL = re.compile(r"#([0-9]+)([=#])")
 
 
 def parse_algebra(text: str) -> AlgebraExpr:
-    """Parse the canonical prefix text back into an expression tree.
+    """Parse the canonical prefix text back into an expression.
 
-    Malformed text, or text nesting more than ``MAX_PLAN_DEPTH`` levels,
-    raises ``QuerySyntaxError``.
+    ``#n=`` before an expression labels it, and a later ``#n#`` is that same
+    node, so the plan shares it.  Malformed text, a label used before it is
+    defined, inside its own definition or defined twice, or text nesting
+    more than ``MAX_PLAN_DEPTH`` levels, raises ``QuerySyntaxError``.
     """
     tokens = iter(_TOKEN.findall(text))
     depth = 0  # the parentheses open before the next token
+    labelled: dict[str, AlgebraExpr | None] = {}  # None while its definition is read
 
     def take() -> str:
         nonlocal depth
@@ -467,6 +598,20 @@ def parse_algebra(text: str) -> AlgebraExpr:
 
     def expression() -> AlgebraExpr:
         token = take()
+        label = _LABEL.fullmatch(token)
+        if label:
+            name, kind = label.groups()
+            if kind == "#":
+                if name not in labelled:
+                    raise QuerySyntaxError(f"label #{name}# is not defined")
+                if labelled[name] is None:
+                    raise QuerySyntaxError(f"label #{name}# is used inside its own definition")
+                return labelled[name]
+            if name in labelled:
+                raise QuerySyntaxError(f"label #{name}= is defined twice")
+            labelled[name] = None
+            labelled[name] = node = expression()
+            return node
         if token != "(":
             if token == ")" or token.startswith("'"):
                 raise QuerySyntaxError(f"expected a relation name, got {reprlib.repr(token)}")

@@ -312,7 +312,11 @@ def term_free_vars(term: Term) -> list[Var]:
 
 
 def free_vars(formula: Formula) -> list[Var]:
-    """Free variables of a formula, in first-occurrence order."""
+    """Free variables of a formula, in first-occurrence order.
+
+    A formula deeper than ``MAX_NESTING`` is refused when the walk reaches a
+    node below that many operators, before it recurses further.
+    """
     seen: dict[Var, None] = {}
 
     def collect(terms: list[Var], bound: frozenset[Var]) -> None:
@@ -320,23 +324,25 @@ def free_vars(formula: Formula) -> list[Var]:
             if var not in bound and var not in seen:
                 seen[var] = None
 
-    def walk(f: Formula, bound: frozenset[Var]) -> None:
+    def walk(f: Formula, bound: frozenset[Var], level: int) -> None:
+        if level > MAX_NESTING:
+            _refuse_past_limit(level)
         match f:
             case _Comparison(left, right):
                 collect(term_free_vars(left), bound)
                 collect(term_free_vars(right), bound)
             case Not(body) | _Modal(_, body):
-                walk(body, bound)
+                walk(body, bound, level + 1)
             case _Connective(left, right):
-                walk(left, bound)
-                walk(right, bound)
+                walk(left, bound, level + 1)
+                walk(right, bound, level + 1)
             case _Quantifier(var, body):
-                walk(body, bound | {var})
+                walk(body, bound | {var}, level + 1)
             case Abstraction(var, body, argument):
-                walk(body, bound | {var})
+                walk(body, bound | {var}, level + 1)
                 collect(term_free_vars(argument), bound)
 
-    walk(formula, frozenset())
+    walk(formula, frozenset(), 0)
     return list(seen)
 
 
@@ -377,7 +383,6 @@ class ModalQuery(_Value):
     def __init__(self, formula: Formula, target: tuple[Var, ...]):
         if len(set(target)) != len(target):
             raise FreeVarMismatch("target variables must be distinct")
-        _refuse_past_limit(formula_depth(formula))  # before free_vars recurses
         free = free_vars(formula)
         if set(free) != set(target):
             wanted = ", ".join(str(v) for v in target) or "(none)"
@@ -670,7 +675,11 @@ _PREC = {
 
 
 def render_formula(formula: Formula) -> str:
-    """Canonical text for a formula; ``parse_formula`` round-trips it."""
+    """Canonical text for a formula; ``parse_formula`` round-trips it.
+
+    A formula deeper than ``MAX_NESTING`` is refused before rendering recurses.
+    """
+    _refuse_past_limit(formula_depth(formula))
     return _render(formula, 1)
 
 

@@ -47,12 +47,23 @@ It starts from a context of the query's target, which ``ModalQuery`` has
 checked is exactly the formula's free variables, so every lookup finds a
 binding.
 
-``f -> g``, ``[R] f``, ``forall v . f`` and ``<lam ?y . f>(@c)`` are
-translated through their definitions, as ``!f | g``, ``!<R> !f``,
-``!exists v . !f`` and ``exists ?y . ?y = @c & f``, so the plan is built
-from atoms, negation, conjunction, disjunction, ``<R>`` and ``exists``
-alone.  No rewrite follows translation, so the tree emitted is the plan
-evaluated.
+``[R] f`` takes one of two forms.  When ``f`` has a column variable and
+range-restricts every one of them (``range_restricted``), the box is built
+from ``F``, the plan of ``f``, and the ``R``-edges ``Rr``, with no universe
+(the guarded fragment of Andréka, van Benthem & Németi, *J. Phil. Logic*
+1998): a state with no ``R``-successor satisfies it under every value of
+the variables, and any other state under the values ``<R> f`` gives it,
+less those for which one of its successors does not satisfy ``f``.  The
+plan of ``<R> f`` and its edges are each read twice, so the plan shares
+them (``relalg`` plans are DAGs).  Any other box, whose ``F`` is closed or
+already as large as the universe, is its dual ``!<R> !f``, built over the
+one plan of ``f``.
+
+``f -> g``, ``forall v . f`` and ``<lam ?y . f>(@c)`` are translated through
+their definitions, as ``!f | g``, ``!exists v . !f`` and ``exists ?y . ?y =
+@c & f``, so apart from the guarded box the plan is built from atoms,
+negation, conjunction, disjunction, ``<R>`` and ``exists`` alone.  No
+rewrite follows translation, so the plan emitted is the plan evaluated.
 """
 
 from __future__ import annotations
@@ -165,13 +176,17 @@ def _equal(left: int, right: int) -> SelectionPredicate:
     return SelectionPredicate(Column(left), "=", Column(right))
 
 
+def _column(term: Term, context: VarContext) -> int | None:
+    """The depth of ``term``'s column, if it is a column-bound variable."""
+    if is_variable(term) and isinstance(binding := context.lookup(term), int):
+        return binding
+    return None
+
+
 def _atom_columns(atom: Eq | Neq, context: VarContext) -> tuple[int, ...]:
     """The depths of an atom's column-bound variables, in column order."""
-    return _in_column_order(
-        binding
-        for term in (atom.left, atom.right)
-        if is_variable(term) and isinstance(binding := context.lookup(term), int)
-    )
+    depths = (_column(atom.left, context), _column(atom.right, context))
+    return _in_column_order(depth for depth in depths if depth is not None)
 
 
 def _selects_on(formula: Formula, plan: Plan, context: VarContext) -> bool:
@@ -179,6 +194,48 @@ def _selects_on(formula: Formula, plan: Plan, context: VarContext) -> bool:
     return isinstance(formula, (Eq, Neq)) and set(_atom_columns(formula, context)) <= set(
         plan.columns
     )
+
+
+
+
+def range_restricted(formula: Formula, context: VarContext) -> frozenset[int]:
+    """The depths of the column variables that ``formula`` range-restricts:
+    every row of its plan takes their values from its atoms' other sides, not
+    from a domain (the safe-range rules of Abiteboul, Hull & Vianu, ch. 5.4).
+
+    ``v = t`` restricts ``v`` when ``t`` is not a column variable; ``&``
+    restricts what either side does, ``|`` what both do, ``<R> f`` and
+    ``exists v . f`` what ``f`` does (less ``v``), and a λ what its
+    definition does.  ``!``, ``!=``, ``->``, ``[R]`` and ``forall`` restrict
+    nothing.
+    """
+    match formula:
+        case Eq(left, right):
+            first, second = _column(left, context), _column(right, context)
+            if (first is None) == (second is None):
+                return frozenset()
+            return frozenset({second if first is None else first})
+        case And(left, right):
+            return range_restricted(left, context) | range_restricted(right, context)
+        case Or(left, right):
+            return range_restricted(left, context) & range_restricted(right, context)
+        case Diamond(_, body):
+            return range_restricted(body, context)
+        case Exists(var, body):
+            scope = context.prepend(var)
+            return range_restricted(body, scope) - {len(scope)}
+        case Abstraction(var, body, argument):
+            if not isinstance(argument, Relativized):
+                return range_restricted(body, context.bind(var, argument))
+            return range_restricted(Exists(var, And(Eq(var, argument), body)), context)
+    return frozenset()
+
+
+def guarded_box(body: Formula, columns: tuple[int, ...], context: VarContext) -> bool:
+    """Whether ``[R] body``, whose plan has ``columns``, takes the guarded
+    form: ``body`` has a column variable and range-restricts each one.
+    Otherwise it is ``!<R> !body``."""
+    return bool(columns) and set(columns) <= range_restricted(body, context)
 
 
 class Translator:
@@ -314,9 +371,12 @@ class Translator:
         return Plan(Projection(tuple(range(1, k + 2)), selected), plan.columns)
 
     def _negation(self, body: Formula, context: VarContext) -> Plan:
-        inner = self._plan(body, context)
-        universe = context.cross(inner.columns, Projection((1,), BaseRelation(STA)))
-        return Plan(Difference(universe, inner.expr), inner.columns)
+        return self._complement(self._plan(body, context), context)
+
+    def _complement(self, plan: Plan, context: VarContext) -> Plan:
+        """``plan``'s complement in the universe of its variables' domains and Sta."""
+        universe = context.cross(plan.columns, Projection((1,), BaseRelation(STA)))
+        return Plan(Difference(universe, plan.expr), plan.columns)
 
     def _conjunction(self, left: Formula, right: Formula, context: VarContext) -> Plan:
         # An atom whose column variables the other side's plan already has
@@ -358,7 +418,10 @@ class Translator:
         )
 
     def _diamond(self, relation: str, body: Formula, context: VarContext) -> Plan:
-        inner = self._plan(body, context)
+        return self._step(relation, self._plan(body, context))
+
+    def _step(self, relation: str, inner: Plan) -> Plan:
+        """``<R>`` of ``inner``: the states with an ``R``-edge into one of its rows."""
         k = len(inner.columns)
         # Columns of body × Rel: 1..k vars, k+1 body state, k+2 source,
         # k+3 target, k+4 relation name.  Keep rows whose body state is the
@@ -371,8 +434,38 @@ class Translator:
         return Plan(Projection(tuple(range(1, k + 1)) + (k + 2,), selected), inner.columns)
 
     def _box(self, relation: str, body: Formula, context: VarContext) -> Plan:
-        # A box is definitionally the dual of the diamond.
-        return self._plan(Not(Diamond(relation, Not(body))), context)
+        inner = self._plan(body, context)
+        if guarded_box(body, inner.columns, context):
+            return self._guarded_box(relation, inner, context)
+        # The dual of the diamond, over the one plan of the body.
+        return self._complement(self._step(relation, self._complement(inner, context)), context)
+
+    def _guarded_box(self, relation: str, inner: Plan, context: VarContext) -> Plan:
+        """``[R]`` of ``inner`` over its own variables x̄, with no universe:
+        ``(D(x̄) × (π₁Sta − π₁Rr)) ∪ (C − π(x̄, s)(W − G))``.
+
+        ``Rr`` is ``R``'s edges.  ``E`` pairs each row of ``inner`` with the
+        edges into its state; ``C = <R> f`` are its candidates (x̄, s); ``W``
+        pairs each candidate with every successor t of s, and ``G`` keeps
+        the pairs whose (x̄, t) satisfies ``f``.  ``E``, ``C`` and ``Rr`` are
+        shared nodes of the plan.
+        """
+        k = len(inner.columns)
+        variables = tuple(range(1, k + 1))
+        edges = Selection(SelectionPredicate(Column(3), "=", Constant(relation)), BaseRelation(REL))
+        # Columns of F × Rr: 1..k vars, k+1 body state, k+2 source, k+3 target.
+        paired = Selection(_equal(k + 1, k + 3), Product(inner.expr, edges))
+        candidates = Projection(variables + (k + 2,), paired)
+        # Columns of C × Rr: 1..k vars, k+1 candidate state, k+2 source, k+3 target.
+        successors = Projection(
+            variables + (k + 1, k + 3),
+            Selection(_equal(k + 1, k + 2), Product(candidates, edges)),
+        )
+        satisfied = Projection(variables + (k + 2, k + 3), paired)
+        failing = Projection(variables + (k + 1,), Difference(successors, satisfied))
+        no_successor = Difference(Projection((1,), BaseRelation(STA)), Projection((1,), edges))
+        vacuous = context.cross(inner.columns, no_successor)
+        return Plan(Union(vacuous, Difference(candidates, failing)), inner.columns)
 
     def _exists(self, var: Var, body: Formula, context: VarContext) -> Plan:
         scope = context.prepend(var)

@@ -4,6 +4,7 @@ import copy
 import functools
 import pickle
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from modalrel import (
     SelectionPredicate,
     Union,
     UnknownRelation,
+    answer_direct,
     build_database,
     degree_of,
     evaluate,
@@ -43,6 +45,7 @@ from modalrel import (
 from modalrel import relalg
 from modalrel.harness import case_params
 from modalrel.relalg import BINARY_OPERATORS
+from modalrel.syntax import MAX_NESTING, formula_depth
 from test_acceptance import CAMPAIGN_PARAMS
 
 STA_REL = BaseRelation(STA)
@@ -215,7 +218,22 @@ RENDER_TABLE = [
      "(intersect (union Con Con) (product Con (project () Sta)))"),
     # README: a column index is 1 to 18 digits
     (Projection((int("1" * 18),), STA_REL), "(project (" + "1" * 18 + ") Sta)"),
+    # a shared operator is written once, then referred to by its label; a
+    # base relation is a leaf, written wherever it occurs
+    (Union(*[Projection((1,), STA_REL)] * 2), "(union #1=(project (1) Sta) #1#)"),
+    (Difference(*[Difference(*[Projection((1,), STA_REL)] * 2)] * 2),
+     "(diff #1=(diff #2=(project (1) Sta) #2#) #1#)"),
 ]
+
+
+def test_equal_plans_share_the_same_subplans(example_db):
+    shared = parse_algebra("(union #1=(project (1) Sta) #1#)")
+    copied = parse_algebra("(union (project (1) Sta) (project (1) Sta))")
+    assert shared != copied
+    assert shared.left is shared.right
+    assert evaluate(shared, example_db) == evaluate(copied, example_db)
+    # a label on a base relation shares nothing
+    assert parse_algebra("(union #1=Sta #1#)") == parse_algebra("(union Sta Sta)")
 
 
 @pytest.mark.parametrize("expr,text", RENDER_TABLE, ids=[t for _, t in RENDER_TABLE])
@@ -251,6 +269,9 @@ MALFORMED_ALGEBRA = [
     "(select (= 1 2) Sta Sta)",
     "(project 1 Sta)",
     "(project (1) Sta",
+    "(union #1# Sta)",  # a label used before its definition
+    "#1=(union #1# Sta)",  # a label used inside its own definition
+    "(union #1=(project (1) Sta) #1=(project (1) Sta))",  # a label defined twice
 ]
 
 
@@ -268,16 +289,51 @@ def test_plan_depth_limit():
         parse_algebra("(project (1) " + text + ")")
 
 
+def _text_depth(text: str) -> int:
+    depth = deepest = 0
+    for char in text:
+        depth += {"(": 1, ")": -1}.get(char, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
 def test_deepest_translated_plan_round_trips(example_model):
     # the deepest plan within the query limit, at 387 levels
     query = parse_query("[COMP] " * 64 + "@code = 'b'")
     plan = translate_query(query, example_model)
     text = render_algebra(plan)
+    assert _text_depth(text) == 387
     assert parse_algebra(text) == plan
     assert hash(parse_algebra(text)) == hash(plan)
     assert repr(plan) == f"parse_algebra({text!r})"
     assert copy.deepcopy(plan) == plan
     assert pickle.loads(pickle.dumps(plan)) == plan
+
+
+# Nested guarded boxes at the query limit: each reads its body's plan twice,
+# so as a tree the first plan would have about 2**32 nodes.
+GUARDED_CHAINS = [
+    "[COMP] (?x = @code & " * 32 + "?x = @code" + ")" * 32,
+    "[COMP] <COMP> (?x = @code & " * 21 + "?x = @code" + ")" * 21,
+]
+
+
+@pytest.mark.parametrize("text", GUARDED_CHAINS, ids=["box-and", "box-diamond-and"])
+def test_deep_guarded_chain_plan_is_a_dag(text, example_model, example_db):
+    start = time.perf_counter()
+    query = parse_query(text, ["?x"])
+    assert formula_depth(query.formula) <= MAX_NESTING
+    plan = translate_query(query, example_model)
+    rendered = render_algebra(plan)
+    # the MAX_PLAN_DEPTH comment: shallower text than 64 dual boxes write
+    assert _text_depth(rendered) < 387
+    again = parse_algebra(rendered)
+    assert again == plan and hash(again) == hash(plan)
+    assert render_algebra(again) == rendered
+    assert pickle.loads(pickle.dumps(plan)) == plan
+    assert copy.deepcopy(plan) == plan
+    assert evaluate(plan, example_db) == answer_direct(example_model, query)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_campaign_plans_round_trip():
@@ -290,7 +346,7 @@ def test_campaign_plans_round_trip():
 
 ALGEBRA_TOKENS = [
     "(", ")", "'", "''", "'a'", "select", "project", *BINARY_OPERATORS,
-    "=", "!=", "0", "1", "2", STA, REL, CON, OBJ,
+    "=", "!=", "0", "1", "2", STA, REL, CON, OBJ, "#1=", "#1#", "#2=", "#2#",
 ]
 
 
@@ -726,9 +782,9 @@ def test_selection_over_a_projection_builds_no_set_of_its_own(
     entered = []
     inner_eval = relalg._eval
 
-    def spy(expr, db):
+    def spy(expr, *rest):
         entered.append(render_algebra(expr))
-        return inner_eval(expr, db)
+        return inner_eval(expr, *rest)
 
     monkeypatch.setattr(relalg, "_eval", spy)
     assert evaluate(plan, example_db).tuples == {("1",)}

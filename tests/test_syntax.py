@@ -274,6 +274,16 @@ def test_query_built_in_python_obeys_the_nesting_limit(wrap, levels):
         ModalQuery(formula, (X,))
 
 
+@pytest.mark.parametrize("walk", [free_vars, render_formula], ids=lambda f: f.__name__)
+def test_formula_walks_refuse_past_the_nesting_limit(walk):
+    # they recurse once per level, so a deep formula is refused before the walk
+    formula = Eq(X, B)
+    for _ in range(3000):
+        formula = Not(formula)
+    with pytest.raises(QuerySyntaxError, match=f"^query nests more than {MAX_NESTING} operator"):
+        walk(formula)
+
+
 def test_every_value_compares_hashes_and_copies_at_any_depth():
     def chain(atom):
         formula = atom

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from functools import reduce
 
 import pytest
 
@@ -36,6 +38,7 @@ from modalrel import (
     Selection,
     SelectionPredicate,
     Translator,
+    Union,
     UnknownConstant,
     UnknownRelation,
     UntranslatableTerm,
@@ -50,8 +53,8 @@ from modalrel import (
 )
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
 from modalrel.kripke import term_eval
-from modalrel.syntax import subformulas
-from modalrel.translate import VarContext
+from modalrel.syntax import parse_formula, subformulas
+from modalrel.translate import VarContext, guarded_box, range_restricted
 
 STA_REL = BaseRelation(STA)
 REL_REL = BaseRelation(REL)
@@ -417,13 +420,119 @@ def test_plan_depends_only_on_its_free_variables():
 
 
 def test_box_duality_is_structural_on_generated_formulas():
+    # a box the translator builds as its dual is that dual, node for node;
+    # every box, guarded or not, answers as the direct engine does
     for model, query in _generated_cases(60, seed=41):
         translator = Translator(model)
         ctx = VarContext(tuple(query.target))
         relation = sorted(model.relations)[0]
         box = translator.translate(Box(relation, query.formula), ctx)
-        dual = translator.translate(Not(Diamond(relation, Not(query.formula))), ctx)
-        assert box == dual
+        columns = translator._plan(query.formula, ctx).columns
+        if not guarded_box(query.formula, columns, ctx):
+            dual = translator.translate(Not(Diamond(relation, Not(query.formula))), ctx)
+            assert box == dual
+        boxed = ModalQuery(Box(relation, query.formula), query.target)
+        assert evaluate(box, build_database(model)) == answer_direct(model, boxed)
+
+
+RANGE_RESTRICTED = [
+    ("?x = @code", "x"),
+    ("'a' = ?x", "x"),
+    ("?x = ?y", ""),
+    ("?x = 'a' & ?y != ?x", "x"),
+    ("?x = @code | ?x = 'a'", "x"),
+    ("?x = @code | ?y = 'a'", ""),
+    ("<COMP> (?x = @code & ?y = @id)", "xy"),
+    ("exists ?y . ?y = @code & ?x = ?y", ""),
+    ("exists ?x . ?x = @code", ""),
+    ("<lam ?z . ?z = @code>(?x)", "x"),
+    ("<lam ?z . ?z = @code>('a')", ""),
+    ("<lam ?z . ?x = ?z>(@code)", ""),
+    ("!(?x = @code)", ""),
+    ("?x != @code", ""),
+    ("?x = @code -> ?y = @code", ""),
+    ("[COMP] ?x = @code", ""),
+    ("forall ?z . ?x = @code", ""),
+]
+
+
+@pytest.mark.parametrize("text, names", RANGE_RESTRICTED, ids=[t for t, _ in RANGE_RESTRICTED])
+def test_range_restricted_variables(text, names):
+    ctx = VarContext((X, ObjectVar("y")))
+    want = {ctx.lookup(ObjectVar(name)) for name in names}
+    assert range_restricted(parse_formula(text), ctx) == want
+
+
+def test_guarded_box_shares_its_candidates(example_model, translator):
+    # [COMP] @code = ?x: the states with no COMP-successor under every ?x,
+    # and the candidates <COMP> @code = ?x less those with a failing successor
+    query = parse_query("[COMP] @code = ?x", ["?x"])
+    plan = translator.translate_query(query)
+    assert isinstance(plan, Union)
+    vacuous, candidates, failing = plan.left, plan.right.left, plan.right.right
+    assert vacuous.left == BaseRelation(OBJ)
+    successors = failing.input.left
+    assert successors.input.input.left is candidates
+    # the edges, the candidates and the edges into the body's rows are shared
+    labels = re.findall(r"#[0-9]+[=#]", render_algebra(plan))
+    assert sorted(set(labels)) == ["#1#", "#1=", "#2#", "#2=", "#3#", "#3="]
+    answer = evaluate(plan, build_database(example_model))
+    assert answer == answer_direct(example_model, query)
+    objects = {row[0] for row in build_database(example_model).relations[OBJ].tuples}
+    assert answer.tuples == {(x, state) for x in objects for state in ("2", "3", "4")}
+
+
+class NoVacuous(Translator):
+    """Deliberately broken: a guarded box drops the states with no successor."""
+
+    def _guarded_box(self, relation, inner, context):
+        plan = super()._guarded_box(relation, inner, context)
+        return plan._replace(expr=plan.expr.right)
+
+
+class CandidatesOnly(Translator):
+    """Deliberately broken: a guarded box is its candidates, ``<R> f``."""
+
+    def _guarded_box(self, relation, inner, context):
+        plan = super()._guarded_box(relation, inner, context)
+        return plan._replace(expr=plan.expr.right.left)
+
+
+def _guarded_box_cases(n, seed):
+    """``[R] (v1 = @c1 & ... & g)`` for generated g: every free variable of
+    g, or a fresh ?x if it has none, is range-restricted by its own atom."""
+    for model, query in _generated_cases(n, seed):
+        if not all(isinstance(var, ObjectVar) for var in query.target):
+            continue
+        variables = query.target or (X,)
+        concepts = sorted(model.concepts)
+        guards = [
+            Eq(var, Relativized(ConceptConst(concepts[i % len(concepts)])))
+            for i, var in enumerate(variables)
+        ]
+        for relation in sorted(model.relations):
+            body = reduce(And, [*guards, query.formula])
+            yield model, ModalQuery(Box(relation, body), tuple(variables))
+
+
+def _guarded_box_mismatches(factory) -> int:
+    mismatches = 0
+    for model, query in _guarded_box_cases(60, seed=47):
+        translator, ctx = factory(model), VarContext(query.target)
+        body = query.formula.body
+        assert guarded_box(body, translator._plan(body, ctx).columns, ctx)
+        plan = translator.translate_query(query)
+        mismatches += evaluate(plan, build_database(model)) != answer_direct(model, query)
+    return mismatches
+
+
+def test_guarded_box_answers_on_generated_bodies():
+    assert _guarded_box_mismatches(Translator) == 0
+
+
+@pytest.mark.parametrize("mutant", [NoVacuous, CandidatesOnly], ids=lambda m: m.__name__)
+def test_guarded_box_mutants_are_caught(mutant):
+    assert _guarded_box_mismatches(mutant) > 0
 
 
 def test_forall_duality_is_structural_on_generated_formulas():
