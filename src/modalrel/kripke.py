@@ -8,9 +8,10 @@ identified with the objects they denote (unique names), so the object
 domain doubles as the pool of object-constant symbols.
 
 A ``KripkeModel`` checks these invariants when it is built and is read-only
-afterwards, so every model that exists is valid.  Construction also indexes
-each relation's successors by state and sorts the objects once, so a modal
-step or a quantifier reads a prepared tuple instead of scanning the model.
+afterwards, so every model that exists is valid.  Construction also builds
+the indexes the evaluator reads: each relation's predecessors by state,
+each concept's preimages (value -> the states where the concept takes it),
+and the sorted objects.
 
 ``check_query`` is the one check that a query is made of the constructors
 alone, each by its exact class, and that the model declares every symbol it
@@ -20,19 +21,26 @@ once too, by ``ModalQuery``: its target lists exactly the formula's free
 variables, so an assignment that binds the target binds every variable read.
 
 ``answer_direct`` is the oracle the algebra side is checked against, and
-shares no evaluation code with it.  It compiles the query's formula, once,
-into nested closures ``(state, env) -> bool`` (Feeley & Lapalme, "Using
-closures for code generation", 1987), and asks the root closure once per
-state and values of the target.  ``env`` is a tuple with one slot per
-variable in scope: the target's variables take the first slots, and each
-binder appends one, so a reused name gets a fresh slot.  A variable reads
-its slot, ``@c`` reads the map of concept ``c`` fixed at compile time, and
-a modal closure reads the model's successor index.  Each modal and
-quantified closure below the root owns a memo of its truth, keyed on the
-state and the values in the slots its subformula reads, which are fixed at
-compile time: the labelling algorithm of Clarke, Emerson & Sistla (TOPLAS
-1986), computed on demand.  The memos live as long as the closures, one
-query.  ``satisfies`` and ``term_eval`` compile and ask once.
+shares no evaluation code with it.  It labels states globally, as the
+labelling algorithm of Clarke, Emerson & Sistla (TOPLAS 1986) does: each
+subformula yields its truth set, the frozenset of states where it holds,
+computed for all states at once from its parts' sets.  The query's formula
+is compiled, once, into nested closures ``env -> frozenset`` (Feeley &
+Lapalme, "Using closures for code generation", 1987), and the root closure
+is asked once per assignment of the target.  ``env`` is a tuple with one slot
+per variable in scope: the target's variables take the first slots, and
+each binder appends one, so a reused name gets a fresh slot.  An atom over
+``@c`` and a variable or constant reads a preimage of ``c``; ``!`` and the
+connectives are set operations; ``<R> f`` is the union of the predecessors
+of the states in ``f``'s set, and ``[R] f`` every state less the
+predecessors of those outside it; ``exists`` and ``forall`` take the union
+or the intersection over the domain; a λ whose argument is ``@c`` asks its
+body once per preimage of ``c``.  Each modal and quantified closure below
+the root, and each that reads no slot, owns a memo of its set, keyed on
+the values in the slots its subformula reads, which are fixed at compile
+time.  The memos live as long
+as the closures, one query.  ``satisfies`` and ``term_eval`` compile and ask
+once.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import yaml
 from .errors import ModelInvariantError, UnknownConstant, UnknownRelation
 from .relalg import RelationInstance
 from .syntax import (
+    MAX_NESTING,
     Abstraction,
     And,
     Box,
@@ -69,6 +78,7 @@ from .syntax import (
     Relativized,
     Term,
     Var,
+    _refuse_past_limit,
     _set,
     _Value,
     subformulas,
@@ -90,8 +100,11 @@ class KripkeModel(_Value):
     Construction stores read-only copies of ``relations``, ``concepts`` and
     each concept's map, then checks the invariants (``validate_model``), so a
     model is valid from the moment it exists and stays valid.  It then builds
-    the successor index and the sorted object tuple; they are not fields, so
-    equality, ``repr``, ``replace`` and ``dump_model`` see only the fields.
+    its indexes: each relation's predecessors by state (every state has a
+    predecessor set, empty or not), each concept's preimages (value ->
+    frozenset of the states it takes that value at), the set of states and
+    the sorted object tuple.  They are not fields, so equality,
+    ``repr``, ``replace`` and ``dump_model`` see only the fields.
     """
 
     def __init__(
@@ -109,13 +122,21 @@ class KripkeModel(_Value):
         _set(self, "concepts", MappingProxyType(concepts))
         _set(self, "object_constants", object_constants)
         validate_model(self)
-        index = {}
+        predecessors = {}
         for name, pairs in self.relations.items():
-            by_state = defaultdict(list)
+            backward = {state: [] for state in self.states}
             for src, dst in pairs:
-                by_state[src].append(dst)
-            index[name] = {src: tuple(sorted(dsts)) for src, dsts in by_state.items()}
-        _set(self, "_successors", index)
+                backward[dst].append(src)
+            predecessors[name] = {dst: frozenset(srcs) for dst, srcs in backward.items()}
+        preimages = {}
+        for name, values in self.concepts.items():
+            by_value = defaultdict(list)
+            for state, value in values.items():
+                by_value[value].append(state)
+            preimages[name] = {value: frozenset(group) for value, group in by_value.items()}
+        _set(self, "_predecessors", predecessors)
+        _set(self, "_preimages", preimages)
+        _set(self, "_state_set", frozenset(self.states))
         _set(self, "_sorted_objects", tuple(sorted(self.objects)))
 
     def __reduce__(self):
@@ -125,8 +146,10 @@ class KripkeModel(_Value):
         return KripkeModel, fields
 
     def successors(self, relation: str, state: str) -> tuple[str, ...]:
-        """The states a declared ``relation`` leads to from ``state``, sorted."""
-        return self._successors[relation].get(state, ())
+        """The states a declared ``relation`` leads to from ``state``, sorted.
+        It scans the relation's pairs; the evaluator reads the predecessor
+        index instead."""
+        return tuple(sorted(dst for src, dst in self.relations[relation] if src == state))
 
     def id_of(self, state: str) -> str:
         return self.concepts[ID_CONCEPT][state]
@@ -234,9 +257,11 @@ def check_query(model: KripkeModel, formula: Formula) -> None:
 # ---------------------------------------------------------------------------
 # The compiler
 
-# A compiled term or formula: (state, env) -> value or truth, where ``env``
-# holds the values of the variables in scope, one slot each.
-Compiled = Callable[[str, tuple], object]
+# A compiled formula: env -> the frozenset of states where it holds, where
+# ``env`` holds the values of the variables in scope, one slot each.
+Compiled = Callable[[tuple], frozenset]
+
+_NOWHERE: frozenset[str] = frozenset()
 
 
 def _domain(model: KripkeModel, var: Var) -> tuple[str, ...]:
@@ -245,110 +270,184 @@ def _domain(model: KripkeModel, var: Var) -> tuple[str, ...]:
     return tuple(model.concepts)
 
 
-def _term(model: KripkeModel, term: Term, scope: dict) -> tuple[Compiled, frozenset[int]]:
-    """A term's closure, and the slots it reads."""
-    kind = type(term)
-    if kind is ObjectVar or kind is ConceptVar:
-        slot = scope[term]
-        return (lambda state, env: env[slot]), frozenset((slot,))
-    if kind is ObjectConst or kind is ConceptConst:
-        symbol = term.symbol
-        return (lambda state, env: symbol), frozenset()
-    if kind is Relativized:
-        inner = term.inner
-        if type(inner) is ConceptConst:
-            values = model.concepts[inner.symbol]
-            return (lambda state, env: values[state]), frozenset()
-        if type(inner) is ConceptVar:
-            concepts, slot = model.concepts, scope[inner]
-            return (lambda state, env: concepts[env[slot]][state]), frozenset((slot,))
+def _term(model: KripkeModel, term: Term, scope: dict):
+    """A term's reader ``env -> str``, whether the term is relative, and the
+    slots it reads.  A variable or a constant is rigid: the reader gives its
+    one value at every state.  ``@t`` is relative: the reader gives the name
+    of the concept whose value at each state is the term's."""
+    relative = type(term) is Relativized
+    read = term.inner if relative else term
+    kind = type(read)
+    if kind is ConceptVar or (kind is ObjectVar and not relative):
+        slot = scope[read]
+        return (lambda env: env[slot]), relative, frozenset((slot,))
+    if kind is ConceptConst or (kind is ObjectConst and not relative):
+        symbol = read.symbol
+        return (lambda env: symbol), relative, frozenset()
     raise TypeError(f"not a term: {term!r}")
 
 
-def _comparison(model, formula, scope, depth):
-    left, left_reads = _term(model, formula.left, scope)
-    right, right_reads = _term(model, formula.right, scope)
-    equal, reads = type(formula) is Eq, left_reads | right_reads
-    return (lambda state, env: (left(state, env) == right(state, env)) is equal), reads
+def _comparison(model, formula, scope, depth, level):
+    """The states where the two values are equal (``=``) or differ (``!=``):
+    every state or none for two rigid terms; for one relative term, the
+    preimage of the rigid one's value under the concept, or what it leaves;
+    for two relative terms, the states where the concepts agree or not."""
+    left, left_relative, left_reads = _term(model, formula.left, scope)
+    right, right_relative, right_reads = _term(model, formula.right, scope)
+    equal, reads, everywhere = type(formula) is Eq, left_reads | right_reads, model._state_set
+    if not (left_relative or right_relative):
+        return (lambda env: everywhere if (left(env) == right(env)) is equal else _NOWHERE), reads
+    if left_relative and right_relative:
+        concepts, states = model.concepts, model.states
+
+        def pointwise(env):
+            first, second = concepts[left(env)], concepts[right(env)]
+            return frozenset(state for state in states if (first[state] == second[state]) is equal)
+
+        return pointwise, reads
+    concept, value = (left, right) if left_relative else (right, left)
+    preimages = model._preimages
+    if equal:
+        return (lambda env: preimages[concept(env)].get(value(env), _NOWHERE)), reads
+    return (lambda env: everywhere - preimages[concept(env)].get(value(env), _NOWHERE)), reads
 
 
-def _not(model, formula, scope, depth):
-    body, reads = _compile(model, formula.body, scope, depth)
-    return (lambda state, env: not body(state, env)), reads
+def _not(model, formula, scope, depth, level):
+    body, reads = _compile(model, formula.body, scope, depth, level)
+    everywhere, full = model._state_set, len(model.states)
+
+    def negation(env):
+        truth = body(env)
+        if not truth:
+            return everywhere
+        return _NOWHERE if len(truth) == full else everywhere - truth
+
+    return negation, reads
 
 
-# The left side's truth that stops a connective short, and the truth it returns then.
-_SHORT_CIRCUIT = {And: (False, False), Or: (True, True), Implies: (False, True)}
+def _connective(model, formula, scope, depth, level):
+    """``&``, ``|`` and ``->`` as set operations.  An empty or full left side
+    stops early: it decides the connective alone, or leaves the right side's
+    set as it is."""
+    left, left_reads = _compile(model, formula.left, scope, depth, level)
+    right, right_reads = _compile(model, formula.right, scope, depth, level)
+    everywhere, full, kind = model._state_set, len(model.states), type(formula)
+    if kind is And:
+
+        def connective(env):
+            truth = left(env)
+            if not truth:
+                return _NOWHERE
+            return right(env) if len(truth) == full else truth & right(env)
+
+    elif kind is Or:
+
+        def connective(env):
+            truth = left(env)
+            if len(truth) == full:
+                return everywhere
+            return truth | right(env) if truth else right(env)
+
+    else:
+
+        def connective(env):
+            truth = left(env)
+            if not truth:
+                return everywhere
+            return right(env) if len(truth) == full else (everywhere - truth) | right(env)
+
+    return connective, left_reads | right_reads
 
 
-def _connective(model, formula, scope, depth):
-    left, left_reads = _compile(model, formula.left, scope, depth)
-    right, right_reads = _compile(model, formula.right, scope, depth)
-    stop, result = _SHORT_CIRCUIT[type(formula)]
-    reads = left_reads | right_reads
-    return (lambda state, env: result if left(state, env) is stop else right(state, env)), reads
+def _modal(model, formula, scope, depth, level):
+    """``<R> f``: the ``R``-predecessors of the states where ``f`` holds.
+    ``[R] f``: every state less the predecessors of those where it fails.
+    Over a relation with no pairs, neither asks ``f``."""
+    body, reads = _compile(model, formula.body, scope, depth, level)
+    everywhere = model._state_set
+    if not model.relations[formula.relation]:
+        truth = _NOWHERE if type(formula) is Diamond else everywhere
+        return (lambda env: truth), frozenset()
+    predecessors = model._predecessors[formula.relation].__getitem__
+    if type(formula) is Diamond:
 
+        def modal(env):
+            return _NOWHERE.union(*map(predecessors, body(env)))
 
-def _modal(model, formula, scope, depth):
-    """``<R>``: some successor where the body holds; ``[R]``: none where it fails."""
-    body, reads = _compile(model, formula.body, scope, depth)
-    successors = model._successors[formula.relation]
-    found = type(formula) is Diamond  # the body's truth that decides the step
+    else:
 
-    def modal(state, env):
-        for nxt in successors.get(state, ()):
-            if body(nxt, env) is found:
-                return found
-        return not found
+        def modal(env):
+            failing = everywhere - body(env)
+            if not failing:
+                return everywhere
+            return everywhere - _NOWHERE.union(*map(predecessors, failing))
 
     return modal, reads
 
 
-def _quantifier(model, formula, scope, depth):
-    """``exists``: some value where the body holds; ``forall``: none where it fails.
-    The bound variable takes a new slot."""
-    body, reads = _compile(model, formula.body, {**scope, formula.var: depth}, depth + 1)
-    domain = _domain(model, formula.var)
-    found = type(formula) is Exists
+def _quantifier(model, formula, scope, depth, level):
+    """``exists``: the union of the body's sets over the domain, ``forall``:
+    their intersection, each stopping once it is full or empty.  The bound
+    variable takes a new slot."""
+    body, reads = _compile(model, formula.body, {**scope, formula.var: depth}, depth + 1, level)
+    domain, everywhere = _domain(model, formula.var), model._state_set
+    if type(formula) is Exists:
+        start, combine, stop = _NOWHERE, frozenset.union, len(everywhere)
+    else:
+        start, combine, stop = everywhere, frozenset.intersection, 0
 
-    def quantifier(state, env):
+    def quantifier(env):
+        truth = start
         for value in domain:
-            if body(state, (*env, value)) is found:
-                return found
-        return not found
+            truth = combine(truth, body((*env, value)))
+            if len(truth) == stop:
+                break
+        return truth
 
     return quantifier, reads - {depth}
 
 
-def _abstraction(model, formula, scope, depth):
-    argument, argument_reads = _term(model, formula.argument, scope)
-    body, reads = _compile(model, formula.body, {**scope, formula.var: depth}, depth + 1)
+def _abstraction(model, formula, scope, depth, level):
+    """``<lam ?y . f>(t)``: ``f`` with ``?y`` bound to ``t``'s value.  A
+    relative ``t`` takes one value per group of states, its concept's
+    preimages, so ``f`` is asked once per group and kept on that group."""
+    argument, relative, argument_reads = _term(model, formula.argument, scope)
+    body, reads = _compile(model, formula.body, {**scope, formula.var: depth}, depth + 1, level)
     reads = (reads - {depth}) | argument_reads
-    return (lambda state, env: body(state, (*env, argument(state, env)))), reads
+    if not relative:
+        return (lambda env: body((*env, argument(env)))), reads
+    preimages = model._preimages
+
+    def abstraction(env):
+        truth = _NOWHERE
+        for value, group in preimages[argument(env)].items():
+            truth |= body((*env, value)) & group
+        return truth
+
+    return abstraction, reads
 
 
 def _memoised(decide: Compiled, slots: tuple[int, ...]) -> Compiled:
-    """``decide`` with a memo of its own, keyed on the state and the values
-    in ``slots``, the slots its formula reads.  A call that raises records
-    nothing."""
+    """``decide`` with a memo of its own, keyed on the values in ``slots``,
+    the slots its formula reads.  A call that raises records nothing."""
     memo: dict = {}
     lookup = memo.get
     if not slots:
 
-        def memoised(state, env):
-            truth = lookup(state)
+        def memoised(env):
+            truth = lookup(())
             if truth is None:
-                truth = memo[state] = decide(state, env)
+                truth = memo[()] = decide(env)
             return truth
 
         return memoised
     values = itemgetter(*slots)
 
-    def memoised(state, env):
-        key = (state, values(env))
+    def memoised(env):
+        key = values(env)
         truth = lookup(key)
         if truth is None:
-            truth = memo[key] = decide(state, env)
+            truth = memo[key] = decide(env)
         return truth
 
     return memoised
@@ -364,60 +463,72 @@ _RULES = {
 _MEMOISED = frozenset((Diamond, Box, Exists, Forall))
 
 
-def _compile(model, formula, scope, depth, memoise=True) -> tuple[Compiled, frozenset[int]]:
-    """A formula's closure, memoised if it is modal or quantified, and the
-    slots it reads.  ``scope`` maps each variable in scope to its slot;
-    ``depth`` is the number of slots."""
+def _compile(model, formula, scope, depth, level, memoise=True) -> tuple[Compiled, frozenset[int]]:
+    """A formula's closure, and the slots it reads.  The closure is memoised
+    if the formula is modal or quantified, or reads no slot, so that its set
+    is the same all query long.  ``scope`` maps each variable in scope to its
+    slot; ``depth`` is the number of slots; ``level`` counts the operators
+    above the formula, and one past ``MAX_NESTING`` is refused."""
+    if level > MAX_NESTING:
+        _refuse_past_limit(level)
     rule = _RULES.get(type(formula))
     if rule is None:
         raise TypeError(f"not a formula: {formula!r}")
-    decide, reads = rule(model, formula, scope, depth)
-    if memoise and type(formula) in _MEMOISED:
+    decide, reads = rule(model, formula, scope, depth, level + 1)
+    if memoise and (type(formula) in _MEMOISED or not reads):
         decide = _memoised(decide, tuple(sorted(reads)))
     return decide, reads
 
 
 def compile_formula(model: KripkeModel, formula: Formula, variables: tuple[Var, ...]) -> Compiled:
-    """``formula`` as a closure ``(state, env) -> bool``, where ``env`` holds
-    the values of ``variables`` in order; they must include its free
-    variables.  The formula itself is not memoised: a query asks it once
-    per state and values of the target."""
+    """``formula`` as a closure ``env -> frozenset`` of the states where it
+    holds, where ``env`` holds the values of ``variables`` in order; they
+    must include its free variables.  A formula nested deeper than
+    ``MAX_NESTING`` is refused with the parser's ``QuerySyntaxError`` when
+    the compiler reaches a node below that many operators.  The formula
+    itself is not memoised: a query asks it once per assignment of the
+    target."""
     scope = {var: slot for slot, var in enumerate(variables)}
-    return _compile(model, formula, scope, len(variables), memoise=False)[0]
+    return _compile(model, formula, scope, len(variables), 0, memoise=False)[0]
 
 
 def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str) -> str:
     """Value of a checked term at a state: an object value, or a concept
     name for a concept term.  ``assignment`` binds the term's variables."""
     scope = {var: slot for slot, var in enumerate(assignment)}
-    return _term(model, term, scope)[0](state, tuple(assignment.values()))
+    read, relative, _ = _term(model, term, scope)
+    value = read(tuple(assignment.values()))
+    return model.concepts[value][state] if relative else value
 
 
 def satisfies(model: KripkeModel, state: str, assignment: Assignment, formula: Formula) -> bool:
     """Truth of a formula that has passed ``check_query``, at a state under
-    an assignment that binds its free variables: compiled, then asked once."""
-    decide = compile_formula(model, formula, tuple(assignment))
-    return decide(state, tuple(assignment.values()))
+    an assignment that binds its free variables: whether the state is in the
+    set that the compiled formula gives."""
+    label = compile_formula(model, formula, tuple(assignment))
+    return state in label(tuple(assignment.values()))
 
 
 def answer_direct(model: KripkeModel, query: ModalQuery) -> RelationInstance:
-    """Answer a query by enumerating assignments and states.
+    """Answer a query by global labelling: for each assignment of the target,
+    the formula's truth set, the states where it holds.
 
     The result has degree len(target)+1: one column per target variable plus
-    the id of the satisfying state.  The formula is compiled once, so each
-    modal or quantified subformula is decided at most once per state and
-    values of its free variables (Clarke, Emerson & Sistla, TOPLAS 1986),
-    however many target assignments and enclosing steps reach it.  An
-    undeclared symbol anywhere in the query raises before any state is read.
+    the id of each state in that set.  Each subformula's set is computed for
+    all states at once from its parts' sets (Clarke, Emerson & Sistla,
+    TOPLAS 1986), reading the model's predecessor and preimage indexes.  The
+    formula is compiled once, so each modal or quantified subformula's set
+    is computed at most once per assignment of its free variables, however many
+    target assignments and enclosing steps reach it.  An undeclared symbol
+    anywhere in the query raises before any state is read.
     """
     check_query(model, query.formula)
-    decide = compile_formula(model, query.formula, query.target)
+    label = compile_formula(model, query.formula, query.target)
     ids = model.concepts[ID_CONCEPT]
     rows = set()
     for values in itertools.product(*[_domain(model, var) for var in query.target]):
-        for state in model.states:
-            if decide(state, values):
-                rows.add((*values, ids[state]))
+        for state in label(values):
+            rows.add((*values, ids[state]))
     return RelationInstance(len(query.target) + 1, frozenset(rows))
 
 

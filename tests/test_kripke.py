@@ -31,6 +31,7 @@ from modalrel import (
     ObjectConst,
     ObjectVar,
     Or,
+    QuerySyntaxError,
     Relativized,
     RelationInstance,
     UnknownConstant,
@@ -361,17 +362,20 @@ def test_memo_records_nothing_that_raised(example_model):
             satisfies(example_model, state, {}, formula)
     with pytest.raises(TypeError, match="not a formula: None"):
         answer_direct(example_model, ModalQuery(formula, ()))
-    # A concept variable bound to an undeclared concept raises when read: at
-    # state 1, which has successors; the memoised box is vacuous elsewhere.
-    # The raise records nothing, so asking again raises again.
+    # A concept variable bound to an undeclared concept raises when read.
+    # The memoised box labels every state at once, so it reads the concept
+    # whatever state is asked about, also where the box is vacuous.  The
+    # raise records nothing, so asking again raises again.
     g = ConceptVar("g")
-    decide = compile_formula(example_model, Not(parse_formula("[COMP] @%g = 'b'")), (g,))
-    for state in example_model.states[1:]:
-        assert not decide(state, ("nope",))
+    formula = Not(parse_formula("[COMP] @%g = 'b'"))
+    for state in example_model.states:
+        with pytest.raises(KeyError):
+            satisfies(example_model, state, {g: "nope"}, formula)
+    label = compile_formula(example_model, formula, (g,))
     for _ in range(2):
         with pytest.raises(KeyError):
-            decide(example_model.states[0], ("nope",))
-    assert decide(example_model.states[0], ("code",))
+            label(("nope",))
+    assert label(("code",)) == {example_model.states[0]}
 
 
 def _direct_only_cases(seed):
@@ -392,29 +396,113 @@ def test_generated_answers_match_unmemoised():
         assert answer_direct(model, query) == answer_unmemoised(model, query)
 
 
+# Two shapes beyond the benchmark's: a value some successor has that is not
+# the state's own id, and a state's id that no successor's value equals.
+RANGE_SHAPES = (
+    ("exists ?y . <R> @c = ?y & !(@id = ?y)", ()),
+    ("forall ?y . <R> @c = ?y -> @id != ?y", ()),
+)
+
+
 def test_benchmark_sparse_shapes_answer_alike():
-    # the shapes and the smallest model of the benchmark's sparse_scaling workload
+    # the shapes and the two smaller models of the benchmark's sparse_scaling workload
     workloads = load_perfbench("workloads")
-    model = workloads.sparse_model(25, random.Random(42))
-    for _, text, target in workloads.SCALING_SHAPES:
-        query = parse_query(text, list(target))
-        direct = answer_direct(model, query)
-        assert direct == relalg.evaluate(translate.translate_query(query, model),
-                                         build_database(model))
-        assert direct == answer_unmemoised(model, query)
+    shapes = [(text, target) for _, text, target in workloads.SCALING_SHAPES] + list(RANGE_SHAPES)
+    for n in (25, 50):
+        model = workloads.sparse_model(n, random.Random(42))
+        for text, target in shapes:
+            query = parse_query(text, list(target))
+            direct = answer_direct(model, query)
+            assert direct == relalg.evaluate(translate.translate_query(query, model),
+                                             build_database(model))
+            assert direct == answer_unmemoised(model, query)
+
+
+# States 3 and 5 have no R-successor, and E has no pairs, so every rule meets
+# an empty set: a vacuous [R], a <R> with nothing to reach, a quantifier
+# whose body holds nowhere or everywhere.
+SPARSE_EDGES_MODEL = """\
+objects: ['1', '2', '3', '4', '5', a, b, c]
+concepts: [id, c]
+states:
+  - {id: '1', c: a}
+  - {id: '2', c: b}
+  - {id: '3', c: a}
+  - {id: '4', c: c}
+  - {id: '5', c: b}
+relations:
+  R: [['1', '2'], ['1', '3'], ['2', '3'], ['4', '4'], ['4', '1']]
+  E: []
+"""
+
+# (query, target, rows of the answer where the rule gives no state or every
+# state, None elsewhere): 8 objects and 5 states
+EMPTY_SIDE_QUERIES = {
+    "diamond": ("<R> @c = ?x", ["?x"], None),
+    "box": ("[R] @c = ?x", ["?x"], None),
+    "diamond-nowhere": ("<E> ?x = ?x", ["?x"], 0),
+    "box-vacuous": ("[E] ?x != ?x", ["?x"], 8 * 5),
+    "box-body-nowhere": ("[R] @c = '1'", [], 2),
+    "box-of-box": ("[R] [R] @c = ?x", ["?x"], None),
+    "diamond-of-box": ("<R> [R] ?x != ?x", ["?x"], None),
+    "not-diamond": ("!(<R> @c = ?x)", ["?x"], None),
+    "not-box": ("!([R] @c = 'a')", [], None),
+    "not-everywhere": ("!(?x = ?x)", ["?x"], 0),
+    "exists": ("exists ?y . <R> @c = ?y", [], None),
+    "exists-nowhere": ("exists ?y . <E> @c = ?y", [], 0),
+    "exists-everywhere": ("exists ?y . [E] @c = ?y", [], 5),
+    "forall": ("forall ?y . [R] @c = ?y", [], 2),
+    "forall-nowhere": ("forall ?y . <E> @c = ?y", [], 0),
+    "forall-everywhere": ("forall ?y . ?y = ?y", [], 5),
+    "forall-full-then-not": ("forall ?y . [R] @c != ?y", [], None),
+    "and-empty-left": ("<E> ?x = ?x & @c = ?x", ["?x"], 0),
+    "or-full-left": ("[E] ?x = ?x | @c = ?x", ["?x"], 8 * 5),
+    "implies-empty-left": ("<E> ?x = ?x -> @c = ?x", ["?x"], 8 * 5),
+    "implies": ("@c = ?x -> [R] @c = ?x", ["?x"], None),
+    "lambda": ("<lam ?y . [R] @c = ?y>(@c)", [], None),
+}
+
+
+@pytest.mark.parametrize("text, target, rows", EMPTY_SIDE_QUERIES.values(),
+                         ids=EMPTY_SIDE_QUERIES.keys())
+def test_every_rule_answers_alike_on_its_empty_side(text, target, rows):
+    model = parse_model(SPARSE_EDGES_MODEL)
+    assert [model.id_of(s) for s in model.states if not model.successors("R", s)] == ["3", "5"]
+    query = parse_query(text, target)
+    direct = answer_direct(model, query)
+    assert rows is None or len(direct.tuples) == rows
+    assert direct == answer_unmemoised(model, query)
+    assert direct == relalg.evaluate(translate.translate_query(query, model), build_database(model))
+
+
+def test_compiled_engine_refuses_a_formula_past_the_nesting_limit(example_model):
+    # the compiler recurses once per level, so a deep formula is refused with
+    # the parser's error before it compiles: one level past the limit, and
+    # far past the interpreter's stack
+    chain = [parse_formula("@code = 'b'")]
+    while len(chain) <= 3000:
+        chain.append(Not(chain[-1]))
+    state = state_with_id(example_model, "3")
+    assert satisfies(example_model, state, {}, chain[syntax.MAX_NESTING])
+    message = f"^query nests more than {syntax.MAX_NESTING} operator"
+    for formula in (chain[syntax.MAX_NESTING + 1], chain[3000]):
+        with pytest.raises(QuerySyntaxError, match=message):
+            compile_formula(example_model, formula, ())
+        with pytest.raises(QuerySyntaxError, match=message):
+            satisfies(example_model, state, {}, formula)
 
 
 def test_answer_direct_does_not_memoise_the_root(example_model, monkeypatch):
-    # each (target value, state) pair asks for the root once, so a root entry
-    # would never be read; the inner diamond is met again and stays memoised,
-    # keyed on the state and ?x's slot
+    # each value of the target asks for the root once, so a root entry would
+    # never be read; the inner diamond stays memoised, keyed on ?x's slot, and
+    # its set is computed once per value of ?x
     memoised, decided = [], []
     original = kripke._memoised
 
     def recording(decide, slots):
-        def counted(state, env):
-            decided.append((state, env))
-            return decide(state, env)
+        def counted(env):
+            decided.append(env)
+            return decide(env)
 
         memoised.append((decide.__code__.co_name, slots))
         return original(counted, slots)
@@ -424,7 +512,7 @@ def test_answer_direct_does_not_memoise_the_root(example_model, monkeypatch):
     got = answer_direct(example_model, query)
     assert got == answer_unmemoised(example_model, query)
     assert memoised == [("modal", (0,))]
-    assert decided and len(decided) == len(set(decided))
+    assert sorted(decided) == [(value,) for value in sorted(example_model.objects)]
 
 
 def test_memo_key_without_variable_values_trips_the_campaign(monkeypatch):
