@@ -38,9 +38,8 @@ or the intersection over the domain; a λ whose argument is ``@c`` asks its
 body once per preimage of ``c``.  Each modal and quantified closure below
 the root, and each that reads no slot, owns a memo of its set, keyed on
 the values in the slots its subformula reads, which are fixed at compile
-time.  The memos live as long
-as the closures, one query.  ``satisfies`` and ``term_eval`` compile and ask
-once.
+time.  The memos live as long as the closures, one query.  ``satisfies``
+compiles and asks once.
 """
 
 from __future__ import annotations
@@ -490,15 +489,6 @@ def compile_formula(model: KripkeModel, formula: Formula, variables: tuple[Var, 
     target."""
     scope = {var: slot for slot, var in enumerate(variables)}
     return _compile(model, formula, scope, len(variables), 0, memoise=False)[0]
-
-
-def term_eval(model: KripkeModel, assignment: Assignment, term: Term, state: str) -> str:
-    """Value of a checked term at a state: an object value, or a concept
-    name for a concept term.  ``assignment`` binds the term's variables."""
-    scope = {var: slot for slot, var in enumerate(assignment)}
-    read, relative, _ = _term(model, term, scope)
-    value = read(tuple(assignment.values()))
-    return model.concepts[value][state] if relative else value
 
 
 def satisfies(model: KripkeModel, state: str, assignment: Assignment, formula: Formula) -> bool:

@@ -145,8 +145,9 @@ class SelectionPredicate(_Value):
 class _Node(_Value):
     """An expression node, whose ``repr`` and pickled form are its text.
 
-    Text takes one frame per level; ``_Value``'s ``repr`` and unpickling take
-    several, more than a plan a few hundred levels deep leaves room for.
+    Text takes one frame per level; ``_Value``'s unpickling takes several,
+    more than a plan a few hundred levels deep leaves room for, and its
+    ``repr`` would spell a shared subplan out once per parent.
     """
 
     def _listing(self) -> list:

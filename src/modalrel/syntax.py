@@ -55,7 +55,8 @@ class _Value:
     when their classes are the same and their fields are equal; equality and
     hashing read a flat listing (``_listing``) built without recursion, so a
     tree of any depth compares and hashes.  A copy of a value is the value
-    itself; ``repr`` is ``Name(field=value, ...)``; ``replace`` builds a
+    itself; ``repr`` is ``Name(field=value, ...)``, also built without
+    recursion, so it shows a tree of any depth; ``replace`` builds a
     changed copy through ``__init__``, as does unpickling, so both check it.
     A variable keeps ``object``'s equality and hashing (``_Var``).
     """
@@ -99,8 +100,20 @@ class _Value:
         return self
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({shown})"
+        # Pending text is a str; a pending field is a value shown by this repr.
+        text, pending = [], [self]
+        while pending:
+            value = pending.pop()
+            if type(value) is str:
+                text.append(value)
+                continue
+            pending.append(")")
+            for i, name in reversed(list(enumerate(value.__match_args__))):
+                field = getattr(value, name)
+                pending.append(field if type(field).__repr__ is _Value.__repr__ else repr(field))
+                pending.append(f"{', ' if i else ''}{name}=")
+            pending.append(f"{type(value).__qualname__}(")
+        return "".join(text)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

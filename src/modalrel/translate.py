@@ -47,8 +47,15 @@ It starts from a context of the query's target, which ``ModalQuery`` has
 checked is exactly the formula's free variables, so every lookup finds a
 binding.
 
-``[R] f`` takes one of two forms.  When ``f`` has a column variable and
-range-restricts every one of them (``range_restricted``), the box is built
+Each plan records, as it is built, the column variables it range-restricts
+(``Plan.restricted``): ``v = t`` restricts ``v`` when ``t`` is not a column
+variable; ``&`` restricts what either side does, ``|`` what both do, ``<R>
+f`` what ``f`` does, ``exists v . f`` what ``f`` does less ``v``, and a λ
+what its definition does; ``!``, ``!=``, ``->``, ``[R]`` and ``forall``
+restrict nothing.
+
+``[R] f`` takes one of two forms.  When ``f`` has a column variable and its
+plan range-restricts every one of them (``guarded_box``), the box is built
 from ``F``, the plan of ``f``, and the ``R``-edges ``Rr``, with no universe
 (the guarded fragment of Andréka, van Benthem & Németi, *J. Phil. Logic*
 1998): a state with no ``R``-successor satisfies it under every value of
@@ -111,6 +118,8 @@ from .syntax import (
     Relativized,
     Term,
     Var,
+    _refuse_past_limit,
+    formula_depth,
     is_variable,
 )
 
@@ -161,11 +170,15 @@ class VarContext:
 
 
 class Plan(NamedTuple):
-    """A subformula's expression, and the depths of its free variables in
-    column order: innermost binder (greatest depth) first, then the state."""
+    """A subformula's expression, the depths of its free variables in column
+    order (innermost binder, greatest depth, first, then the state), and the
+    depths it range-restricts: every row takes their values from an atom's
+    other side, not from a domain (the safe-range rules of Abiteboul, Hull &
+    Vianu, ch. 5.4)."""
 
     expr: AlgebraExpr
     columns: tuple[int, ...]
+    restricted: frozenset[int] = frozenset()
 
 
 def _in_column_order(depths) -> tuple[int, ...]:
@@ -183,59 +196,21 @@ def _column(term: Term, context: VarContext) -> int | None:
     return None
 
 
-def _atom_columns(atom: Eq | Neq, context: VarContext) -> tuple[int, ...]:
-    """The depths of an atom's column-bound variables, in column order."""
-    depths = (_column(atom.left, context), _column(atom.right, context))
-    return _in_column_order(depth for depth in depths if depth is not None)
+def _atom_depths(atom: Eq | Neq, context: VarContext) -> tuple[list[int], frozenset[int]]:
+    """The depths of an atom's column-bound variables, one per side that is
+    one, and those it range-restricts: ``v = t`` restricts ``v`` when ``t``
+    is not a column variable."""
+    sides = (_column(atom.left, context), _column(atom.right, context))
+    depths = [depth for depth in sides if depth is not None]
+    restricts = len(depths) == 1 and isinstance(atom, Eq)
+    return depths, frozenset(depths) if restricts else frozenset()
 
 
-def _selects_on(formula: Formula, plan: Plan, context: VarContext) -> bool:
-    """Whether ``formula`` is an atom whose column variables are all columns of ``plan``."""
-    return isinstance(formula, (Eq, Neq)) and set(_atom_columns(formula, context)) <= set(
-        plan.columns
-    )
-
-
-
-
-def range_restricted(formula: Formula, context: VarContext) -> frozenset[int]:
-    """The depths of the column variables that ``formula`` range-restricts:
-    every row of its plan takes their values from its atoms' other sides, not
-    from a domain (the safe-range rules of Abiteboul, Hull & Vianu, ch. 5.4).
-
-    ``v = t`` restricts ``v`` when ``t`` is not a column variable; ``&``
-    restricts what either side does, ``|`` what both do, ``<R> f`` and
-    ``exists v . f`` what ``f`` does (less ``v``), and a λ what its
-    definition does.  ``!``, ``!=``, ``->``, ``[R]`` and ``forall`` restrict
-    nothing.
-    """
-    match formula:
-        case Eq(left, right):
-            first, second = _column(left, context), _column(right, context)
-            if (first is None) == (second is None):
-                return frozenset()
-            return frozenset({second if first is None else first})
-        case And(left, right):
-            return range_restricted(left, context) | range_restricted(right, context)
-        case Or(left, right):
-            return range_restricted(left, context) & range_restricted(right, context)
-        case Diamond(_, body):
-            return range_restricted(body, context)
-        case Exists(var, body):
-            scope = context.prepend(var)
-            return range_restricted(body, scope) - {len(scope)}
-        case Abstraction(var, body, argument):
-            if not isinstance(argument, Relativized):
-                return range_restricted(body, context.bind(var, argument))
-            return range_restricted(Exists(var, And(Eq(var, argument), body)), context)
-    return frozenset()
-
-
-def guarded_box(body: Formula, columns: tuple[int, ...], context: VarContext) -> bool:
-    """Whether ``[R] body``, whose plan has ``columns``, takes the guarded
-    form: ``body`` has a column variable and range-restricts each one.
-    Otherwise it is ``!<R> !body``."""
-    return bool(columns) and set(columns) <= range_restricted(body, context)
+def guarded_box(plan: Plan) -> bool:
+    """Whether ``[R] f``, where ``plan`` is ``f``'s, takes the guarded form:
+    ``f`` has a column variable and range-restricts each one.  Otherwise it
+    is ``!<R> !f``."""
+    return bool(plan.columns) and set(plan.columns) <= plan.restricted
 
 
 class Translator:
@@ -254,13 +229,19 @@ class Translator:
         """Check a whole query's symbols, then translate it; the result has
         degree len(target)+1."""
         check_query(self._model, query.formula)
-        context = VarContext(tuple(query.target))
-        return self.translate(query.formula, context)
+        # ``ModalQuery`` has bounded the formula's depth already.
+        return self._translate(query.formula, VarContext(tuple(query.target)))
 
     def translate(self, formula: Formula, context: VarContext) -> AlgebraExpr:
         """Plan of a formula that has passed ``check_query``, under a
         ``context`` that binds its free variables: degree len(context)+1,
-        one column per context variable in context order, then the state."""
+        one column per context variable in context order, then the state.
+        A formula nested deeper than ``MAX_NESTING`` is refused with the
+        parser's ``QuerySyntaxError`` before any plan is built."""
+        _refuse_past_limit(formula_depth(formula))
+        return self._translate(formula, context)
+
+    def _translate(self, formula: Formula, context: VarContext) -> AlgebraExpr:
         return self._pad(self._plan(formula, context), tuple(range(len(context), 0, -1)), context)
 
     def _plan(self, formula: Formula, context: VarContext) -> Plan:
@@ -345,17 +326,22 @@ class Translator:
         )
 
     def _atom(self, atom: Eq | Neq, context: VarContext) -> Plan:
-        columns = _atom_columns(atom, context)
+        depths, restricted = _atom_depths(atom, context)
+        columns = _in_column_order(depths)
         base = context.cross(columns, BaseRelation(STA))
         selected = Selection(self._predicate(atom, context, columns, len(columns)), base)
-        return Plan(Projection(tuple(range(1, len(columns) + 2)), selected), columns)
+        return Plan(Projection(tuple(range(1, len(columns) + 2)), selected), columns, restricted)
 
-    def _filter(self, plan: Plan, atom: Eq | Neq, context: VarContext) -> Plan:
-        """``plan`` restricted to the rows that satisfy ``atom``, whose column
-        variables are all columns of ``plan``: a selection, on ``plan``
-        joined with Sta on the state when the atom reads a concept other
-        than ``id``."""
+    def _filter(self, plan: Plan, atom: Eq | Neq, context: VarContext) -> Plan | None:
+        """``plan`` restricted to the rows that satisfy ``atom``: a selection,
+        on ``plan`` joined with Sta on the state when the atom reads a
+        concept other than ``id``.  None if a column variable of ``atom`` is
+        not a column of ``plan``."""
+        depths, restricted = _atom_depths(atom, context)
+        if not set(plan.columns).issuperset(depths):
+            return None
         k = len(plan.columns)
+        restricted |= plan.restricted
         read = {
             self._concept_column(term.inner, context)
             for term in (atom.left, atom.right)
@@ -364,11 +350,11 @@ class Translator:
         if read <= {1}:
             # Sta's column 1 is the id, which the plan's state column k+1 holds.
             predicate = self._predicate(atom, context, plan.columns, k)
-            return Plan(Selection(predicate, plan.expr), plan.columns)
+            return Plan(Selection(predicate, plan.expr), plan.columns, restricted)
         # Columns of plan × Sta: 1..k variables, k+1 the state, then Sta.
         joined = Selection(_equal(k + 1, k + 2), Product(plan.expr, BaseRelation(STA)))
         selected = Selection(self._predicate(atom, context, plan.columns, k + 1), joined)
-        return Plan(Projection(tuple(range(1, k + 2)), selected), plan.columns)
+        return Plan(Projection(tuple(range(1, k + 2)), selected), plan.columns, restricted)
 
     def _negation(self, body: Formula, context: VarContext) -> Plan:
         return self._complement(self._plan(body, context), context)
@@ -384,15 +370,16 @@ class Translator:
         second = None
         if isinstance(left, (Eq, Neq)):
             second = self._plan(right, context)
-            if _selects_on(left, second, context):
-                return self._filter(second, left, context)
+            if filtered := self._filter(second, left, context):
+                return filtered
         first = self._plan(left, context)
-        if _selects_on(right, first, context):
-            return self._filter(first, right, context)
+        if isinstance(right, (Eq, Neq)) and (filtered := self._filter(first, right, context)):
+            return filtered
         if second is None:
             second = self._plan(right, context)
+        restricted = first.restricted | second.restricted
         if first.columns == second.columns:
-            return Plan(Intersection(first.expr, second.expr), first.columns)
+            return Plan(Intersection(first.expr, second.expr), first.columns, restricted)
         # Columns of first × second: 1..k first's variables, k+1 its state,
         # then second's variables and its state.  Join on the state and on
         # every shared variable, keeping one column per variable.
@@ -407,7 +394,7 @@ class Translator:
                 position[depth] = i
         columns = _in_column_order(position)
         indices = tuple(position[depth] for depth in columns) + (k + 1,)
-        return Plan(Projection(indices, joined), columns)
+        return Plan(Projection(indices, joined), columns, restricted)
 
     def _disjunction(self, left: Formula, right: Formula, context: VarContext) -> Plan:
         first, second = self._plan(left, context), self._plan(right, context)
@@ -415,6 +402,7 @@ class Translator:
         return Plan(
             Union(self._pad(first, columns, context), self._pad(second, columns, context)),
             columns,
+            first.restricted & second.restricted,
         )
 
     def _diamond(self, relation: str, body: Formula, context: VarContext) -> Plan:
@@ -431,11 +419,12 @@ class Translator:
             SelectionPredicate(Column(k + 4), "=", Constant(relation)),
             Selection(_equal(k + 1, k + 3), crossed),
         )
-        return Plan(Projection(tuple(range(1, k + 1)) + (k + 2,), selected), inner.columns)
+        indices = tuple(range(1, k + 1)) + (k + 2,)
+        return Plan(Projection(indices, selected), inner.columns, inner.restricted)
 
     def _box(self, relation: str, body: Formula, context: VarContext) -> Plan:
         inner = self._plan(body, context)
-        if guarded_box(body, inner.columns, context):
+        if guarded_box(inner):
             return self._guarded_box(relation, inner, context)
         # The dual of the diamond, over the one plan of the body.
         return self._complement(self._step(relation, self._complement(inner, context)), context)
@@ -474,7 +463,8 @@ class Translator:
         if inner.columns[:1] != (len(scope),):
             return inner
         k = len(inner.columns)
-        return Plan(Projection(tuple(range(2, k + 2)), inner.expr), inner.columns[1:])
+        projected = Projection(tuple(range(2, k + 2)), inner.expr)
+        return Plan(projected, inner.columns[1:], inner.restricted - {len(scope)})
 
     def _forall(self, var: Var, body: Formula, context: VarContext) -> Plan:
         # A universal is definitionally the dual of the existential.

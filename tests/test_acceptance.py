@@ -237,8 +237,7 @@ def _duality_checks() -> tuple[int, int, str]:
         # Every box answers as the direct engine does; one the translator
         # builds as its dual is that dual, node for node.
         box = translator.translate(Box(relation, query.formula), ctx)
-        columns = translator._plan(query.formula, ctx).columns
-        if not guarded_box(query.formula, columns, ctx):
+        if not guarded_box(translator._plan(query.formula, ctx)):
             dual = translator.translate(Not(Diamond(relation, Not(query.formula))), ctx)
             if box != dual:
                 box_failures += 1

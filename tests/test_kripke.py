@@ -52,7 +52,7 @@ from modalrel import (
 )
 from modalrel import kripke, relalg, syntax, translate
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
-from modalrel.kripke import compile_formula, satisfies, term_eval
+from modalrel.kripke import compile_formula, satisfies
 from test_acceptance import CAMPAIGN_PARAMS
 from test_bench_contract import load_perfbench
 
@@ -62,30 +62,41 @@ def state_with_id(model, id_value):
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation
+# Term evaluation, read through the compiled atoms that compare terms
 
 
 def test_term_eval_relativized_concept(example_model):
-    state = state_with_id(example_model, "3")
-    assert term_eval(example_model, {}, Relativized(ConceptConst("code")), state) == "b"
+    # @code is 'b' at state 3, and 'b' nowhere else
+    atom = Eq(Relativized(ConceptConst("code")), ObjectConst("b"))
+    assert compile_formula(example_model, atom, ())(()) == {state_with_id(example_model, "3")}
 
 
 def test_term_eval_variable_lookup(example_model):
+    # ?x reads its value from the assignment, the same at every state
     x = ObjectVar("x")
-    assert term_eval(example_model, {x: "a"}, x, example_model.states[0]) == "a"
+    holds = compile_formula(example_model, Eq(x, ObjectConst("a")), (x,))
+    assert holds(("a",)) == set(example_model.states)
+    assert holds(("b",)) == set()
 
 
 def test_term_eval_concept_variable(example_model):
+    # %g bound to code denotes the concept code, so @%g is @code: 'd' at state 1
     g = ConceptVar("g")
-    state = state_with_id(example_model, "1")
-    assert term_eval(example_model, {g: "code"}, g, state) == "code"
-    assert term_eval(example_model, {g: "code"}, Relativized(g), state) == "d"
+    atom = Eq(Relativized(g), Relativized(ConceptConst("code")))
+    same = compile_formula(example_model, atom, (g,))
+    assert same(("code",)) == set(example_model.states)
+    at_d = compile_formula(example_model, Eq(Relativized(g), ObjectConst("d")), (g,))
+    assert at_d(("code",)) == {state_with_id(example_model, "1")}
 
 
 @pytest.mark.parametrize("term", ["?x", parse_formula("?x = ?x")], ids=["string", "formula"])
 def test_term_eval_rejects_what_is_not_a_term(example_model, term):
+    # the constructor refuses such an atom, so it is assembled field by field
+    atom = object.__new__(Eq)
+    for name, value in (("left", term), ("right", ObjectConst("a"))):
+        object.__setattr__(atom, name, value)
     with pytest.raises(TypeError, match="not a term"):
-        term_eval(example_model, {}, term, example_model.states[0])
+        compile_formula(example_model, atom, ())
 
 
 def test_direct_engine_runs_no_python_hash_or_eq(example_model):
@@ -113,7 +124,7 @@ def test_direct_engine_runs_no_python_hash_or_eq(example_model):
 
 
 def test_term_eval_unknown_constant(example_model):
-    # term_eval reads checked terms only: check_query is what rejects these
+    # the compiled atoms read checked terms only: check_query is what rejects these
     for term in (ObjectConst("zz"), Relativized(ConceptConst("nope"))):
         with pytest.raises(UnknownConstant):
             check_query(example_model, Eq(term, term))

@@ -30,6 +30,7 @@ from modalrel import (
     Or,
     QuerySyntaxError,
     Relativized,
+    build_database,
     free_vars,
     parse_formula,
     parse_query,
@@ -38,14 +39,25 @@ from modalrel import (
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
 from modalrel.relalg import (
     BaseRelation,
+    Column,
+    Constant,
     Difference,
     Intersection,
     Product,
+    SelectionPredicate,
     Union,
+    _Node,
     parse_algebra,
     render_algebra,
 )
-from modalrel.syntax import MAX_NESTING, Formula, formula_depth, parse_variable, subformulas
+from modalrel.syntax import (
+    MAX_NESTING,
+    Formula,
+    _Value,
+    formula_depth,
+    parse_variable,
+    subformulas,
+)
 
 # ---------------------------------------------------------------------------
 # Parsing against a hand-built AST table
@@ -296,6 +308,35 @@ def test_every_value_compares_hashes_and_copies_at_any_depth():
     assert deep != chain(Eq(X, ObjectConst("c")))
     assert deep != chain(Neq(X, B))
     assert copy.copy(deep) is deep and copy.deepcopy(deep) is deep
+
+
+def test_repr_shows_a_formula_of_any_depth():
+    deep = Eq(X, B)
+    for _ in range(3000):
+        deep = Not(deep)
+    assert repr(deep) == "Not(body=" * 3000 + XB + ")" * 3000
+
+
+def _recursive_repr(value):
+    """``Name(field=value, ...)`` by plain recursion over the fields; a plan
+    node, or anything that is not a value, shows its own repr."""
+    if not isinstance(value, _Value) or isinstance(value, _Node):
+        return repr(value)
+    fields = value.__match_args__
+    shown = ", ".join(f"{name}={_recursive_repr(getattr(value, name))}" for name in fields)
+    return f"{type(value).__qualname__}({shown})"
+
+
+def test_repr_is_the_recursive_text_on_generated_values():
+    predicate = SelectionPredicate(Column(1), "!=", Constant("b"))
+    assert repr(predicate) == _recursive_repr(predicate)
+    params = GenParams(seed=42, allow_concept_vars=True)
+    for index in range(100):
+        local = case_params(params, index)
+        model = gen_model(local)
+        query = gen_query(local, model)
+        for value in (query, query.formula, model, build_database(model)):
+            assert repr(value) == _recursive_repr(value)
 
 
 def test_subformulas_lists_every_formula_field():

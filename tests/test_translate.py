@@ -34,6 +34,7 @@ from modalrel import (
     Or,
     Product,
     Projection,
+    QuerySyntaxError,
     Relativized,
     Selection,
     SelectionPredicate,
@@ -52,9 +53,9 @@ from modalrel import (
     translate_query,
 )
 from modalrel.harness import GenParams, case_params, gen_model, gen_query
-from modalrel.kripke import term_eval
-from modalrel.syntax import parse_formula, subformulas
-from modalrel.translate import VarContext, guarded_box, range_restricted
+from modalrel.syntax import MAX_NESTING, parse_formula, subformulas
+from modalrel.translate import VarContext, guarded_box
+from test_kripke import reference_value
 
 STA_REL = BaseRelation(STA)
 REL_REL = BaseRelation(REL)
@@ -366,6 +367,22 @@ def test_translation_degree_is_context_plus_one():
         assert degree_of(expr, db.schema) == len(query.target) + 1
 
 
+def test_translate_refuses_a_formula_past_the_nesting_limit(translator):
+    # the translator recurses several frames per level, so a deep formula is
+    # refused with the parser's error before it is planned: one level past
+    # the limit, and far past the interpreter's stack
+    chain = [parse_formula("@code = 'b'")]
+    while len(chain) <= 3000:
+        chain.append(Not(chain[-1]))
+    at_limit = ModalQuery(chain[MAX_NESTING], ())
+    plan = translator.translate(at_limit.formula, VarContext())
+    assert plan == translator.translate_query(at_limit)
+    message = f"^query nests more than {MAX_NESTING} operator"
+    for formula in (chain[MAX_NESTING + 1], chain[3000]):
+        with pytest.raises(QuerySyntaxError, match=message):
+            translator.translate(formula, VarContext())
+
+
 def test_padding_identity_for_unused_variable():
     # crossing with the variable's domain equals translating under the
     # extended context, whenever the variable does not occur
@@ -427,8 +444,7 @@ def test_box_duality_is_structural_on_generated_formulas():
         ctx = VarContext(tuple(query.target))
         relation = sorted(model.relations)[0]
         box = translator.translate(Box(relation, query.formula), ctx)
-        columns = translator._plan(query.formula, ctx).columns
-        if not guarded_box(query.formula, columns, ctx):
+        if not guarded_box(translator._plan(query.formula, ctx)):
             dual = translator.translate(Not(Diamond(relation, Not(query.formula))), ctx)
             assert box == dual
         boxed = ModalQuery(Box(relation, query.formula), query.target)
@@ -440,11 +456,19 @@ RANGE_RESTRICTED = [
     ("'a' = ?x", "x"),
     ("?x = ?y", ""),
     ("?x = 'a' & ?y != ?x", "x"),
+    ("?x != 'a' & ?x = @code", "x"),
+    ("?x = @id & ?x != @code", "x"),
+    ("?x = @code & ?x != @id", "x"),
+    ("<COMP> ?x = @code & <COMP> ?x = @id", "x"),
+    ("<COMP> ?x != @code & <COMP> ?x = @id", "x"),
+    ("?x = @code & <COMP> ?y = @id", "xy"),
+    ("?x = @code & <COMP> ?y != @id", "x"),
     ("?x = @code | ?x = 'a'", "x"),
     ("?x = @code | ?y = 'a'", ""),
     ("<COMP> (?x = @code & ?y = @id)", "xy"),
     ("exists ?y . ?y = @code & ?x = ?y", ""),
     ("exists ?x . ?x = @code", ""),
+    ("exists ?z . ?x = @code", "x"),
     ("<lam ?z . ?z = @code>(?x)", "x"),
     ("<lam ?z . ?z = @code>('a')", ""),
     ("<lam ?z . ?x = ?z>(@code)", ""),
@@ -457,10 +481,10 @@ RANGE_RESTRICTED = [
 
 
 @pytest.mark.parametrize("text, names", RANGE_RESTRICTED, ids=[t for t, _ in RANGE_RESTRICTED])
-def test_range_restricted_variables(text, names):
+def test_range_restricted_variables(text, names, translator):
     ctx = VarContext((X, ObjectVar("y")))
     want = {ctx.lookup(ObjectVar(name)) for name in names}
-    assert range_restricted(parse_formula(text), ctx) == want
+    assert translator._plan(parse_formula(text), ctx).restricted == want
 
 
 def test_guarded_box_shares_its_candidates(example_model, translator):
@@ -519,8 +543,7 @@ def _guarded_box_mismatches(factory) -> int:
     mismatches = 0
     for model, query in _guarded_box_cases(60, seed=47):
         translator, ctx = factory(model), VarContext(query.target)
-        body = query.formula.body
-        assert guarded_box(body, translator._plan(body, ctx).columns, ctx)
+        assert guarded_box(translator._plan(query.formula.body, ctx))
         plan = translator.translate_query(query)
         mismatches += evaluate(plan, build_database(model)) != answer_direct(model, query)
     return mismatches
@@ -584,8 +607,8 @@ def test_atomic_equivalence_for_every_assignment_and_state():
             for values in itertools.product(*domains):
                 assignment = dict(zip(variables, values))
                 for state in model.states:
-                    left = term_eval(model, assignment, atom.left, state)
-                    right = term_eval(model, assignment, atom.right, state)
+                    left = reference_value(model, assignment, atom.left, state)
+                    right = reference_value(model, assignment, atom.right, state)
                     row = (*values, model.id_of(state))
                     assert (left == right) == (row in image)
 
