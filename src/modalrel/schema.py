@@ -9,7 +9,7 @@ and Obj enumerate the concept names and the objects.
 from __future__ import annotations
 
 from .errors import ModelInvariantError
-from .kripke import KripkeModel, concept_order, model_from_data
+from .kripke import ID_CONCEPT, KripkeModel, concept_order, model_from_data
 from .relalg import CON, OBJ, REL, STA, DatabaseInstance, RelationInstance
 
 ConceptIndex = dict  # concept name -> column index in Sta, bijective onto 1..k
@@ -21,18 +21,18 @@ def concept_index(model: KripkeModel) -> ConceptIndex:
 
 
 def build_database(model: KripkeModel) -> DatabaseInstance:
-    """Build the database image of a model."""
+    """Build the database image of a model.  Each concept's map is read once,
+    a column at a time, and the rows are the columns zipped together."""
     columns = concept_order(model.concepts)
-    sta = RelationInstance.of(
+    sta = RelationInstance(
         len(columns),
-        (tuple(model.concepts[name][state] for name in columns) for state in model.states),
+        frozenset(zip(*[map(model.concepts[name].__getitem__, model.states) for name in columns])),
     )
-    rel = RelationInstance.of(
+    ids = model.concepts[ID_CONCEPT]
+    rel = RelationInstance(
         3,
-        (
-            (model.id_of(src), model.id_of(dst), name)
-            for name, pairs in model.relations.items()
-            for src, dst in pairs
+        frozenset(
+            (ids[src], ids[dst], name) for name, pairs in model.relations.items() for src, dst in pairs
         ),
     )
     con = RelationInstance.of(1, ((name,) for name in model.concepts))

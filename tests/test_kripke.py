@@ -429,6 +429,76 @@ def test_benchmark_sparse_shapes_answer_alike():
             assert direct == answer_unmemoised(model, query)
 
 
+@pytest.mark.parametrize("n", [200, 400])
+def test_larger_sparse_models_answer_alike(n):
+    # past the benchmark's sizes, where a box's body holds in few of the states
+    workloads = load_perfbench("workloads")
+    model = workloads.sparse_model(n, random.Random(42))
+    for text, target in [workloads.SCALING_SHAPES[1][1:], *RANGE_SHAPES]:
+        query = parse_query(text, list(target))
+        assert answer_direct(model, query) == relalg.evaluate(
+            translate.translate_query(query, model), build_database(model))
+
+
+class CountingReads(dict):
+    """A predecessor index that counts the states it is asked about."""
+
+    reads = 0
+
+    def __getitem__(self, state):
+        self.reads += 1
+        return super().__getitem__(state)
+
+
+def _count_predecessor_reads(model, relation):
+    model._predecessors[relation] = counting = CountingReads(model._predecessors[relation])
+    return counting
+
+
+def test_box_reads_the_predecessors_of_the_states_where_its_body_holds():
+    workloads = load_perfbench("workloads")
+    model = workloads.sparse_model(100, random.Random(42))
+    body = model._preimages["c"]["o1"]
+    assert len(body) == 1
+    counting = _count_predecessor_reads(model, "R")
+    label = compile_formula(model, parse_formula("[R] @c = 'o1'"), ())
+    truth = label(())
+    assert 0 < counting.reads <= len(body)
+    assert truth == {s for s in model.states if set(model.successors("R", s)) <= body}
+
+
+def _chain_model(n, k):
+    """States s0..s(n-1), a chain s_i -> s_(i+1) that ends in a state with no
+    successor, and s_i -> s0 from each odd i; ``c`` is 'a' at the first k."""
+    states = tuple(f"s{i}" for i in range(n))
+    edges = {(states[i], states[i + 1]) for i in range(n - 1)}
+    edges |= {(states[i], states[0]) for i in range(1, n, 2)}
+    return KripkeModel(
+        states=states,
+        relations={"R": frozenset(edges)},
+        objects=frozenset(states) | {"a", "b"},
+        concepts={"id": dict(zip(states, states)),
+                  "c": {s: "a" if i < k else "b" for i, s in enumerate(states)}},
+        object_constants=frozenset(states) | {"a", "b"},
+    )
+
+
+@pytest.mark.parametrize("n, k", [(8, 2), (8, 3), (9, 2), (9, 3)])
+def test_box_switches_form_past_a_quarter_of_the_states(n, k):
+    # a body that holds in at most n // 4 states is read from those states;
+    # past that, the box reads the predecessors of the states where it fails
+    model = _chain_model(n, k)
+    counting = _count_predecessor_reads(model, "R")
+    query = parse_query("[R] @c = 'a'")
+    direct = answer_direct(model, query)
+    assert counting.reads == (k if k <= n // 4 else n - k)
+    # the state with no successor and each state before the last 'a'; not
+    # s(k-1), whose successor s(k) is 'b'
+    assert direct == RelationInstance.of(1, [(f"s{i}",) for i in [*range(k - 1), n - 1]])
+    assert direct == answer_unmemoised(model, query)
+    assert direct == relalg.evaluate(translate.translate_query(query, model), build_database(model))
+
+
 # States 3 and 5 have no R-successor, and E has no pairs, so every rule meets
 # an empty set: a vacuous [R], a <R> with nothing to reach, a quantifier
 # whose body holds nowhere or everywhere.
