@@ -9,9 +9,10 @@ domain doubles as the pool of object-constant symbols.
 
 A ``KripkeModel`` checks these invariants when it is built and is read-only
 afterwards, so every model that exists is valid.  Construction also builds
-the indexes the evaluator reads: each relation's predecessors and
-successors by state, each concept's preimages (value -> the states where
-the concept takes it), and the sorted objects.
+the indexes the evaluator reads: each relation's predecessors by state,
+each concept's preimages (value -> the states where the concept takes it),
+and the sorted objects.  A relation's successors by state are indexed when
+the first ``[R] f`` over it is compiled.
 
 ``check_query`` is the one check that a query is made of the constructors
 alone, each by its exact class, and that the model declares every symbol it
@@ -103,13 +104,14 @@ class KripkeModel(_Value):
     Construction stores read-only copies of ``relations``, ``concepts`` and
     each concept's map, then checks the invariants (``validate_model``), so a
     model is valid from the moment it exists and stays valid.  It then builds
-    its indexes, in one pass over each relation's pairs: its predecessors
-    and its successors by state (every state has a predecessor set and a
-    successor set, empty or not; ``[R] f`` reads the successor sets while
-    ``f`` holds in few states), each concept's preimages (value -> frozenset
-    of the states it takes that value at), the set of states and the sorted
-    object tuple.  They are not fields, so equality, ``repr``, ``replace``
-    and ``dump_model`` see only the fields.
+    its indexes: each relation's predecessors by state (every state has a
+    set, empty or not), each concept's preimages (value -> frozenset of the
+    states it takes that value at), the set of states and the sorted object
+    tuple.  A relation's successor sets, which ``[R] f`` reads while ``f``
+    holds in few states, are added to ``_successors`` by ``_successor_sets``
+    when the first such box is compiled, so a model whose queries have no box
+    never builds them.  None of these is a field, so equality, ``repr``,
+    ``replace`` and ``dump_model`` see only the fields.
     """
 
     def __init__(
@@ -127,15 +129,12 @@ class KripkeModel(_Value):
         _set(self, "concepts", MappingProxyType(concepts))
         _set(self, "object_constants", object_constants)
         validate_model(self)
-        predecessors, successors = {}, {}
+        predecessors = {}
         for name, pairs in self.relations.items():
             backward = {state: [] for state in self.states}
-            forward = {state: [] for state in self.states}
             for src, dst in pairs:
                 backward[dst].append(src)
-                forward[src].append(dst)
             predecessors[name] = {dst: frozenset(srcs) for dst, srcs in backward.items()}
-            successors[name] = {src: frozenset(dsts) for src, dsts in forward.items()}
         preimages = {}
         for name, values in self.concepts.items():
             by_value = defaultdict(list)
@@ -143,7 +142,7 @@ class KripkeModel(_Value):
                 by_value[value].append(state)
             preimages[name] = {value: frozenset(group) for value, group in by_value.items()}
         _set(self, "_predecessors", predecessors)
-        _set(self, "_successors", successors)
+        _set(self, "_successors", {})  # filled by ``_successor_sets``
         _set(self, "_preimages", preimages)
         _set(self, "_state_set", frozenset(self.states))
         _set(self, "_sorted_objects", tuple(sorted(self.objects)))
@@ -393,8 +392,7 @@ def _modal(model, formula, scope, depth, level):
             return _NOWHERE.union(*map(predecessors, body(env)))
 
     else:
-        successors = model._successors[formula.relation]
-        sinks = frozenset(state for state, after in successors.items() if not after)
+        successors, sinks = _successor_sets(model, formula.relation)
         small = len(everywhere) // 4
 
         def modal(env):
@@ -408,6 +406,21 @@ def _modal(model, formula, scope, depth, level):
             return everywhere - _NOWHERE.union(*map(predecessors, failing))
 
     return modal, reads
+
+
+def _successor_sets(model: KripkeModel, relation: str) -> tuple[dict, frozenset[str]]:
+    """Each state's ``relation``-successors (every state has a set, empty or
+    not) and the states with none.  They are built when the first ``[R]``
+    over ``relation`` is compiled, and kept with the model."""
+    index = model._successors.get(relation)
+    if index is None:
+        forward = {state: [] for state in model.states}
+        for src, dst in model.relations[relation]:
+            forward[src].append(dst)
+        successors = {src: frozenset(dsts) for src, dsts in forward.items()}
+        sinks = frozenset(state for state, after in forward.items() if not after)
+        index = model._successors[relation] = successors, sinks
+    return index
 
 
 def _quantifier(model, formula, scope, depth, level):

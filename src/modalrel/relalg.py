@@ -14,25 +14,44 @@ its text, in which a shared node is written out once, labelled ``#n=``, and
 then referred to as ``#n#`` (the labels of the Common Lisp reader).
 
 Degrees are checked once, statically, by ``degree_of`` before an expression
-runs; evaluation then passes intermediate results as plain row sets, and only
-the answer becomes a ``RelationInstance``.  Both visit each distinct node
-once: ``degree_of`` finds the nodes with more than one parent, and
-``evaluate`` keeps the rows of those alone for the length of one call.
+runs, and only the answer becomes a ``RelationInstance``.  Both visit each
+distinct node once: ``degree_of`` finds the nodes with more than one parent,
+and ``evaluate`` keeps the rows of those alone, as sets, for the length of
+one call.
 
 Evaluation follows the plan node by node, except that every maximal chain of
 ``Selection`` and ``Projection`` nodes runs as one pass over the node below
 it: a scan of its rows, or, if it is a ``Product``, a build/probe hash join
 that never builds it (Graefe, "Query Evaluation Techniques for Large
-Databases", ACM CSUR 1993).  A chain ends above a shared node, whose rows are
-computed once.  The plan ``translate`` prints is the one that runs.
+Databases", ACM CSUR 1993).  A chain ends above a shared node.  A node with
+one parent streams its rows to that parent as an iterator, as in Graefe's
+Volcano (IEEE TKDE 1994), and may repeat a row.  A set is built only where
+rows are kept or looked up: at a shared node, at both inputs of a join, at
+the right side of a difference or an intersection, and at the answer.  So
+chains, joins, unions and the left sides of differences and intersections
+stream.
+
+Each scan and each join runs as one kernel: a generator compiled from
+generated text, once per layout, that reads its input rows and builds each
+output row from them directly (Neumann, "Efficiently Compiling Efficient
+Query Plans for Modern Hardware", VLDB 2011).  A scan's layout is the
+positions and operators of its tests and the output positions; a join's is
+the left side's degree, the key positions, the positions and operators of
+the tests between the two sides, and the output positions (a test of one
+side filters that side first, in a scan).  The text holds integers, the
+kernel's own names and ``==`` or ``!=``; constants are arguments, so plans
+that differ only in constants share a kernel.  A fixed-size cache keeps the
+``KERNEL_CACHE_SIZE`` most recently used.  The plan ``translate`` prints is
+the one that runs.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import reprlib
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from itertools import chain, filterfalse
+from typing import Iterable, Mapping
 
 from .errors import DegreeError, QuerySyntaxError, UnknownRelation
 from .syntax import MAX_NESTING, _set, _Value
@@ -310,10 +329,12 @@ def degree_of(
 def evaluate(expr: AlgebraExpr, db: DatabaseInstance) -> RelationInstance:
     """Set-semantics evaluation.
 
-    The whole expression is degree-checked once, statically, before it runs;
-    intermediate results are plain row sets, and only the answer is wrapped
-    (and validated) as a ``RelationInstance``.  The rows of each shared node
-    are computed once and kept until the call returns.
+    The whole expression is degree-checked once, statically, before it runs.
+    Rows then stream from each node that has one parent to that parent; a set
+    is built only where rows are looked up or kept (see the module docstring),
+    and only the answer is wrapped (and validated) as a ``RelationInstance``.
+    The rows of each shared node are computed once and kept until the call
+    returns.
     """
     shared: set[int] = set()
     degree = degree_of(expr, db.schema, shared)
@@ -322,150 +343,235 @@ def evaluate(expr: AlgebraExpr, db: DatabaseInstance) -> RelationInstance:
 
 Row = tuple[str, ...]
 
-
-def _operand_value(operand: Column | Constant, row: Row, offset: int) -> str:
-    if isinstance(operand, Column):
-        return row[operand.index - 1 - offset]
-    return operand.value
-
-
-def _holds_all(predicates: list[SelectionPredicate], row: Row, offset: int = 0) -> bool:
-    """Whether ``row`` satisfies every predicate, its columns shifted by ``offset``."""
-    for predicate in predicates:
-        left = _operand_value(predicate.left, row, offset)
-        right = _operand_value(predicate.right, row, offset)
-        if (left == right) != (predicate.op == "="):
-            return False
-    return True
-
-
-def _picker(indices: tuple[int, ...]) -> Callable[[Row], Row]:
-    """The function that projects a row onto the 1-based ``indices``."""
-    if not indices:
-        return lambda row: ()
-    if len(indices) == 1:
-        # ``itemgetter`` of one index returns the item, not a 1-tuple.
-        index = indices[0] - 1
-        return lambda row: (row[index],)
-    return itemgetter(*(index - 1 for index in indices))
-
-
-def _through(operand: Column | Constant, indices: tuple[int, ...]) -> Column | Constant:
-    """``operand`` above a projection onto ``indices``, read in the projection's input."""
-    return Column(indices[operand.index - 1]) if isinstance(operand, Column) else operand
-
-
 # The rows of each shared node of a plan, by ``id``; ``None`` until computed.
 Memo = dict[int, "frozenset[Row] | None"]
+
+# A test of a chain: an operand, "==" or "!=", an operand.  An operand is a
+# 0-based column position in the rows below the chain, or a ``Constant``.
+Test = tuple["int | Constant", str, "int | Constant"]
+
+_OPERATORS = {"=": "==", "!=": "!="}
+
+# How many compiled kernels ``_kernel`` keeps, the most recently used.  A
+# 3,000-case ``modalrel fuzz`` campaign compiles about 240 layouts at the
+# default depth (seeds 42 and 2028) and about 420 at depth 16 (seed 2029).
+KERNEL_CACHE_SIZE = 512
+
+
+def _position(operand: Column | Constant) -> int | Constant:
+    return operand.index - 1 if isinstance(operand, Column) else operand
 
 
 def _pipeline(
     expr: AlgebraExpr, memo: Memo
-) -> tuple[list[SelectionPredicate], Callable | None, AlgebraExpr]:
-    """The predicates and picker (``None``: every column) of the selections and projections
-    atop ``expr``, read in the columns of the node below them, and that node.  The chain
-    stops above a shared node, whose rows are kept whole."""
-    predicates, indices = [], None
+) -> tuple[list[Test], tuple[int, ...] | None, AlgebraExpr]:
+    """The tests and output positions (``None``: every column) of the selections and
+    projections atop ``expr``, read in the columns of the node below them, and that node.
+    The chain stops above a shared node, whose rows are kept whole."""
+    tests: list[Test] = []
+    output = None
     while isinstance(expr, (Selection, Projection)):
         if isinstance(expr, Selection):
-            predicates.append(expr.predicate)
+            predicate = expr.predicate
+            tests.append(
+                (_position(predicate.left), _OPERATORS[predicate.op], _position(predicate.right))
+            )
         else:
-            inner = expr.indices
-            predicates = [
-                SelectionPredicate(_through(p.left, inner), p.op, _through(p.right, inner))
-                for p in predicates
+            # A test or an output above a projection reads the column it picks.
+            below = [index - 1 for index in expr.indices]
+            tests = [
+                (below[a] if isinstance(a, int) else a, op, below[b] if isinstance(b, int) else b)
+                for a, op, b in tests
             ]
-            indices = inner if indices is None else tuple(inner[i - 1] for i in indices)
+            output = tuple(below) if output is None else tuple(below[p] for p in output)
         expr = expr.input
         if memo and id(expr) in memo:
             break
-    return predicates, None if indices is None else _picker(indices), expr
+    return tests, output, expr
+
+
+def _slots(tests: list[Test]) -> tuple[tuple[Test, ...], list] | None:
+    """``tests`` with the k-th constant replaced by the slot -1-k, and the
+    constants' values in slot order.  A test of two constants is decided here
+    and dropped; ``None`` if one fails."""
+    slotted, constants = [], []
+    for a, op, b in tests:
+        if not isinstance(a, int) and not isinstance(b, int):
+            if (a.value == b.value) != (op == "=="):
+                return None
+            continue
+        if not isinstance(a, int):
+            constants.append(a.value)
+            a = -len(constants)
+        if not isinstance(b, int):
+            constants.append(b.value)
+            b = -len(constants)
+        slotted.append((a, op, b))
+    return tuple(slotted), constants
+
+
+def _kernel_source(
+    split: int | None,
+    keys: tuple[tuple[int, int], ...],
+    tests: tuple[Test, ...],
+    output: tuple[int, ...] | None,
+) -> str:
+    """The text of the kernel for a layout.  A scan (``split`` is ``None``)
+    yields each of its ``rows`` that passes every test, picked by ``output``;
+    a test may read the constants, which it takes as the arguments ``c0``,
+    ``c1``, ...  A join of ``left`` rows of ``split`` columns with ``right``
+    rows hashes the right rows on their ``keys`` columns, probes with the
+    left, and yields each joined row that passes every test, picked by
+    ``output``; it reads each position in the joined row.  The text holds
+    integers, names of its own and ``==`` or ``!=``, nothing else."""
+    numbers = [p for pair in keys for p in pair] + [p for a, _, b in tests for p in (a, b)]
+    numbers += [*(output or ()), *([] if split is None else [split])]
+    if any(type(n) is not int for n in numbers) or any(
+        op not in ("==", "!=") for _, op, _ in tests
+    ):
+        raise TypeError("a kernel layout holds integers and '==' or '!=' only")
+
+    def operand(p: int) -> str:
+        if p < 0:
+            return f"c{-1 - p}"
+        return f"t[{p}]" if split is None or p < split else f"u[{p - split}]"
+
+    def key(positions: list[int]) -> str:
+        if len(positions) == 1:
+            return operand(positions[0])
+        return "(" + ", ".join(map(operand, positions)) + ")"
+
+    if split is None:
+        constants = "".join(f", c{k}" for k in range(sum(p < 0 for p in numbers)))
+        lines = [(0, f"def kernel(rows{constants}):"), (1, "for t in rows:")]
+    elif keys:
+        left_key, right_key = zip(*keys)
+        lines = [
+            (0, "def kernel(left, right):"),
+            (1, "buckets = {}"),
+            (1, "for u in right:"),
+            (2, f"buckets.setdefault({key(right_key)}, []).append(u)"),
+            (1, "for t in left:"),
+            (2, f"for u in buckets.get({key(left_key)}, ()):"),
+        ]
+    else:
+        # The right rows are read once per left row, so they are listed.
+        lines = [
+            (0, "def kernel(left, right):"),
+            (1, "right = [*right]"),
+            (1, "for t in left:"),
+            (2, "for u in right:"),
+        ]
+    depth = lines[-1][0] + 1
+    if tests:
+        condition = " and ".join(f"{operand(a)} {op} {operand(b)}" for a, op, b in tests)
+        lines.append((depth, f"if {condition}:"))
+        depth += 1
+    if output is not None:
+        lines.append((depth, "yield (" + "".join(f"{operand(p)}, " for p in output) + ")"))
+    else:
+        lines.append((depth, "yield t" if split is None else "yield t + u"))
+    return "".join("    " * depth + text + "\n" for depth, text in lines)
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _kernel(
+    split: int | None,
+    keys: tuple[tuple[int, int], ...],
+    tests: tuple[Test, ...],
+    output: tuple[int, ...] | None,
+):
+    """The kernel for a layout, compiled once while it stays in the cache."""
+    namespace: dict = {}
+    exec(_kernel_source(split, keys, tests, output), {"__builtins__": {}}, namespace)
+    return namespace["kernel"]
+
+
+def _scan(tests: list[Test], output: tuple[int, ...] | None, rows: Iterable[Row]) -> Iterable[Row]:
+    """The ``rows`` that pass every test, each picked by ``output``."""
+    slotted = _slots(tests)
+    if slotted is None:
+        return ()
+    tests, constants = slotted
+    if not tests and output is None:
+        return rows
+    return _kernel(None, (), tests, output)(rows, *constants)
 
 
 def _join(
-    predicates: list[SelectionPredicate],
+    tests: list[Test],
+    output: tuple[int, ...] | None,
     product: Product,
     db: DatabaseInstance,
-    pick: Callable[[Row], Row] | None,
     memo: Memo,
-) -> frozenset[Row]:
-    """The rows of ``product`` that satisfy every predicate (all rows if none),
-    each picked by ``pick`` (if any) as the join yields it.
+) -> Iterable[Row]:
+    """The rows of ``product`` that pass every test, each picked by ``output``,
+    as the join's kernel yields them; the product itself is never built.
 
-    The product is built whole only when it is the answer.  Each predicate
-    reading one side only filters that side first; every ``=`` between a left
-    and a right column joins into one (maybe composite) key, on which the
-    right side is hashed and probed with the left; the other predicates
-    filter the joined rows, which are never collected before they are picked.
-    """
-    left_rows = _eval(product.left, db, memo)
-    if not left_rows:
-        return frozenset()
-    right_rows = _eval(product.right, db, memo)
-    if not right_rows:
-        return frozenset()
-    split = len(next(iter(left_rows)))  # the left side's degree
-    left_only, right_only, residual = [], [], []
-    left_key, right_key = [], []
-    for predicate in predicates:
-        sides = {
-            operand.index > split
-            for operand in (predicate.left, predicate.right)
-            if isinstance(operand, Column)
-        }
+    Both inputs are sets.  Each test that reads one side only (or constants
+    only) filters that side first, in a scan; every ``==`` between a left and
+    a right column joins into one (maybe composite) key, on which the right
+    side is hashed and probed with the left; the kernel tests each joined row
+    against the rest, and picks it, from the two rows it joins."""
+    left = _eval(product.left, db, memo)
+    if not left:
+        return ()
+    right = _eval(product.right, db, memo)
+    if not right:
+        return ()
+    split = len(next(iter(left)))  # the left side's degree
+    left_tests, right_tests, keys, residual = [], [], [], []
+    for test in tests:
+        a, op, b = test
+        sides = {p >= split for p in (a, b) if isinstance(p, int)}
         if sides == {True}:
-            right_only.append(predicate)
+            right_tests.append(tuple(p - split if isinstance(p, int) else p for p in test))
         elif sides != {False, True}:
-            left_only.append(predicate)  # also a comparison of two constants
-        elif predicate.op == "=":
-            first, second = sorted((predicate.left.index, predicate.right.index))
-            left_key.append(first - 1)
-            right_key.append(second - 1 - split)
+            left_tests.append(test)
+        elif op == "==":
+            keys.append((min(a, b), max(a, b)))
         else:
-            residual.append(predicate)
-    if left_only:
-        left_rows = [t for t in left_rows if _holds_all(left_only, t)]
-    if right_only:
-        right_rows = [u for u in right_rows if _holds_all(right_only, u, split)]
-    if left_key:
-        probe_key, build_key = itemgetter(*left_key), itemgetter(*right_key)
-        buckets: dict[object, list[Row]] = {}
-        for u in right_rows:
-            buckets.setdefault(build_key(u), []).append(u)
-        joined = (t + u for t in left_rows for u in buckets.get(probe_key(t), ()))
-    else:
-        joined = (t + u for t in left_rows for u in right_rows)
-    if residual:
-        joined = (row for row in joined if _holds_all(residual, row))
-    return frozenset(joined if pick is None else map(pick, joined))
+            residual.append(test)
+    left = _scan(left_tests, None, left)
+    right = _scan(right_tests, None, right)
+    return _kernel(split, tuple(keys), tuple(residual), output)(left, right)
 
 
-def _eval(expr: AlgebraExpr, db: DatabaseInstance, memo: Memo) -> frozenset[Row]:
+def _eval(
+    expr: AlgebraExpr, db: DatabaseInstance, memo: Memo, build: bool = True
+) -> Iterable[Row]:
+    """The rows of ``expr``: a set if ``build``, else any iterable of them,
+    read once, which may repeat a row.  A base relation and a shared node are
+    sets either way; a chain streams, and so does a join, a union and the left
+    side of a difference or an intersection."""
     # A plan that shares nothing has an empty memo, and pays one test per node.
     if memo and (rows := memo.get(id(expr))) is not None:
         return rows
     match expr:
         case BaseRelation(name):
-            rows = db.relations[name].tuples
+            return db.relations[name].tuples
         case Selection() | Projection() | Product():
-            predicates, pick, source = _pipeline(expr, memo)
+            tests, output, source = _pipeline(expr, memo)
             if isinstance(source, Product) and (source is expr or id(source) not in memo):
-                rows = _join(predicates, source, db, pick, memo)
+                rows = _join(tests, output, source, db, memo)
             else:
-                rows = _eval(source, db, memo)
-                if predicates:
-                    rows = (row for row in rows if _holds_all(predicates, row))
-                rows = frozenset(rows if pick is None else map(pick, rows))
+                rows = _scan(tests, output, _eval(source, db, memo, False))
         case Union(left, right):
-            rows = _eval(left, db, memo) | _eval(right, db, memo)
+            rows = chain(_eval(left, db, memo, False), _eval(right, db, memo, False))
         case Difference(left, right):
-            rows = _eval(left, db, memo) - _eval(right, db, memo)
+            drop = _eval(right, db, memo)
+            rows = _eval(left, db, memo, False)
+            if drop:
+                rows = filterfalse(drop.__contains__, rows)
         case Intersection(left, right):
-            rows = _eval(left, db, memo) & _eval(right, db, memo)
+            keep = _eval(right, db, memo)
+            rows = filter(keep.__contains__, _eval(left, db, memo, False)) if keep else ()
         case _:
             raise TypeError(f"not an algebra expression: {expr!r}")
     if memo and id(expr) in memo:
-        memo[id(expr)] = rows
+        rows = memo[id(expr)] = frozenset(rows)
+    elif build and type(rows) is not frozenset:
+        rows = frozenset(rows)
     return rows
 
 

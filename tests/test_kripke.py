@@ -467,6 +467,37 @@ def test_box_reads_the_predecessors_of_the_states_where_its_body_holds():
     assert truth == {s for s in model.states if set(model.successors("R", s)) <= body}
 
 
+class CountingWrites(dict):
+    """A successor index that counts the relations written into it."""
+
+    writes = 0
+
+    def __setitem__(self, relation, index):
+        self.writes += 1
+        super().__setitem__(relation, index)
+
+
+def test_successor_sets_are_built_by_the_first_box_over_a_relation():
+    workloads = load_perfbench("workloads")
+    model = workloads.sparse_model(25, random.Random(42))
+    assert model._successors == {}
+    counting = CountingWrites()
+    object.__setattr__(model, "_successors", counting)
+    diamond = parse_query("<R> @c = ?x", ["?x"])
+    assert answer_direct(model, diamond) == answer_unmemoised(model, diamond)
+    assert counting.writes == 0 and not counting
+    box = parse_query("[R] <R> @c = ?x", ["?x"])
+    answer = answer_direct(model, box)
+    assert counting.writes == 1 and set(counting) == {"R"}
+    successors, sinks = counting["R"]
+    assert successors == {s: frozenset(model.successors("R", s)) for s in model.states}
+    assert sinks == {s for s in model.states if not model.successors("R", s)}
+    boxes = parse_query("[R] @c = 'o1' | [R] !(@c = 'o2')")
+    assert answer_direct(model, boxes) == answer_unmemoised(model, boxes)
+    assert answer_direct(model, box) == answer == answer_unmemoised(model, box)
+    assert counting.writes == 1
+
+
 def _chain_model(n, k):
     """States s0..s(n-1), a chain s_i -> s_(i+1) that ends in a state with no
     successor, and s_i -> s0 from each odd i; ``c`` is 'a' at the first k."""

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import pickle
+import random
 import re
 import time
 
@@ -47,6 +49,7 @@ from modalrel.harness import case_params
 from modalrel.relalg import BINARY_OPERATORS
 from modalrel.syntax import MAX_NESTING, formula_depth
 from test_acceptance import CAMPAIGN_PARAMS
+from test_bench_contract import load_perfbench
 
 STA_REL = BaseRelation(STA)
 REL_REL = BaseRelation(REL)
@@ -791,3 +794,180 @@ def test_selection_over_a_projection_builds_no_set_of_its_own(
     # the whole plan, then the inner join's projection and its three base relations
     assert len(entered) == 5
     assert not [text for text in entered if text.startswith(("(project (1 3) ", "(select (!= 2 1) "))]
+
+
+# ---------------------------------------------------------------------------
+# Streamed rows and compiled kernels
+
+# One column each, and each repeats a value on most databases: a projection of
+# a base relation, of a product and of a join.
+_DUPLICATING = [
+    Projection((2,), STA_REL),
+    Projection((3,), REL_REL),
+    Projection((1,), Product(OBJ_REL, CON_REL)),
+    Projection((3,), Selection(eq(Column(1), Column(3)),
+                               Product(STA_REL, Projection((1,), REL_REL)))),
+    Projection((2,), Selection(SelectionPredicate(Column(1), "!=", Column(2)),
+                               Product(CON_REL, OBJ_REL))),
+]
+
+
+@st.composite
+def _set_plans(draw):
+    """Unions, differences and intersections, to depth 3, of projections that
+    repeat rows; a node drawn again from the pool is shared by its parents."""
+    pool = list(_DUPLICATING)
+
+    def plan(depth):
+        if not depth or draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from([Union, Difference, Intersection, Product, Selection]))
+        if kind is Product:  # a join projected back to one column
+            node = Projection((draw(st.integers(1, 2)),), Product(plan(depth - 1), plan(depth - 1)))
+        elif kind is Selection:
+            predicate = SelectionPredicate(
+                Column(1), draw(st.sampled_from(["=", "!="])), Constant(draw(_values))
+            )
+            node = Selection(predicate, plan(depth - 1))
+        else:
+            node = kind(plan(depth - 1), plan(depth - 1))
+        pool.append(node)
+        return node
+
+    return plan(3)
+
+
+_SHARED_LEAF = Projection((2,), STA_REL)
+_SHARED_DIFF = Difference(_SHARED_LEAF, Projection((3,), REL_REL))
+
+
+@given(_databases, _set_plans())
+@example(_REPEATS, Difference(Union(_SHARED_LEAF, OBJ_REL), Intersection(_SHARED_LEAF, CON_REL)))
+@example(_REPEATS, Intersection(_SHARED_DIFF, Union(_SHARED_DIFF, Projection((1,), STA_REL))))
+@example(_REPEATS, Projection((1,), Product(_SHARED_DIFF, Difference(OBJ_REL, _SHARED_DIFF))))
+@settings(max_examples=300)
+def test_set_operators_over_repeating_streams_match_the_reference(db, expr):
+    # an unshared input streams and may repeat a row; the answer is a set
+    got = evaluate(expr, db)
+    assert got.degree == 1
+    assert got.tuples == _reference(expr, db)
+
+
+def _guarded_box(n):
+    """The plan of ``[R] <R> @c = ?x`` on the benchmark's sparse model of n
+    states (seed 42), its database, and the difference of the edges W out of
+    each candidate (``(project (1 2 4) (select (= 2 3) (product …)))``) and
+    the edges into the body's rows."""
+    model = load_perfbench("workloads").sparse_model(n, random.Random(42))
+    plan = translate_query(parse_query("[R] <R> @c = ?x", ["?x"]), model)
+    pending, found = [plan], []
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Difference) and render_algebra(node.left).startswith(
+            "(project (1 2 4) (select (= 2 3) (product "
+        ):
+            found.append(node)
+        pending.extend(relalg._children(node))
+    assert len(found) == 1
+    return plan, build_database(model), found[0]
+
+
+def test_guarded_box_builds_no_set_of_its_edges(monkeypatch):
+    plan, db, diff = _guarded_box(100)
+    edges = evaluate(diff.left, db).tuples
+    failing = evaluate(diff, db).tuples
+    assert len(edges) > len(failing) > 0
+    answer = evaluate(plan, db)
+    built = []
+
+    def counting(kind):
+        def build(rows=()):
+            rows = kind(rows)
+            built.append(len(rows))
+            return rows
+
+        return build
+
+    monkeypatch.setattr(relalg, "frozenset", counting(frozenset), raising=False)
+    monkeypatch.setattr(relalg, "set", counting(set), raising=False)
+    assert evaluate(plan, db) == answer
+    # the candidates, the edges into the body and the failing candidates are
+    # built; neither W nor the difference that streams it is
+    assert built and max(built) < len(failing)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("(select (= 2 'a') Sta)", "(select (= 2 'b') Sta)"),
+    ("(project (1 5) (select (!= 2 'a') (select (= 3 'R') (select (= 1 3) (product Sta Rel)))))",
+     "(project (1 5) (select (!= 2 'b') (select (= 3 'S') (select (= 1 3) (product Sta Rel)))))"),
+], ids=["scan", "join"])
+def test_plans_that_differ_only_in_constants_share_their_kernels(first, second):
+    relalg._kernel.cache_clear()
+    evaluate(parse_algebra(first), _REPEATS)
+    compiled = relalg._kernel.cache_info()
+    assert compiled.misses > 0
+    evaluate(parse_algebra(second), _REPEATS)
+    again = relalg._kernel.cache_info()
+    assert again.misses == compiled.misses
+    assert again.hits == compiled.hits + compiled.misses
+
+
+def test_a_constant_is_compared_as_data_and_never_written_into_a_kernel(monkeypatch):
+    value = 'x\') or __import__("os").getpid() or (\''
+    db = _db([("1", value), ("2", "a")], [("1", "2", value)])
+    sources = []
+    text_of = relalg._kernel_source
+
+    def spy(*layout):
+        sources.append(text_of(*layout))
+        return sources[-1]
+
+    monkeypatch.setattr(relalg, "_kernel_source", spy)
+    relalg._kernel.cache_clear()
+    is_value = eq(Column(2), Constant(value))
+    not_value = SelectionPredicate(Column(2), "!=", Constant(value))
+    assert evaluate(Selection(is_value, STA_REL), db).tuples == {("1", value)}
+    assert evaluate(Selection(not_value, STA_REL), db).tuples == {("2", "a")}
+    on_key = Selection(eq(Column(1), Column(3)), Product(STA_REL, REL_REL))
+    joined = Projection((1, 3), Selection(eq(Column(5), Constant(value)), on_key))
+    assert evaluate(joined, db).tuples == {("1", "1")}
+    assert evaluate(Selection(eq(Constant(value), Constant(value)), OBJ_REL), db).degree == 1
+    assert sources
+    for source in sources:
+        assert value not in source and "__import__" not in source
+        assert "'" not in source and '"' not in source
+
+
+def test_the_kernel_cache_keeps_a_fixed_number_of_kernels():
+    relalg._kernel.cache_clear()
+    assert relalg._kernel.cache_info().maxsize == relalg.KERNEL_CACHE_SIZE
+    # a distinct join layout for each list of four columns of Sta × Rel
+    layouts = list(itertools.product(range(1, 6), repeat=4))[: relalg.KERNEL_CACHE_SIZE + 20]
+    for indices in layouts:
+        plan = Projection(indices, Selection(eq(Column(1), Column(3)), Product(STA_REL, REL_REL)))
+        rows = evaluate(plan, _REPEATS).tuples
+        assert rows == {tuple((t + u)[i - 1] for i in indices)
+                        for t in _REPEATS.relations[STA].tuples
+                        for u in _REPEATS.relations[REL].tuples if t[0] == u[0]}
+        assert relalg._kernel.cache_info().currsize <= relalg.KERNEL_CACHE_SIZE
+    info = relalg._kernel.cache_info()
+    assert info.misses == len(layouts) and info.currsize == relalg.KERNEL_CACHE_SIZE
+    relalg._kernel.cache_clear()
+
+
+def test_each_shared_node_is_computed_once(monkeypatch):
+    # twelve unions, each of one shared node with itself: 4,096 reads of Sta
+    # as a tree, one as a plan
+    plan = Selection(eq(Column(2), Constant("a")), STA_REL)
+    for _ in range(12):
+        plan = Union(plan, plan)
+    entered = []
+    inner_eval = relalg._eval
+
+    def spy(expr, *rest):
+        entered.append(expr)
+        return inner_eval(expr, *rest)
+
+    monkeypatch.setattr(relalg, "_eval", spy)
+    assert evaluate(plan, _REPEATS).tuples == {("1", "a"), ("2", "a")}
+    assert entered.count(STA_REL) == 1
