@@ -43,6 +43,22 @@ kernel's own names and ``==`` or ``!=``; constants are arguments, so plans
 that differ only in constants share a kernel.  A fixed-size cache keeps the
 ``KERNEL_CACHE_SIZE`` most recently used.  The plan ``translate`` prints is
 the one that runs.
+
+One more shape runs as one kernel: ``A − π(J − X)``, in which ``J`` is a
+chain over ``A × B`` whose left input is the very node ``A``, and the
+projection picks ``A``'s columns, in order, from ``J``'s rows.  A row ``a``
+of ``A`` is in ``π(J − X)`` just when some ``b`` in ``B`` passes the chain's
+tests with ``a`` while their row of ``J`` lies outside ``X``; so the
+difference keeps each ``a`` that has no such ``b``.  That is Codd's division
+written in the basic operators, and it runs as a hash division (Graefe and
+Cole, "Fast Algorithms for Universal Quantification in Large Databases",
+ACM TODS 1995): ``B`` is hashed as for a join, each ``a`` probes, and the
+probe stops at the first such ``b``.  Neither ``J`` nor its projection is
+produced.  A test of ``a`` alone is one of the chain's tests, so an ``a``
+that fails it has no such ``b`` and is kept; the layout holds those tests
+apart.  The projection, the inner difference, the chain and the product
+must not be shared; any other difference runs as above.  The guarded box
+that ``translate`` emits for ``[R] f`` has this shape.
 """
 
 from __future__ import annotations
@@ -353,8 +369,9 @@ Test = tuple["int | Constant", str, "int | Constant"]
 _OPERATORS = {"=": "==", "!=": "!="}
 
 # How many compiled kernels ``_kernel`` keeps, the most recently used.  A
-# 3,000-case ``modalrel fuzz`` campaign compiles about 240 layouts at the
-# default depth (seeds 42 and 2028) and about 420 at depth 16 (seed 2029).
+# 3,000-case ``modalrel fuzz`` campaign compiles 233 layouts on seed 42 and
+# 237 on seed 2028 at the default depth, and 422 on seed 2029 at depth 16;
+# one or two of each are divisions.
 KERNEL_CACHE_SIZE = 512
 
 
@@ -415,6 +432,7 @@ def _kernel_source(
     keys: tuple[tuple[int, int], ...],
     tests: tuple[Test, ...],
     output: tuple[int, ...] | None,
+    division: tuple[Test, ...] | None = None,
 ) -> str:
     """The text of the kernel for a layout.  A scan (``split`` is ``None``)
     yields each of its ``rows`` that passes every test, picked by ``output``;
@@ -422,12 +440,18 @@ def _kernel_source(
     ``c1``, ...  A join of ``left`` rows of ``split`` columns with ``right``
     rows hashes the right rows on their ``keys`` columns, probes with the
     left, and yields each joined row that passes every test, picked by
-    ``output``; it reads each position in the joined row.  The text holds
-    integers, names of its own and ``==`` or ``!=``, nothing else."""
-    numbers = [p for pair in keys for p in pair] + [p for a, _, b in tests for p in (a, b)]
+    ``output``; it reads each position in the joined row.  A division (whose
+    ``division`` holds the tests that read the left row alone) probes the
+    same way and yields each left row with no partner: none of its right
+    rows passes every test with it while their output row lies outside
+    ``drop``.  It stops at the first such partner, and a left row that fails
+    a test of ``division`` has none.  The text holds integers, names of its
+    own and ``==`` or ``!=``, nothing else."""
+    every_test = (*tests, *(division or ()))
+    numbers = [p for pair in keys for p in pair] + [p for a, _, b in every_test for p in (a, b)]
     numbers += [*(output or ()), *([] if split is None else [split])]
     if any(type(n) is not int for n in numbers) or any(
-        op not in ("==", "!=") for _, op, _ in tests
+        op not in ("==", "!=") for _, op, _ in every_test
     ):
         raise TypeError("a kernel layout holds integers and '==' or '!=' only")
 
@@ -441,36 +465,48 @@ def _kernel_source(
             return operand(positions[0])
         return "(" + ", ".join(map(operand, positions)) + ")"
 
+    def condition(tests: Iterable[Test], *more: str) -> str:
+        return " and ".join([*(f"{operand(a)} {op} {operand(b)}" for a, op, b in tests), *more])
+
+    constants = "".join(f", c{k}" for k in range(sum(p < 0 for p in numbers)))
     if split is None:
-        constants = "".join(f", c{k}" for k in range(sum(p < 0 for p in numbers)))
         lines = [(0, f"def kernel(rows{constants}):"), (1, "for t in rows:")]
-    elif keys:
-        left_key, right_key = zip(*keys)
-        lines = [
-            (0, "def kernel(left, right):"),
-            (1, "buckets = {}"),
-            (1, "for u in right:"),
-            (2, f"buckets.setdefault({key(right_key)}, []).append(u)"),
-            (1, "for t in left:"),
-            (2, f"for u in buckets.get({key(left_key)}, ()):"),
-        ]
     else:
-        # The right rows are read once per left row, so they are listed.
-        lines = [
-            (0, "def kernel(left, right):"),
-            (1, "right = [*right]"),
-            (1, "for t in left:"),
-            (2, "for u in right:"),
-        ]
+        drop = "" if division is None else ", drop"
+        lines = [(0, f"def kernel(left, right{drop}{constants}):")]
+        if keys:
+            left_key, right_key = zip(*keys)
+            lines += [
+                (1, "buckets = {}"),
+                (1, "for u in right:"),
+                (2, f"buckets.setdefault({key(right_key)}, []).append(u)"),
+            ]
+            partners = f"buckets.get({key(left_key)}, ())"
+        else:
+            # The right rows are read once per left row, so they are listed.
+            lines.append((1, "right = [*right]"))
+            partners = "right"
+        lines.append((1, "for t in left:"))
+        if division:
+            lines += [(2, f"if not ({condition(division)}):"), (3, "yield t"), (3, "continue")]
+        lines.append((2, f"for u in {partners}:"))
     depth = lines[-1][0] + 1
-    if tests:
-        condition = " and ".join(f"{operand(a)} {op} {operand(b)}" for a, op, b in tests)
-        lines.append((depth, f"if {condition}:"))
-        depth += 1
     if output is not None:
-        lines.append((depth, "yield (" + "".join(f"{operand(p)}, " for p in output) + ")"))
+        row = "(" + "".join(f"{operand(p)}, " for p in output) + ")"
     else:
-        lines.append((depth, "yield t" if split is None else "yield t + u"))
+        row = "t" if split is None else "t + u"
+    if division is not None:
+        lines += [
+            (depth, f"if {condition(tests, f'{row} not in drop')}:"),
+            (depth + 1, "break"),
+            (depth - 1, "else:"),
+            (depth, "yield t"),
+        ]
+    else:
+        if tests:
+            lines.append((depth, f"if {condition(tests)}:"))
+            depth += 1
+        lines.append((depth, f"yield {row}"))
     return "".join("    " * depth + text + "\n" for depth, text in lines)
 
 
@@ -480,10 +516,13 @@ def _kernel(
     keys: tuple[tuple[int, int], ...],
     tests: tuple[Test, ...],
     output: tuple[int, ...] | None,
+    division: tuple[Test, ...] | None = None,
 ):
     """The kernel for a layout, compiled once while it stays in the cache."""
     namespace: dict = {}
-    exec(_kernel_source(split, keys, tests, output), {"__builtins__": {}}, namespace)
+    exec(
+        _kernel_source(split, keys, tests, output, division), {"__builtins__": {}}, namespace
+    )
     return namespace["kernel"]
 
 
@@ -496,6 +535,28 @@ def _scan(tests: list[Test], output: tuple[int, ...] | None, rows: Iterable[Row]
     if not tests and output is None:
         return rows
     return _kernel(None, (), tests, output)(rows, *constants)
+
+
+def _sides(
+    tests: list[Test], split: int
+) -> tuple[list[Test], list[Test], list[tuple[int, int]], list[Test]]:
+    """The ``tests`` of a product whose left side has ``split`` columns, by
+    what they read: the left side alone (or constants alone); the right side
+    alone, read in its own columns; the key pair of each ``==`` between a
+    left and a right column; and every other test between the two sides."""
+    left_tests, right_tests, keys, residual = [], [], [], []
+    for test in tests:
+        a, op, b = test
+        sides = {p >= split for p in (a, b) if isinstance(p, int)}
+        if sides == {True}:
+            right_tests.append(tuple(p - split if isinstance(p, int) else p for p in test))
+        elif sides != {False, True}:
+            left_tests.append(test)
+        elif op == "==":
+            keys.append((min(a, b), max(a, b)))
+        else:
+            residual.append(test)
+    return left_tests, right_tests, keys, residual
 
 
 def _join(
@@ -520,21 +581,45 @@ def _join(
     if not right:
         return ()
     split = len(next(iter(left)))  # the left side's degree
-    left_tests, right_tests, keys, residual = [], [], [], []
-    for test in tests:
-        a, op, b = test
-        sides = {p >= split for p in (a, b) if isinstance(p, int)}
-        if sides == {True}:
-            right_tests.append(tuple(p - split if isinstance(p, int) else p for p in test))
-        elif sides != {False, True}:
-            left_tests.append(test)
-        elif op == "==":
-            keys.append((min(a, b), max(a, b)))
-        else:
-            residual.append(test)
+    left_tests, right_tests, keys, residual = _sides(tests, split)
     left = _scan(left_tests, None, left)
     right = _scan(right_tests, None, right)
     return _kernel(split, tuple(keys), tuple(residual), output)(left, right)
+
+
+def _divide(
+    left: AlgebraExpr, right: AlgebraExpr, db: DatabaseInstance, memo: Memo
+) -> Iterable[Row] | None:
+    """The rows of ``Difference(left, right)`` as a division kernel yields
+    them (see the module docstring), or ``None`` if the plan lacks its shape:
+    ``right`` is ``π(p)(J − X)``, ``J`` is a chain over ``Product(left, B)``
+    and ``p`` picks ``left``'s columns in order from ``J``'s rows, and none
+    of the projection, the inner difference, the chain and the product is
+    shared.  A test of ``B``'s rows alone filters them first, in a scan; the
+    kernel tests the rest."""
+    if not isinstance(right, Projection) or id(right) in memo:
+        return None
+    inner = right.input
+    if not isinstance(inner, Difference) or id(inner) in memo or id(inner.left) in memo:
+        return None
+    tests, output, product = _pipeline(inner.left, memo)
+    if not isinstance(product, Product) or product.left is not left or id(product) in memo:
+        return None
+    split = len(right.indices)  # ``A``'s degree, as ``degree_of`` checked
+    picked = [index - 1 if output is None else output[index - 1] for index in right.indices]
+    if picked != list(range(split)):
+        return None
+    # ``A`` has two parents, so it is shared (or a base relation): a set.
+    rows = _eval(left, db, memo)
+    if not rows:
+        return ()
+    left_tests, right_tests, keys, residual = _sides(tests, split)
+    slotted = _slots(left_tests)
+    if slotted is None or not (partners := _eval(product.right, db, memo)):
+        return rows  # ``J`` has no rows
+    division, constants = slotted
+    kernel = _kernel(split, tuple(keys), tuple(residual), output, division)
+    return kernel(rows, _scan(right_tests, None, partners), _eval(inner.right, db, memo), *constants)
 
 
 def _eval(
@@ -559,10 +644,12 @@ def _eval(
         case Union(left, right):
             rows = chain(_eval(left, db, memo, False), _eval(right, db, memo, False))
         case Difference(left, right):
-            drop = _eval(right, db, memo)
-            rows = _eval(left, db, memo, False)
-            if drop:
-                rows = filterfalse(drop.__contains__, rows)
+            rows = _divide(left, right, db, memo)
+            if rows is None:
+                drop = _eval(right, db, memo)
+                rows = _eval(left, db, memo, False)
+                if drop:
+                    rows = filterfalse(drop.__contains__, rows)
         case Intersection(left, right):
             keep = _eval(right, db, memo)
             rows = filter(keep.__contains__, _eval(left, db, memo, False)) if keep else ()

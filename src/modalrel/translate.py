@@ -437,7 +437,8 @@ class Translator:
         edges into its state; ``C = <R> f`` are its candidates (x̄, s); ``W``
         pairs each candidate with every successor t of s, and ``G`` keeps
         the pairs whose (x̄, t) satisfies ``f``.  ``E``, ``C`` and ``Rr`` are
-        shared nodes of the plan.
+        shared nodes of the plan.  ``relalg`` runs ``C − π(W − G)`` as one
+        division, which never builds ``W``.
         """
         k = len(inner.columns)
         variables = tuple(range(1, k + 1))

@@ -313,6 +313,33 @@ def test_deepest_translated_plan_round_trips(example_model):
     assert pickle.loads(pickle.dumps(plan)) == plan
 
 
+def _evaluate_each_edge_once(plan, db, monkeypatch):
+    """``evaluate(plan, db)``, failing as soon as ``_eval`` is entered more
+    often than ``plan`` has edges, plus one for the plan itself: a node that
+    is computed once is entered at most once from each edge into it, and an
+    evaluator that computes a shared node again for each parent turns a
+    nested plan into a tree that could run for hours."""
+    seen, edges, pending = set(), 1, [plan]
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            children = relalg._children(node)
+            edges += len(children)
+            pending.extend(children)
+    entered = 0
+    inner_eval = relalg._eval
+
+    def spy(expr, *rest):
+        nonlocal entered
+        entered += 1
+        assert entered <= edges, f"a plan of {edges} edges entered _eval {entered} times"
+        return inner_eval(expr, *rest)
+
+    monkeypatch.setattr(relalg, "_eval", spy)
+    return evaluate(plan, db)
+
+
 # Nested guarded boxes at the query limit: each reads its body's plan twice,
 # so as a tree the first plan would have about 2**32 nodes.
 GUARDED_CHAINS = [
@@ -322,7 +349,7 @@ GUARDED_CHAINS = [
 
 
 @pytest.mark.parametrize("text", GUARDED_CHAINS, ids=["box-and", "box-diamond-and"])
-def test_deep_guarded_chain_plan_is_a_dag(text, example_model, example_db):
+def test_deep_guarded_chain_plan_is_a_dag(text, example_model, example_db, monkeypatch):
     start = time.perf_counter()
     query = parse_query(text, ["?x"])
     assert formula_depth(query.formula) <= MAX_NESTING
@@ -335,8 +362,29 @@ def test_deep_guarded_chain_plan_is_a_dag(text, example_model, example_db):
     assert render_algebra(again) == rendered
     assert pickle.loads(pickle.dumps(plan)) == plan
     assert copy.deepcopy(plan) == plan
-    assert evaluate(plan, example_db) == answer_direct(example_model, query)
+    answer = _evaluate_each_edge_once(plan, example_db, monkeypatch)
+    assert answer == answer_direct(example_model, query)
     assert time.perf_counter() - start < 5.0
+
+
+def test_guarded_chain_computes_each_node_once(example_model, example_db, monkeypatch):
+    # twelve nested guarded boxes, each reading its body twice: 4,096 reads
+    # of the innermost body as a tree, one as a plan
+    query = parse_query("[COMP] (?x = @code & " * 12 + "?x = @code" + ")" * 12, ["?x"])
+    plan = translate_query(query, example_model)
+    divided = []
+    divide = relalg._divide
+
+    def spy(*args):
+        rows = divide(*args)
+        divided.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(relalg, "_divide", spy)
+    answer = _evaluate_each_edge_once(plan, example_db, monkeypatch)
+    assert answer == answer_direct(example_model, query)
+    # each box's ``C − π(W − G)`` runs as a division
+    assert divided.count(True) == 12
 
 
 def test_campaign_plans_round_trip():
@@ -971,3 +1019,175 @@ def test_each_shared_node_is_computed_once(monkeypatch):
     monkeypatch.setattr(relalg, "_eval", spy)
     assert evaluate(plan, _REPEATS).tuples == {("1", "a"), ("2", "a")}
     assert entered.count(STA_REL) == 1
+
+
+# ---------------------------------------------------------------------------
+# A − π(J − X), with J a chain over A × B, runs as one division
+
+# Each makes a fresh node of one or more columns: a base relation, a node
+# that repeats a value when it streams, a join and an empty node.
+_DIVIDENDS = [
+    lambda: BaseRelation(STA),
+    lambda: Projection((2,), BaseRelation(STA)),
+    lambda: Projection((1, 3), BaseRelation(REL)),
+    lambda: Selection(eq(Column(1), Column(2)), Product(OBJ_REL, CON_REL)),
+    lambda: Difference(BaseRelation(OBJ), BaseRelation(OBJ)),
+]
+_DIVISION_KINDS = ["division", "reordered", "dropped", "equal", "shared difference",
+                   "shared projection"]
+
+
+@st.composite
+def _division_plans(draw):
+    """``A − π(p)(J − X)``, with ``J`` up to three selections (and maybe a
+    projection) over ``A × B`` and ``p`` picking ``A``'s columns from ``J``'s
+    rows, and whether it runs as a division; or a near miss, which does not:
+    a ``p`` that reorders or drops a column of ``A``, a ``J`` over a node
+    equal to ``A`` but not ``A`` itself, or a shared difference or projection."""
+    make = draw(st.sampled_from(_DIVIDENDS))
+    kept, partners = make(), draw(st.sampled_from(_SIDES + [_EMPTY]))
+    degree = degree_of(kept, _SCHEMA)
+    width = degree + degree_of(partners, _SCHEMA)
+    operands = _operands(width)
+    predicate = st.builds(SelectionPredicate, operands, st.sampled_from(["=", "!="]), operands)
+    predicates = draw(st.lists(predicate, max_size=3))
+    picks = None
+    if draw(st.booleans()):  # a projection atop the selections keeps every column of A
+        extra = draw(st.lists(st.integers(1, width), max_size=2))
+        picks = tuple(draw(st.permutations([*range(1, degree + 1), *extra])))
+    columns = picks or tuple(range(1, width + 1))
+    kind = draw(st.sampled_from(_DIVISION_KINDS))
+
+    def chain(left):
+        joined = _select_all(predicates, Product(left, partners))
+        return joined if picks is None else Projection(picks, joined)
+
+    if draw(st.booleans()):
+        operands = _operands(len(columns))
+        x = Selection(
+            SelectionPredicate(draw(operands), draw(st.sampled_from(["=", "!="])),
+                               draw(operands)),
+            chain(kept),
+        )
+    else:
+        x = Difference(chain(kept), chain(kept))  # empty
+    in_order = [columns.index(j) + 1 for j in range(1, degree + 1)]
+    p = list(in_order)
+    if kind == "reordered" and degree > 1:
+        p[0], p[1] = p[1], p[0]
+    elif kind == "dropped":
+        others = [i for i, column in enumerate(columns, 1) if column != degree]
+        if others:
+            p[-1] = draw(st.sampled_from(others))
+    # a single column cannot be reordered, nor dropped where J has no other
+    divides = kind == "division" or (kind in ("reordered", "dropped") and p == in_order)
+    difference = Difference(chain(make() if kind == "equal" else kept), x)
+    projection = Projection(tuple(p), difference)
+    plan = Difference(kept, projection)
+    if kind == "shared difference":
+        plan = Union(plan, Projection(tuple(p), difference))
+    elif kind == "shared projection":
+        plan = Union(plan, projection)
+    return plan, divides
+
+
+# Sta's rows (1 a), (2 a), (3 b) and the edges 1 → 2 → 3; X is empty.
+_NO_X = "(diff (product Sta Rel) (product Sta Rel))"
+_DIVISION_EXAMPLES = [
+    # a test of A alone keeps the row that fails it: (3 b)
+    "(diff #1=(project (1 2) Sta) (project (1 2) (diff "
+    "(select (= 2 'a') (select (= 1 3) (product #1# Rel))) " + _NO_X + ")))",
+    # a state with another of its code: (3 b) has none
+    "(diff #1=(project (1 2) Sta) (project (1 2) (diff "
+    "(select (!= 1 3) (select (= 2 4) (product #1# Sta))) "
+    "(diff (product Sta Sta) (product Sta Sta)))))",
+    # a test of two constants that fails: no row has a partner
+    "(diff #1=(project (1 2) Sta) (project (1 2) (diff "
+    "(select (= 'a' 'b') (select (= 1 3) (product #1# Rel))) " + _NO_X + ")))",
+    # no partners, or X holds the one edge out of 2
+    "(diff #1=(project (1 2) Sta) (project (1 2) (diff (product #1# (diff Obj Obj)) "
+    "(diff (product #1# (diff Obj Obj)) (product #1# (diff Obj Obj))))))",
+    "(diff #1=(project (1 2) Sta) (project (1 2) (diff (select (= 1 3) (product #1# Rel)) "
+    "(select (= 3 '2') (select (= 1 3) (product #1# Rel))))))",
+    # the chain's projection puts A's column after a partner's, and a test of
+    # the partner alone fails for 'a'
+    "(diff #1=(project (2) Sta) (project (2) (diff (project (3 1) "
+    "(select (!= 3 'a') (select (= 1 2) (product #1# (project (2 2) Sta))))) "
+    "(diff (product Obj Obj) (product Obj Obj)))))",
+]
+_NEAR_MISS_EXAMPLES = [
+    # p reorders A's columns
+    "(diff #1=(project (1 2) Sta) (project (2 1) (diff "
+    "(select (= 1 3) (product #1# Rel)) " + _NO_X + ")))",
+    # p drops A's second column for its first
+    "(diff #1=(project (1 2) Sta) (project (1 1) (diff "
+    "(select (= 1 3) (product #1# Rel)) " + _NO_X + ")))",
+    # the product's left input equals A but is another node
+    "(diff (project (1 2) Sta) (project (1 2) (diff "
+    "(select (= 1 3) (product (project (1 2) Sta) Rel)) " + _NO_X + ")))",
+    # the inner difference is shared
+    "(union (diff #1=(project (1 2) Sta) (project (1 2) #2=(diff "
+    "(select (= 1 3) (product #1# Rel)) " + _NO_X + "))) (project (1 2) #2#))",
+]
+
+
+@given(_databases, _division_plans())
+@example(_REPEATS, (parse_algebra(_DIVISION_EXAMPLES[0]), True))
+@example(_REPEATS, (parse_algebra(_DIVISION_EXAMPLES[1]), True))
+@example(_REPEATS, (parse_algebra(_DIVISION_EXAMPLES[2]), True))
+@example(_REPEATS, (parse_algebra(_DIVISION_EXAMPLES[3]), True))
+@example(_REPEATS, (parse_algebra(_DIVISION_EXAMPLES[4]), True))
+@example(_REPEATS, (parse_algebra(_DIVISION_EXAMPLES[5]), True))
+@example(_REPEATS, (parse_algebra(_NEAR_MISS_EXAMPLES[0]), False))
+@example(_REPEATS, (parse_algebra(_NEAR_MISS_EXAMPLES[1]), False))
+@example(_REPEATS, (parse_algebra(_NEAR_MISS_EXAMPLES[2]), False))
+@example(_REPEATS, (parse_algebra(_NEAR_MISS_EXAMPLES[3]), False))
+@settings(max_examples=300)
+def test_a_difference_of_failing_partners_runs_as_a_division(db, case):
+    plan, divides = case
+    divided = []
+    divide = relalg._divide
+
+    def spy(*args):
+        rows = divide(*args)
+        divided.append(rows is not None)
+        return rows
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relalg, "_divide", spy)
+        got = evaluate(plan, db)
+    assert got.tuples == _reference(plan, db)
+    assert divided.count(True) == divides
+
+
+def test_division_examples_answer_what_they_say():
+    answers = [evaluate(parse_algebra(text), _REPEATS).tuples for text in _DIVISION_EXAMPLES]
+    assert answers == [
+        {("3", "b")},
+        {("3", "b")},
+        {("1", "a"), ("2", "a"), ("3", "b")},
+        {("1", "a"), ("2", "a"), ("3", "b")},
+        {("2", "a"), ("3", "b")},
+        {("a",)},
+    ]
+
+
+def test_guarded_box_runs_as_one_division(monkeypatch):
+    plan, db, _ = _guarded_box(100)
+    model = load_perfbench("workloads").sparse_model(100, random.Random(42))
+    layouts = []
+    kernel = relalg._kernel
+
+    def spy(*layout):
+        layouts.append(layout)
+        return kernel(*layout)
+
+    monkeypatch.setattr(relalg, "_kernel", spy)
+    answer = evaluate(plan, db)
+    assert answer == answer_direct(model, parse_query("[R] <R> @c = ?x", ["?x"]))
+    # W, the join of each candidate with its successors, is never requested;
+    # the division that probes the successors instead is, with no tests of its own
+    assert (2, ((1, 2),), (), (0, 1, 3)) not in layouts
+    assert [layout for layout in layouts if len(layout) == 5] == [
+        (2, ((1, 2),), (), (0, 1, 3), ())
+    ]
