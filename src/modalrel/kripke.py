@@ -110,8 +110,10 @@ class KripkeModel(_Value):
     tuple.  A relation's successor sets, which ``[R] f`` reads while ``f``
     holds in few states, are added to ``_successors`` by ``_successor_sets``
     when the first such box is compiled, so a model whose queries have no box
-    never builds them.  None of these is a field, so equality, ``repr``,
-    ``replace`` and ``dump_model`` see only the fields.
+    never builds them.  ``_database`` holds the model's database image once
+    ``schema.build_database`` has built it.  None of these is a field, so
+    equality, ``repr``, ``replace``, pickling and ``dump_model`` see only the
+    fields.
     """
 
     def __init__(
@@ -143,6 +145,7 @@ class KripkeModel(_Value):
             preimages[name] = {value: frozenset(group) for value, group in by_value.items()}
         _set(self, "_predecessors", predecessors)
         _set(self, "_successors", {})  # filled by ``_successor_sets``
+        _set(self, "_database", None)  # filled by ``schema.build_database``
         _set(self, "_preimages", preimages)
         _set(self, "_state_set", frozenset(self.states))
         _set(self, "_sorted_objects", tuple(sorted(self.objects)))

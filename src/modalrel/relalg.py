@@ -34,15 +34,36 @@ stream.
 Each scan and each join runs as one kernel: a generator compiled from
 generated text, once per layout, that reads its input rows and builds each
 output row from them directly (Neumann, "Efficiently Compiling Efficient
-Query Plans for Modern Hardware", VLDB 2011).  A scan's layout is the
-positions and operators of its tests and the output positions; a join's is
-the left side's degree, the key positions, the positions and operators of
-the tests between the two sides, and the output positions (a test of one
-side filters that side first, in a scan).  The text holds integers, the
-kernel's own names and ``==`` or ``!=``; constants are arguments, so plans
-that differ only in constants share a kernel.  A fixed-size cache keeps the
-``KERNEL_CACHE_SIZE`` most recently used.  The plan ``translate`` prints is
-the one that runs.
+Query Plans for Modern Hardware", VLDB 2011).  The right side of a join
+with a key is hashed into a table by one more kernel, the builder, which
+also applies the tests of that side alone; the join's kernel probes it
+with each left row.  A scan's layout is the positions and operators of its
+tests and the output positions; a builder's is its key columns and its
+tests; a join's is the left side's degree, the left row's key positions,
+the positions and operators of the other tests between the two sides, and
+the output positions (a test of the left side alone filters it first, in a
+scan).  The text holds integers, the kernel's own names and ``==`` or
+``!=``; constants are arguments, so plans that differ only in constants
+share a kernel.  A fixed-size cache keeps the ``KERNEL_CACHE_SIZE`` most
+recently used.  The plan ``translate`` prints is the one that runs.
+
+A database keeps its access paths from one query to the next (Selinger et
+al., "Access Path Selection in a Relational Database Management System",
+SIGMOD 1979), and so does a ``DatabaseInstance``: it keeps each table that
+the builder makes over a stored leaf, a base relation or a chain of
+``column = constant`` selections over one, when the join's own tests of
+that side are ``column = constant`` too.  Such a table depends on the data
+alone.  Its key is the relation, then the tested (column, constant) pairs
+of the leaf and the chain, merged and sorted, then the key columns, which
+are distinct and sorted; every later join or division on the image that
+asks for the same key reads the table instead of hashing the relation
+again.  A table is kept once it is fully built, and only if it has a row.
+For one relation, tested columns and key columns, the kept tables over all
+constants partition the relation, so what an image keeps is bounded by its
+data, not by the number of plans it answers.  A right side that is a
+derived subplan, or that a ``!=`` or a test of two columns reads, is
+hashed on every call.  ``schema.build_database`` keeps one image with each
+model, so every query on a model reads the same image and tables.
 
 One more shape runs as one kernel: ``A − π(J − X)``, in which ``J`` is a
 chain over ``A × B`` whose left input is the very node ``A``, and the
@@ -52,8 +73,8 @@ tests with ``a`` while their row of ``J`` lies outside ``X``; so the
 difference keeps each ``a`` that has no such ``b``.  That is Codd's division
 written in the basic operators, and it runs as a hash division (Graefe and
 Cole, "Fast Algorithms for Universal Quantification in Large Databases",
-ACM TODS 1995): ``B`` is hashed as for a join, each ``a`` probes, and the
-probe stops at the first such ``b``.  Neither ``J`` nor its projection is
+ACM TODS 1995): ``B``'s table is built, or read, as for a join, each
+``a`` probes it, and the probe stops at the first such ``b``.  Neither ``J`` nor its projection is
 produced.  A test of ``a`` alone is one of the chain's tests, so an ``a``
 that fails it has no such ``b`` and is kept; the layout holds those tests
 apart.  The projection, the inner difference, the chain and the product
@@ -67,6 +88,7 @@ import functools
 import re
 import reprlib
 from itertools import chain, filterfalse
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DegreeError, QuerySyntaxError, UnknownRelation
@@ -80,9 +102,9 @@ SCHEMA_NAMES = (STA, REL, CON, OBJ)
 
 # Deepest parenthesis nesting that ``parse_algebra`` reads; its reader
 # recurses once per level.  Within ``MAX_NESTING``, 64 nested dual ``[R]``
-# nest their text 387 levels deep (each adds 6).  A guarded ``[R]`` adds 10,
+# nest their text 387 levels deep (each adds 6).  A guarded ``[R]`` adds 11,
 # but one nested in another needs an ``&`` between them, and its text writes
-# each shared subplan once: 32 of them nest 291 levels deep.  So 8 levels per
+# each shared subplan once: 32 of them nest 323 levels deep.  So 8 levels per
 # query level keep these plans readable; a conjunction that joins on many
 # variables at every level can still nest deeper.
 MAX_PLAN_DEPTH = 8 * MAX_NESTING
@@ -124,11 +146,18 @@ def to_tsv(instance: RelationInstance, header: bool = False) -> str:
 class DatabaseInstance(_Value):
     """The four-relation image of a model: Sta, Rel, Con, Obj.
 
+    `relations` is a read-only copy of the mapping it is given, so a table
+    cannot be swapped for one that skips the degree checks.
     `relation_names` records the accessibility-relation names that may appear
     in Rel's third column; they are part of the database domain.
+
+    An instance keeps, as ``_tables``, the hash tables that joins and
+    divisions build over its stored leaves (see ``_table``), for every later
+    ``evaluate`` on it.  They are not a field, so equality, ``repr``,
+    ``replace`` and pickling see only the relations and the names.
     """
 
-    def __init__(self, relations: dict[str, RelationInstance], relation_names: frozenset[str]):
+    def __init__(self, relations: Mapping[str, RelationInstance], relation_names: frozenset[str]):
         if set(relations) != set(SCHEMA_NAMES):
             raise DegreeError(f"database needs exactly the relations {SCHEMA_NAMES}")
         for name, want in ((REL, 3), (CON, 1), (OBJ, 1)):
@@ -140,8 +169,13 @@ class DatabaseInstance(_Value):
                 )
         if relations[STA].degree < 1:
             raise DegreeError(f"{STA} must have at least one column (the id)")
-        _set(self, "relations", relations)
+        _set(self, "relations", MappingProxyType(dict(relations)))
         _set(self, "relation_names", relation_names)
+        _set(self, "_tables", {})  # filled by ``_table``
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle; the dict it wraps does.
+        return DatabaseInstance, (dict(self.relations), self.relation_names)
 
     @property
     def schema(self) -> dict[str, int]:
@@ -369,9 +403,9 @@ Test = tuple["int | Constant", str, "int | Constant"]
 _OPERATORS = {"=": "==", "!=": "!="}
 
 # How many compiled kernels ``_kernel`` keeps, the most recently used.  A
-# 3,000-case ``modalrel fuzz`` campaign compiles 233 layouts on seed 42 and
-# 237 on seed 2028 at the default depth, and 422 on seed 2029 at depth 16;
-# one or two of each are divisions.
+# 3,000-case ``modalrel fuzz`` campaign compiles 252 layouts on seed 42 and
+# 259 on seed 2028 at the default depth, and 459 on seed 2029 at depth 16;
+# of these, 46, 44 and 67 are builders, and one or two are divisions.
 KERNEL_CACHE_SIZE = 512
 
 
@@ -429,26 +463,31 @@ def _slots(tests: list[Test]) -> tuple[tuple[Test, ...], list] | None:
 
 def _kernel_source(
     split: int | None,
-    keys: tuple[tuple[int, int], ...],
+    keys: tuple[int, ...],
     tests: tuple[Test, ...],
     output: tuple[int, ...] | None,
     division: tuple[Test, ...] | None = None,
 ) -> str:
-    """The text of the kernel for a layout.  A scan (``split`` is ``None``)
-    yields each of its ``rows`` that passes every test, picked by ``output``;
-    a test may read the constants, which it takes as the arguments ``c0``,
-    ``c1``, ...  A join of ``left`` rows of ``split`` columns with ``right``
-    rows hashes the right rows on their ``keys`` columns, probes with the
-    left, and yields each joined row that passes every test, picked by
-    ``output``; it reads each position in the joined row.  A division (whose
-    ``division`` holds the tests that read the left row alone) probes the
-    same way and yields each left row with no partner: none of its right
-    rows passes every test with it while their output row lies outside
-    ``drop``.  It stops at the first such partner, and a left row that fails
-    a test of ``division`` has none.  The text holds integers, names of its
-    own and ``==`` or ``!=``, nothing else."""
+    """The text of the kernel for a layout.  A scan (``split`` is ``None``,
+    no ``keys``) yields each of its ``rows`` that passes every test, picked by
+    ``output``; a test may read the constants, which it takes as the
+    arguments ``c0``, ``c1``, ...  A builder (``split`` is ``None``, with
+    ``keys``) returns the table of its ``rows`` that pass every test: a dict
+    from a row's values at the ``keys`` positions (one value, or a tuple of
+    several) to the list of rows that have them.  A join of ``left`` rows of
+    ``split`` columns probes such a table, its ``right``, with each left
+    row's values at its ``keys`` positions (with no keys, ``right`` is the
+    right rows, each a partner of every left row), and yields each joined
+    row that passes every test, picked by ``output``; it reads each position
+    in the joined row.  A division (whose ``division`` holds the tests that
+    read the left row alone) probes the same way and yields each left row
+    with no partner: none of its right rows passes every test with it while
+    their output row lies outside ``drop``.  It stops at the first such
+    partner, and a left row that fails a test of ``division`` has none.  The
+    text holds integers, names of its own and ``==`` or ``!=``, nothing
+    else."""
     every_test = (*tests, *(division or ()))
-    numbers = [p for pair in keys for p in pair] + [p for a, _, b in every_test for p in (a, b)]
+    numbers = [*keys] + [p for a, _, b in every_test for p in (a, b)]
     numbers += [*(output or ()), *([] if split is None else [split])]
     if any(type(n) is not int for n in numbers) or any(
         op not in ("==", "!=") for _, op, _ in every_test
@@ -460,7 +499,7 @@ def _kernel_source(
             return f"c{-1 - p}"
         return f"t[{p}]" if split is None or p < split else f"u[{p - split}]"
 
-    def key(positions: list[int]) -> str:
+    def key(positions: tuple[int, ...]) -> str:
         if len(positions) == 1:
             return operand(positions[0])
         return "(" + ", ".join(map(operand, positions)) + ")"
@@ -470,18 +509,15 @@ def _kernel_source(
 
     constants = "".join(f", c{k}" for k in range(sum(p < 0 for p in numbers)))
     if split is None:
-        lines = [(0, f"def kernel(rows{constants}):"), (1, "for t in rows:")]
+        lines = [(0, f"def kernel(rows{constants}):")]
+        if keys:
+            lines.append((1, "table = {}"))
+        lines.append((1, "for t in rows:"))
     else:
         drop = "" if division is None else ", drop"
         lines = [(0, f"def kernel(left, right{drop}{constants}):")]
         if keys:
-            left_key, right_key = zip(*keys)
-            lines += [
-                (1, "buckets = {}"),
-                (1, "for u in right:"),
-                (2, f"buckets.setdefault({key(right_key)}, []).append(u)"),
-            ]
-            partners = f"buckets.get({key(left_key)}, ())"
+            partners = f"right.get({key(keys)}, ())"
         else:
             # The right rows are read once per left row, so they are listed.
             lines.append((1, "right = [*right]"))
@@ -506,14 +542,17 @@ def _kernel_source(
         if tests:
             lines.append((depth, f"if {condition(tests)}:"))
             depth += 1
-        lines.append((depth, f"yield {row}"))
+        if split is None and keys:
+            lines += [(depth, f"table.setdefault({key(keys)}, []).append(t)"), (1, "return table")]
+        else:
+            lines.append((depth, f"yield {row}"))
     return "".join("    " * depth + text + "\n" for depth, text in lines)
 
 
 @functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _kernel(
     split: int | None,
-    keys: tuple[tuple[int, int], ...],
+    keys: tuple[int, ...],
     tests: tuple[Test, ...],
     output: tuple[int, ...] | None,
     division: tuple[Test, ...] | None = None,
@@ -537,26 +576,95 @@ def _scan(tests: list[Test], output: tuple[int, ...] | None, rows: Iterable[Row]
     return _kernel(None, (), tests, output)(rows, *constants)
 
 
+def _stored_key(
+    expr: AlgebraExpr, tests: list[Test], columns: tuple[int, ...]
+) -> tuple[str, tuple[tuple[int, str], ...], tuple[int, ...]] | None:
+    """The key under which ``db._tables`` keeps the table of ``expr``'s rows
+    that pass ``tests``, hashed on ``columns``; ``None`` unless ``expr`` is a
+    stored leaf (a base relation, or a chain of column = constant selections
+    over one) and every test is one more ``==`` of a column and a constant.
+    The key is the relation's name, then the (column, constant) of every
+    test of the leaf and of ``tests``, merged and sorted, then ``columns``."""
+    if not tests and type(expr) is BaseRelation:
+        return expr.name, (), columns
+    tested = []
+    for a, op, b in tests:
+        if op != "==" or (type(a) is int) == (type(b) is int):
+            return None
+        tested.append((a, b.value) if type(a) is int else (b, a.value))
+    while type(expr) is Selection:
+        left, op, right = expr.predicate.left, expr.predicate.op, expr.predicate.right
+        if op != "=" or type(left) is type(right):
+            return None
+        column, constant = (left, right) if type(left) is Column else (right, left)
+        tested.append((column.index - 1, constant.value))
+        expr = expr.input
+    if type(expr) is not BaseRelation:
+        return None
+    return expr.name, tuple(sorted(set(tested))), columns
+
+
 def _sides(
     tests: list[Test], split: int
-) -> tuple[list[Test], list[Test], list[tuple[int, int]], list[Test]]:
+) -> tuple[list[Test], list[Test], tuple[int, ...], tuple[int, ...], list[Test]]:
     """The ``tests`` of a product whose left side has ``split`` columns, by
     what they read: the left side alone (or constants alone); the right side
-    alone, read in its own columns; the key pair of each ``==`` between a
-    left and a right column; and every other test between the two sides."""
-    left_tests, right_tests, keys, residual = [], [], [], []
+    alone, read in its own columns; the key; and every other test between
+    the two sides.  Each right column that an ``==`` equates with a left
+    column is a key column, paired with the first such left column (a test
+    of it with another is a residual ``==``).  The key is the left positions
+    that probe, then the right columns that are hashed, pair by pair in the
+    order of the right columns."""
+    left_tests, right_tests, residual = [], [], []
+    keys: dict[int, int] = {}  # right column -> left position
     for test in tests:
         a, op, b = test
-        sides = {p >= split for p in (a, b) if isinstance(p, int)}
-        if sides == {True}:
-            right_tests.append(tuple(p - split if isinstance(p, int) else p for p in test))
-        elif sides != {False, True}:
+        a_int, b_int = type(a) is int, type(b) is int
+        reads_left = (a_int and a < split) or (b_int and b < split)
+        reads_right = (a_int and a >= split) or (b_int and b >= split)
+        if not reads_right:
             left_tests.append(test)
+        elif not reads_left:
+            right_tests.append((a - split if a_int else a, op, b - split if b_int else b))
         elif op == "==":
-            keys.append((min(a, b), max(a, b)))
+            left, right = (a, b) if a < b else (b, a)
+            if keys.setdefault(right - split, left) != left:
+                residual.append((left, op, right))
         else:
             residual.append(test)
-    return left_tests, right_tests, keys, residual
+    columns = tuple(sorted(keys))
+    return left_tests, right_tests, tuple(map(keys.__getitem__, columns)), columns, residual
+
+
+def _table(
+    expr: AlgebraExpr, tests: list[Test], columns: tuple[int, ...], db: DatabaseInstance, memo: Memo
+) -> dict:
+    """The rows of ``expr`` that pass ``tests`` (read in its own columns),
+    hashed on its ``columns`` by the builder kernel: the right side of a
+    join or a division with a key.
+
+    The table of a stored leaf (see ``_stored_key``) is built from the base
+    relation's rows and kept in ``db._tables`` once it is built, if it has a
+    row, for every later join or division on ``db`` that asks for it (see
+    the module docstring for what that costs in memory).  Any other right
+    side is evaluated, and its table built, on every call."""
+    key = _stored_key(expr, tests, columns)
+    if key is None:
+        rows = _eval(expr, db, memo)
+        # ``_sides`` keeps every test of two constants on the left.
+        tests, constants = _slots(tests)
+    else:
+        table = db._tables.get(key)
+        if table is not None:
+            return table
+        name, tested, _ = key
+        rows = db.relations[name].tuples
+        tests = tuple([(column, "==", -1 - k) for k, (column, _) in enumerate(tested)])
+        constants = [value for _, value in tested]
+    table = _kernel(None, columns, tests, None)(rows, *constants)
+    if key is not None and table:
+        db._tables[key] = table
+    return table
 
 
 def _join(
@@ -570,21 +678,24 @@ def _join(
     as the join's kernel yields them; the product itself is never built.
 
     Both inputs are sets.  Each test that reads one side only (or constants
-    only) filters that side first, in a scan; every ``==`` between a left and
-    a right column joins into one (maybe composite) key, on which the right
-    side is hashed and probed with the left; the kernel tests each joined row
-    against the rest, and picks it, from the two rows it joins."""
+    only) filters that side first: the left in a scan, the right as its
+    table is built; the ``==`` tests between a left and a right column make
+    the key on which the right side's table is hashed, and which the left
+    probes; the kernel tests each joined row against the rest, and picks it,
+    from the two rows it joins."""
     left = _eval(product.left, db, memo)
     if not left:
         return ()
-    right = _eval(product.right, db, memo)
+    split = len(next(iter(left)))  # the left side's degree
+    left_tests, right_tests, probe, columns, residual = _sides(tests, split)
+    if columns:
+        right = _table(product.right, right_tests, columns, db, memo)
+    elif right := _eval(product.right, db, memo):
+        right = _scan(right_tests, None, right)
     if not right:
         return ()
-    split = len(next(iter(left)))  # the left side's degree
-    left_tests, right_tests, keys, residual = _sides(tests, split)
     left = _scan(left_tests, None, left)
-    right = _scan(right_tests, None, right)
-    return _kernel(split, tuple(keys), tuple(residual), output)(left, right)
+    return _kernel(split, probe, tuple(residual), output)(left, right)
 
 
 def _divide(
@@ -595,7 +706,7 @@ def _divide(
     ``right`` is ``π(p)(J − X)``, ``J`` is a chain over ``Product(left, B)``
     and ``p`` picks ``left``'s columns in order from ``J``'s rows, and none
     of the projection, the inner difference, the chain and the product is
-    shared.  A test of ``B``'s rows alone filters them first, in a scan; the
+    shared.  ``B`` is hashed, or filtered, as a join's right side is; the
     kernel tests the rest."""
     if not isinstance(right, Projection) or id(right) in memo:
         return None
@@ -613,13 +724,19 @@ def _divide(
     rows = _eval(left, db, memo)
     if not rows:
         return ()
-    left_tests, right_tests, keys, residual = _sides(tests, split)
+    left_tests, right_tests, probe, columns, residual = _sides(tests, split)
     slotted = _slots(left_tests)
-    if slotted is None or not (partners := _eval(product.right, db, memo)):
+    if slotted is None:
         return rows  # ``J`` has no rows
+    if columns:
+        partners = _table(product.right, right_tests, columns, db, memo)
+    elif partners := _eval(product.right, db, memo):
+        partners = _scan(right_tests, None, partners)
+    if not partners:
+        return rows
     division, constants = slotted
-    kernel = _kernel(split, tuple(keys), tuple(residual), output, division)
-    return kernel(rows, _scan(right_tests, None, partners), _eval(inner.right, db, memo), *constants)
+    kernel = _kernel(split, probe, tuple(residual), output, division)
+    return kernel(rows, partners, _eval(inner.right, db, memo), *constants)
 
 
 def _eval(

@@ -4,6 +4,13 @@ Sta holds one row per state with one column per concept (the id concept is
 always column 1, remaining concepts follow in name order); Rel holds one
 ``(source-id, target-id, relation-name)`` row per accessibility pair; Con
 and Obj enumerate the concept names and the objects.
+
+A model's image is built once, by the first ``build_database`` on it, and
+kept with the model, as the model keeps its own indexes.  The image in
+turn keeps the hash tables that joins build over its base relations
+(``relalg``), so the queries on one model share them.  The tables over one
+relation, tested columns and key columns partition it, so the memory an
+image keeps is bounded by the model's data, not by the queries answered.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from .errors import ModelInvariantError
 from .kripke import ID_CONCEPT, KripkeModel, concept_order, model_from_data
 from .relalg import CON, OBJ, REL, STA, DatabaseInstance, RelationInstance
+from .syntax import _set
 
 ConceptIndex = dict  # concept name -> column index in Sta, bijective onto 1..k
 
@@ -21,8 +29,22 @@ def concept_index(model: KripkeModel) -> ConceptIndex:
 
 
 def build_database(model: KripkeModel) -> DatabaseInstance:
-    """Build the database image of a model.  Each concept's map is read once,
-    a column at a time, and the rows are the columns zipped together."""
+    """The database image of a model, built on the first call and kept with
+    the model (as ``_database``, which is not a field), so every query on the
+    model reads one image and the hash tables it keeps (see
+    ``relalg._table``).  What the image keeps is bounded by the model's data;
+    an equal model, a pickled copy or one made by ``replace`` is another
+    object and builds its own."""
+    db = model._database
+    if db is None:
+        db = _image(model)
+        _set(model, "_database", db)
+    return db
+
+
+def _image(model: KripkeModel) -> DatabaseInstance:
+    """The four tables of a model.  Each concept's map is read once, a column
+    at a time, and the rows are the columns zipped together."""
     columns = concept_order(model.concepts)
     sta = RelationInstance(
         len(columns),

@@ -431,28 +431,32 @@ class Translator:
 
     def _guarded_box(self, relation: str, inner: Plan, context: VarContext) -> Plan:
         """``[R]`` of ``inner`` over its own variables x̄, with no universe:
-        ``(D(x̄) × (π₁Sta − π₁Rr)) ∪ (C − π(x̄, s)(W − G))``.
+        ``(D(x̄) × (π₁Sta − π₁Rr)) ∪ (C − π(x̄, s)(W − E))``.
 
-        ``Rr`` is ``R``'s edges.  ``E`` pairs each row of ``inner`` with the
-        edges into its state; ``C = <R> f`` are its candidates (x̄, s); ``W``
-        pairs each candidate with every successor t of s, and ``G`` keeps
-        the pairs whose (x̄, t) satisfies ``f``.  ``E``, ``C`` and ``Rr`` are
-        shared nodes of the plan.  ``relalg`` runs ``C − π(W − G)`` as one
-        division, which never builds ``W``.
+        ``Rr`` is ``R``'s edges.  ``E`` pairs each row (x̄, t) of ``inner``
+        with each edge (s, t) into its state, as (x̄, s, t); ``C = <R> f``
+        are its candidates (x̄, s); and ``W`` pairs each candidate with every
+        successor t of s.  A pair of ``W`` lies in ``E`` just when (x̄, t)
+        satisfies ``f``, so ``π(W − E)`` are the candidates with a successor
+        that fails it.  ``E``, ``C`` and ``Rr`` are shared nodes of the plan.
+        ``relalg`` runs ``C − π(W − E)`` as one division, which never builds
+        ``W``.
         """
         k = len(inner.columns)
         variables = tuple(range(1, k + 1))
         edges = Selection(SelectionPredicate(Column(3), "=", Constant(relation)), BaseRelation(REL))
         # Columns of F × Rr: 1..k vars, k+1 body state, k+2 source, k+3 target.
-        paired = Selection(_equal(k + 1, k + 3), Product(inner.expr, edges))
-        candidates = Projection(variables + (k + 2,), paired)
+        paired = Projection(
+            variables + (k + 2, k + 3),
+            Selection(_equal(k + 1, k + 3), Product(inner.expr, edges)),
+        )
+        candidates = Projection(variables + (k + 1,), paired)
         # Columns of C × Rr: 1..k vars, k+1 candidate state, k+2 source, k+3 target.
         successors = Projection(
             variables + (k + 1, k + 3),
             Selection(_equal(k + 1, k + 2), Product(candidates, edges)),
         )
-        satisfied = Projection(variables + (k + 2, k + 3), paired)
-        failing = Projection(variables + (k + 1,), Difference(successors, satisfied))
+        failing = Projection(variables + (k + 1,), Difference(successors, paired))
         no_successor = Difference(Projection((1,), BaseRelation(STA)), Projection((1,), edges))
         vacuous = context.cross(inner.columns, no_successor)
         return Plan(Union(vacuous, Difference(candidates, failing)), inner.columns)

@@ -440,6 +440,44 @@ def test_larger_sparse_models_answer_alike(n):
             translate.translate_query(query, model), build_database(model))
 
 
+def test_one_image_answers_the_benchmark_shapes_forward_and_back(monkeypatch):
+    # the six sparse shapes on n=100, forward then in reverse, through one
+    # image: each answer is the oracle's, and each table is built once
+    workloads = load_perfbench("workloads")
+    model = workloads.sparse_model(100, random.Random(42))
+    db = build_database(model)
+    assert build_database(model) is db
+    built = []
+    kernel = relalg._kernel
+
+    def spy(split, keys, *layout):
+        compiled = kernel(split, keys, *layout)
+        if split is not None or not keys:
+            return compiled
+
+        def builder(rows, *constants):
+            table = compiled(rows, *constants)
+            # a kept table is built from a base relation's own rows
+            if any(rows is inst.tuples for inst in db.relations.values()):
+                built.append((keys, *layout, constants))
+            return table
+
+        return builder
+
+    monkeypatch.setattr(relalg, "_kernel", spy)
+    shapes = [(text, target) for _, text, target in workloads.SCALING_SHAPES] + list(RANGE_SHAPES)
+    for text, target in shapes + shapes[::-1]:
+        query = parse_query(text, list(target))
+        assert relalg.evaluate(translate.translate_query(query, model), build_database(model)) \
+            == answer_direct(model, query)
+    assert built and len(built) == len(set(built)) == len(db._tables)
+    # an equal model that is another object builds an image of its own
+    for other in (pickle.loads(pickle.dumps(model)), model.replace(),
+                  workloads.sparse_model(100, random.Random(42))):
+        assert other == model and other._database is None
+        assert build_database(other) == db and build_database(other) is not db
+
+
 class CountingReads(dict):
     """A predecessor index that counts the states it is asked about."""
 
@@ -906,6 +944,17 @@ def test_model_is_read_only():
     with pytest.raises(TypeError):
         model.relations["R"] = frozenset({("s0", "s0")})
     assert model.id_of("s0") == "a" and model.relations == {"R": frozenset()}
+
+
+def test_database_image_is_read_only():
+    model = parse_model("objects: [a, b]\nconcepts: [id]\nstates: [{id: a}]\nrelations: {R: []}\n")
+    db = build_database(model)
+    with pytest.raises(TypeError):
+        db.relations["Sta"] = db.relations["Obj"]
+    with pytest.raises(TypeError):
+        del db.relations["Rel"]
+    assert db.relations["Sta"] == RelationInstance.of(1, [("a",)])
+    assert build_database(model) is db and pickle.loads(pickle.dumps(db)) == db
 
 
 @pytest.mark.parametrize(

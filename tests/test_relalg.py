@@ -839,8 +839,9 @@ def test_selection_over_a_projection_builds_no_set_of_its_own(
 
     monkeypatch.setattr(relalg, "_eval", spy)
     assert evaluate(plan, example_db).tuples == {("1",)}
-    # the whole plan, then the inner join's projection and its three base relations
-    assert len(entered) == 5
+    # the whole plan, then the inner join's projection and Obj; the joins read
+    # Sta and Rel through their tables
+    assert len(entered) == 3
     assert not [text for text in entered if text.startswith(("(project (1 3) ", "(select (!= 2 1) "))]
 
 
@@ -989,17 +990,20 @@ def test_a_constant_is_compared_as_data_and_never_written_into_a_kernel(monkeypa
 def test_the_kernel_cache_keeps_a_fixed_number_of_kernels():
     relalg._kernel.cache_clear()
     assert relalg._kernel.cache_info().maxsize == relalg.KERNEL_CACHE_SIZE
+    # a fresh image of _REPEATS, which keeps no table yet
+    db = pickle.loads(pickle.dumps(_REPEATS))
     # a distinct join layout for each list of four columns of Sta × Rel
     layouts = list(itertools.product(range(1, 6), repeat=4))[: relalg.KERNEL_CACHE_SIZE + 20]
     for indices in layouts:
         plan = Projection(indices, Selection(eq(Column(1), Column(3)), Product(STA_REL, REL_REL)))
-        rows = evaluate(plan, _REPEATS).tuples
+        rows = evaluate(plan, db).tuples
         assert rows == {tuple((t + u)[i - 1] for i in indices)
-                        for t in _REPEATS.relations[STA].tuples
-                        for u in _REPEATS.relations[REL].tuples if t[0] == u[0]}
+                        for t in db.relations[STA].tuples
+                        for u in db.relations[REL].tuples if t[0] == u[0]}
         assert relalg._kernel.cache_info().currsize <= relalg.KERNEL_CACHE_SIZE
     info = relalg._kernel.cache_info()
-    assert info.misses == len(layouts) and info.currsize == relalg.KERNEL_CACHE_SIZE
+    # and one builder, for Rel's table, which the image keeps after the first join
+    assert info.misses == len(layouts) + 1 and info.currsize == relalg.KERNEL_CACHE_SIZE
     relalg._kernel.cache_clear()
 
 
@@ -1187,7 +1191,97 @@ def test_guarded_box_runs_as_one_division(monkeypatch):
     assert answer == answer_direct(model, parse_query("[R] <R> @c = ?x", ["?x"]))
     # W, the join of each candidate with its successors, is never requested;
     # the division that probes the successors instead is, with no tests of its own
-    assert (2, ((1, 2),), (), (0, 1, 3)) not in layouts
+    assert (2, (1,), (), (0, 1, 3)) not in layouts
     assert [layout for layout in layouts if len(layout) == 5] == [
-        (2, ((1, 2),), (), (0, 1, 3), ())
+        (2, (1,), (), (0, 1, 3), ())
     ]
+
+
+# ---------------------------------------------------------------------------
+# Tables kept by an image across evaluations
+
+# Left sides of one to three columns, each over the values of _values.
+_PROBES = [STA_REL, REL_REL, Projection((2,), STA_REL), Projection((3, 1), REL_REL)]
+
+
+@st.composite
+def _stored_leaves(draw):
+    """Sta or Rel under up to two ``column = constant`` selections, and its degree."""
+    name, degree = draw(st.sampled_from([(STA, 2), (REL, 3)]))
+    leaf = BaseRelation(name)
+    for _ in range(draw(st.integers(0, 2))):
+        leaf = Selection(eq(Column(draw(st.integers(1, degree))), Constant(draw(_values))), leaf)
+    return leaf, degree
+
+
+@st.composite
+def _keyed_plans(draw, leaves):
+    """A join of a left side with one of ``leaves`` on one or two ``=``
+    between a left and a right column, under up to two tests of a right
+    column against a constant (``=`` or ``!=``) and maybe a projection; or a
+    division whose partners are such a leaf."""
+    left = draw(st.sampled_from(_PROBES))
+    split = degree_of(left, _SCHEMA)
+    right, degree = draw(st.sampled_from(leaves))
+    predicates = []
+    for _ in range(draw(st.integers(1, 2))):
+        pair = [Column(draw(st.integers(1, split))), Column(draw(st.integers(split + 1, split + degree)))]
+        predicates.append(eq(*draw(st.permutations(pair))))
+    for _ in range(draw(st.integers(0, 2))):
+        column = Column(draw(st.integers(split + 1, split + degree)))
+        op = draw(st.sampled_from(["=", "=", "=", "!="]))
+        predicates.append(SelectionPredicate(column, op, Constant(draw(_values))))
+    joined = _select_all(predicates, Product(left, right))
+    if draw(st.booleans()):  # A − π(1..split)(J − X), which runs as a division
+        dropped = Selection(eq(Column(1), Constant(draw(_values))), Product(left, right))
+        picks = tuple(range(1, split + 1))
+        return Difference(left, Projection(picks, Difference(joined, dropped)))
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.integers(1, split + degree), max_size=3))
+        return Projection(tuple(picks), joined)
+    return joined
+
+
+@given(_databases, st.data())
+@settings(max_examples=200)
+def test_an_image_answers_each_plan_as_a_fresh_image_does(db, data):
+    # one image answers plans over one or two leaves in order, reading the
+    # tables that earlier plans left in it; each answer is the reference's,
+    # and a fresh image's
+    leaves = data.draw(st.lists(_stored_leaves(), min_size=1, max_size=2))
+    plans = data.draw(st.lists(_keyed_plans(leaves), min_size=2, max_size=6))
+    for plan in plans:
+        got = evaluate(plan, db).tuples
+        assert got == _reference(plan, db)
+        assert got == evaluate(plan, pickle.loads(pickle.dumps(db))).tuples
+
+
+def test_an_image_keeps_a_table_for_each_leaf_constants_and_key():
+    db = pickle.loads(pickle.dumps(_REPEATS))  # a fresh image
+    on_source = "(select (= 1 2) (product (project (1) Sta) (select (= 3 'R') Rel)))"
+    assert evaluate(parse_algebra(on_source), db).tuples == {("1", "1", "2", "R"),
+                                                             ("2", "2", "3", "R")}
+    # the same leaf, keyed on the target, and then with the test from the chain
+    on_target = "(select (= 1 3) (product (project (1) Sta) (select (= 3 'R') Rel)))"
+    from_chain = "(select (= 4 'R') (select (= 3 1) (product (project (1) Sta) Rel)))"
+    assert evaluate(parse_algebra(on_target), db).tuples == {("2", "1", "2", "R"),
+                                                             ("3", "2", "3", "R")}
+    assert evaluate(parse_algebra(from_chain), db) == evaluate(parse_algebra(on_target), db)
+    # no row of Rel has the name S, so its table is empty and not kept
+    no_rows = "(select (= 1 2) (product (project (1) Sta) (select (= 3 'S') Rel)))"
+    assert evaluate(parse_algebra(no_rows), db).tuples == set()
+    assert sorted(db._tables) == [(REL, ((2, "R"),), (0,)), (REL, ((2, "R"),), (1,))]
+    assert db._tables[(REL, ((2, "R"),), (1,))] == {"2": [("1", "2", "R")], "3": [("2", "3", "R")]}
+
+
+def test_an_image_is_read_only_and_pickles_without_its_tables():
+    db = pickle.loads(pickle.dumps(_REPEATS))
+    with pytest.raises(TypeError):
+        db.relations[STA] = db.relations[OBJ]
+    with pytest.raises(TypeError):
+        del db.relations[REL]
+    evaluate(parse_algebra("(select (= 1 3) (product (project (1) Sta) Rel))"), db)
+    assert db._tables
+    for other in (pickle.loads(pickle.dumps(db)), db.replace()):
+        assert other == db and other._tables == {}
+    assert "_tables" not in repr(db)

@@ -506,6 +506,17 @@ def test_guarded_box_shares_its_candidates(example_model, translator):
     assert answer.tuples == {(x, state) for x in objects for state in ("2", "3", "4")}
 
 
+def test_guarded_box_divides_by_the_node_its_candidates_project(translator):
+    # C − π(W − E): E is (x̄, s, t), C projects it to (x̄, s), and the
+    # division's X is E itself, not a second projection of the pairs
+    plan = translator.translate_query(parse_query("[COMP] <COMP> @code = ?x", ["?x"]))
+    candidates, failing = plan.right.left, plan.right.right
+    paired = candidates.input
+    assert isinstance(paired, Projection) and paired.indices == (1, 3, 4)
+    assert candidates.indices == (1, 2)
+    assert failing.input.right is paired
+
+
 class NoVacuous(Translator):
     """Deliberately broken: a guarded box drops the states with no successor."""
 
