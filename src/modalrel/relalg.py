@@ -74,10 +74,10 @@ difference keeps each ``a`` that has no such ``b``.  That is Codd's division
 written in the basic operators, and it runs as a hash division (Graefe and
 Cole, "Fast Algorithms for Universal Quantification in Large Databases",
 ACM TODS 1995): ``B``'s table is built, or read, as for a join, each
-``a`` probes it, and the probe stops at the first such ``b``.  Neither ``J`` nor its projection is
-produced.  A test of ``a`` alone is one of the chain's tests, so an ``a``
-that fails it has no such ``b`` and is kept; the layout holds those tests
-apart.  The projection, the inner difference, the chain and the product
+``a`` probes it, and the probe stops at the first such ``b``.  Neither
+``J`` nor its projection is produced.  A test of ``a`` alone is one of the
+chain's tests, so an ``a`` that fails it has no such ``b`` and is kept; the
+layout holds those tests apart.  The projection, the inner difference, the chain and the product
 must not be shared; any other difference runs as above.  The guarded box
 that ``translate`` emits for ``[R] f`` has this shape.
 """
@@ -152,7 +152,7 @@ class DatabaseInstance(_Value):
     in Rel's third column; they are part of the database domain.
 
     An instance keeps, as ``_tables``, the hash tables that joins and
-    divisions build over its stored leaves (see ``_table``), for every later
+    divisions build over its stored leaves (see ``_partners``), for every later
     ``evaluate`` on it.  They are not a field, so equality, ``repr``,
     ``replace`` and pickling see only the relations and the names.
     """
@@ -171,7 +171,7 @@ class DatabaseInstance(_Value):
             raise DegreeError(f"{STA} must have at least one column (the id)")
         _set(self, "relations", MappingProxyType(dict(relations)))
         _set(self, "relation_names", relation_names)
-        _set(self, "_tables", {})  # filled by ``_table``
+        _set(self, "_tables", {})  # filled by ``_partners``
 
     def __reduce__(self):
         # A read-only mapping does not pickle; the dict it wraps does.
@@ -585,13 +585,7 @@ def _stored_key(
     over one) and every test is one more ``==`` of a column and a constant.
     The key is the relation's name, then the (column, constant) of every
     test of the leaf and of ``tests``, merged and sorted, then ``columns``."""
-    if not tests and type(expr) is BaseRelation:
-        return expr.name, (), columns
     tested = []
-    for a, op, b in tests:
-        if op != "==" or (type(a) is int) == (type(b) is int):
-            return None
-        tested.append((a, b.value) if type(a) is int else (b, a.value))
     while type(expr) is Selection:
         left, op, right = expr.predicate.left, expr.predicate.op, expr.predicate.right
         if op != "=" or type(left) is type(right):
@@ -601,7 +595,11 @@ def _stored_key(
         expr = expr.input
     if type(expr) is not BaseRelation:
         return None
-    return expr.name, tuple(sorted(set(tested))), columns
+    for a, op, b in tests:
+        if op != "==" or (type(a) is int) == (type(b) is int):
+            return None
+        tested.append((a, b.value) if type(a) is int else (b, a.value))
+    return expr.name, tuple(sorted(set(tested))) if tested else (), columns
 
 
 def _sides(
@@ -632,27 +630,30 @@ def _sides(
                 residual.append((left, op, right))
         else:
             residual.append(test)
-    columns = tuple(sorted(keys))
+    columns = tuple(sorted(keys) if len(keys) > 1 else keys)
     return left_tests, right_tests, tuple(map(keys.__getitem__, columns)), columns, residual
 
 
-def _table(
+def _partners(
     expr: AlgebraExpr, tests: list[Test], columns: tuple[int, ...], db: DatabaseInstance, memo: Memo
-) -> dict:
-    """The rows of ``expr`` that pass ``tests`` (read in its own columns),
-    hashed on its ``columns`` by the builder kernel: the right side of a
-    join or a division with a key.
+) -> dict | Iterable[Row]:
+    """The right side of a join or a division: the rows of ``expr`` that
+    pass ``tests`` (read in its own columns), hashed on its ``columns`` by
+    the builder kernel, or just filtered if there are no ``columns``.
 
     The table of a stored leaf (see ``_stored_key``) is built from the base
     relation's rows and kept in ``db._tables`` once it is built, if it has a
     row, for every later join or division on ``db`` that asks for it (see
     the module docstring for what that costs in memory).  Any other right
     side is evaluated, and its table built, on every call."""
+    if not columns:
+        rows = _eval(expr, db, memo)
+        return _scan(tests, None, rows) if rows else ()
     key = _stored_key(expr, tests, columns)
     if key is None:
         rows = _eval(expr, db, memo)
         # ``_sides`` keeps every test of two constants on the left.
-        tests, constants = _slots(tests)
+        tests, constants = _slots(tests) if tests else ((), ())
     else:
         table = db._tables.get(key)
         if table is not None:
@@ -688,10 +689,7 @@ def _join(
         return ()
     split = len(next(iter(left)))  # the left side's degree
     left_tests, right_tests, probe, columns, residual = _sides(tests, split)
-    if columns:
-        right = _table(product.right, right_tests, columns, db, memo)
-    elif right := _eval(product.right, db, memo):
-        right = _scan(right_tests, None, right)
+    right = _partners(product.right, right_tests, columns, db, memo)
     if not right:
         return ()
     left = _scan(left_tests, None, left)
@@ -728,10 +726,7 @@ def _divide(
     slotted = _slots(left_tests)
     if slotted is None:
         return rows  # ``J`` has no rows
-    if columns:
-        partners = _table(product.right, right_tests, columns, db, memo)
-    elif partners := _eval(product.right, db, memo):
-        partners = _scan(right_tests, None, partners)
+    partners = _partners(product.right, right_tests, columns, db, memo)
     if not partners:
         return rows
     division, constants = slotted

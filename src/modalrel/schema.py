@@ -32,7 +32,7 @@ def build_database(model: KripkeModel) -> DatabaseInstance:
     """The database image of a model, built on the first call and kept with
     the model (as ``_database``, which is not a field), so every query on the
     model reads one image and the hash tables it keeps (see
-    ``relalg._table``).  What the image keeps is bounded by the model's data;
+    ``relalg._partners``).  What the image keeps is bounded by the model's data;
     an equal model, a pickled copy or one made by ``replace`` is another
     object and builds its own."""
     db = model._database
